@@ -20,6 +20,7 @@ from .factors import (
     SimilarityVerdict,
     Subband,
     ZeroRectBand,
+    egg_box_band,
     h_quotient_band,
     maximal_rect_subbands,
     principal_factors,
@@ -30,12 +31,12 @@ from .green import (
     GreenStructure,
     OmegaData,
     green_classes,
-    is_combinatorial,
     omega_data,
 )
 from .matching import (
     DEFAULT_BRUTE_CAP,
     DEFAULT_INVOLUTION_CAP,
+    METHODS,
     CharacterizationReport,
     ClassSizeMismatch,
     ClauseResult,
@@ -48,6 +49,7 @@ from .matching import (
     SearchExhausted,
     VerifyResult,
     count_permutation_matchings,
+    decide,
     decide_orthodox_matching,
     find_involution_matching,
     find_permutation_matching,
@@ -66,7 +68,6 @@ from .structure import (
     gamma_structure,
     idempotents,
     inverse_sets,
-    inverses_of,
     inverses_of_set,
     orthodoxy_witness,
 )

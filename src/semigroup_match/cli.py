@@ -26,18 +26,14 @@ from .factors import h_quotient_band, maximal_rect_subbands, principal_factors, 
 from .green import green_classes
 from .matching import (
     DEFAULT_BRUTE_CAP,
-    DEFAULT_INVOLUTION_CAP,
+    METHODS,
     HallCertificate,
     Matching,
-    SearchExhausted,
     count_permutation_matchings,
-    decide_orthodox_matching,
-    find_involution_matching,
-    find_permutation_matching,
-    hall_brute_force,
+    decide,
     verify_matching,
 )
-from .structure import classify, idempotents, inverses_of_set
+from .structure import classify, idempotents
 from .table import (
     DEFAULT_SIZE_CAP,
     BoolStructureMatrix,
@@ -165,26 +161,8 @@ def _d_class_reports(table: MulTable, with_grid: bool = False) -> list:
     return reports
 
 
-def _matching_verdict(table: MulTable, flags) -> dict:
-    if flags.orthodox:
-        decision = decide_orthodox_matching(table)
-        if decision.exists:
-            return {
-                "exists": True,
-                "matching": _matching_json(table, decision.matching),
-                "certificate": None,
-                "involution_status": "involution_found",
-            }
-        res = find_permutation_matching(table)
-        if not isinstance(res, HallCertificate):
-            raise RuntimeError("block similarity and bipartite matching verdicts disagree")
-        return {
-            "exists": False,
-            "matching": None,
-            "certificate": _certificate_json(res),
-            "involution_status": "none_exists",
-        }
-    res = find_permutation_matching(table)
+def _matching_verdict(table: MulTable) -> dict:
+    res = decide(table)
     if isinstance(res, Matching):
         status = "involution_found" if res.is_involution_map() else "not_searched"
         return {
@@ -235,7 +213,7 @@ def cmd_analyze(args) -> int:
             "d_classes": len(g.d_classes),
         },
         "d_class_reports": _d_class_reports(table),
-        "matching_verdict": _matching_verdict(table, flags),
+        "matching_verdict": _matching_verdict(table),
     }
     elapsed = time.perf_counter() - started
     if args.json:
@@ -323,64 +301,19 @@ def cmd_matching(args) -> int:
         _emit_matching_result(args, table, base, count=res)
         return 0 if res.count > 0 else 1
 
-    if args.involution:
-        if args.method in ("hall", "brute"):
-            print(f"error: --involution cannot use method {args.method}", file=sys.stderr)
-            return 2
-        flags = classify(table)
-        if args.method == "orthodox" or (args.method == "auto" and flags.orthodox):
-            decision = decide_orthodox_matching(table)
-            if decision.exists:
-                _emit_matching_result(args, table, base, m=decision.matching)
-                return 0
-            cert = find_permutation_matching(table)
-            if not isinstance(cert, HallCertificate):
-                raise RuntimeError("block similarity and bipartite matching verdicts disagree")
-            _emit_matching_result(args, table, base, cert=cert)
-            return 1
-        res = find_involution_matching(
-            table,
-            cap=cap if cap is not None else DEFAULT_INVOLUTION_CAP,
-            budget_ms=args.budget,
-        )
-        if isinstance(res, Matching):
-            _emit_matching_result(args, table, base, m=res)
-            return 0
-        _emit_matching_result(args, table, base, search=res)
-        return 1 if res.complete else 3
-
-    method = args.method
-    if method == "auto":
-        method = "orthodox" if classify(table).orthodox else "hall"
-    if method == "orthodox":
-        decision = decide_orthodox_matching(table)
-        if decision.exists:
-            _emit_matching_result(args, table, base, m=decision.matching)
-            return 0
-        cert = find_permutation_matching(table)
-        if not isinstance(cert, HallCertificate):
-            raise RuntimeError("block similarity and bipartite matching verdicts disagree")
-        _emit_matching_result(args, table, base, cert=cert)
-        return 1
-    if method == "hall":
-        res = find_permutation_matching(table)
-        if isinstance(res, Matching):
-            _emit_matching_result(args, table, base, m=res)
-            return 0
+    if args.involution and args.method in ("hall", "brute"):
+        print(f"error: --involution cannot use method {args.method}", file=sys.stderr)
+        return 2
+    res = decide(table, method=args.method, involution=args.involution, cap=cap,
+                 budget_ms=args.budget)
+    if isinstance(res, Matching):
+        _emit_matching_result(args, table, base, m=res)
+        return 0
+    if isinstance(res, HallCertificate):
         _emit_matching_result(args, table, base, cert=res)
         return 1
-    # brute: subset enumeration decides, bipartite matching then exhibits
-    res = hall_brute_force(table, max_size=cap if cap is not None else DEFAULT_BRUTE_CAP)
-    if res.holds:
-        m = find_permutation_matching(table)
-        if not isinstance(m, Matching):
-            raise RuntimeError("subset enumeration and bipartite matching verdicts disagree")
-        _emit_matching_result(args, table, base, m=m)
-        return 0
-    image = tuple(sorted(inverses_of_set(table, res.witness)))
-    cert = HallCertificate(violating_set=tuple(res.witness), image=image)
-    _emit_matching_result(args, table, base, cert=cert)
-    return 1
+    _emit_matching_result(args, table, base, search=res)
+    return 1 if res.complete else 3
 
 
 def cmd_factors(args) -> int:
@@ -488,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="require f(f(a)) = a")
     mode.add_argument("--count", type=int, metavar="LIMIT", default=None,
                       help="count matchings, stopping at LIMIT")
-    pm.add_argument("--method", choices=["auto", "hall", "orthodox", "brute"],
+    pm.add_argument("--method", choices=list(METHODS),
                     default="auto", help="decision procedure (default: auto)")
 
     pf = sub.add_parser("factors", parents=[common],

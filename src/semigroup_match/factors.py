@@ -1,10 +1,11 @@
-"""Principal factors, their combinatorial band quotients, and block structure.
+"""Band quotients of D-classes, their block structure, and principal factors.
 
-Each D-class yields a principal factor: the class plus a fresh zero, with
-every product that escapes the class redirected to that zero.  For a regular
-class the factor collapses, H-class by H-class, onto a rectangular band with
-zero; the idempotent cells of that band split into maximal rectangular
-blocks whose sizes decide whether a permutation matching can exist.
+Collapsing each H-class of a regular D-class to a point gives a rectangular
+band with zero whose idempotent cells split into maximal rectangular blocks;
+the block sizes decide whether a permutation matching can exist.
+egg_box_band reads the band off an egg box of S; h_quotient_band reads the
+same band off a principal factor (the class plus a fresh zero absorbing every
+product that escapes the class), for reports and cross-checks.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthodoxError, NotRegularDClassError
-from .green import green_classes
-from .structure import idempotents, inverse_sets
+from .green import EggBox, green_classes
+from .structure import idempotents
 from .table import BoolStructureMatrix, MulTable, rees_matrix
 
 
@@ -69,10 +70,10 @@ def principal_factors(table: MulTable) -> tuple:
 
 
 class ZeroRectBand:
-    """Rectangular band with zero: the H-quotient of a regular principal factor.
+    """Rectangular band with zero: the H-quotient of a regular D-class.
 
     Cells are pairs (i, lam) with i an R-class position and lam an L-class
-    position in the factor's egg box; h_map sends each original semigroup
+    position in the D-class's egg box; h_map sends each original semigroup
     element of the D-class to its cell.
     """
 
@@ -104,6 +105,23 @@ class ZeroRectBand:
         return f"ZeroRectBand(m={self.m}, n={self.n})"
 
 
+def egg_box_band(box: EggBox, idems, element_map=None) -> ZeroRectBand:
+    """Collapse each H-class of a regular D-class's egg box to a cell (i, lam).
+
+    The structure matrix marks the cells that hold an element of idems; h_map
+    keys are the box's elements, renamed through element_map when given.
+    """
+    m, n = len(box.r_ids), len(box.l_ids)
+    entries = [[any(x in idems for x in box.grid[i][lam]) for i in range(m)] for lam in range(n)]
+    h_map = {
+        (x if element_map is None else element_map[x]): (i, lam)
+        for i, row in enumerate(box.grid)
+        for lam, cell in enumerate(row)
+        for x in cell
+    }
+    return ZeroRectBand(m=m, n=n, p=BoolStructureMatrix(entries), h_map=h_map)
+
+
 def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
     """Collapse each H-class of the factor's nonzero part to a point.
 
@@ -121,19 +139,7 @@ def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
     nz_d = g.d_class[0]
     if any(g.d_class[x] != nz_d for x in range(pf.zero)):
         raise RuntimeError("regular principal factor must be 0-simple")
-    box = g.egg_boxes[nz_d]
-    m, n = len(box.r_ids), len(box.l_ids)
-    entries = [[False] * m for _ in range(n)]
-    h_map = {}
-    for i in range(m):
-        for lam in range(n):
-            cell = box.grid[i][lam]
-            if not cell:
-                raise RuntimeError("empty cell inside a single D-class egg box")
-            entries[lam][i] = any(x in idems for x in cell)
-            for x in cell:
-                h_map[pf.element_map[x]] = (i, lam)
-    return ZeroRectBand(m=m, n=n, p=BoolStructureMatrix(entries), h_map=h_map)
+    return egg_box_band(g.egg_boxes[nz_d], idems, pf.element_map)
 
 
 @dataclass(frozen=True)
@@ -173,39 +179,35 @@ class BandDecomposition:
 def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
     """Partition the nonzero idempotent cells into maximal rectangular blocks.
 
-    Two idempotent cells lie in one block exactly when they are mutually
-    inverse, so blocks are read off the inverse sets of the band.  Requires
-    the idempotents of the band to be closed under products (the orthodox
-    condition at this level); otherwise NotOrthodoxError carries the first
-    offending cell pair.
+    Requires the cells the structure matrix marks as idempotent to be closed
+    under products (the orthodox condition at this level); otherwise
+    NotOrthodoxError carries the first offending pair in pair-index order.
+    Closure makes every connected component of marked cells a full
+    rectangle, read off the marks of its first row, which also orders them.
     """
-    t = zband.table()
-    zero = zband.zero
-    idems = [e for e in idempotents(t) if e != zero]
-    idem_or_zero = set(idems) | {zero}
-    prod = t.product
-    for e in idems:
-        for f in idems:
-            if int(prod[e, f]) not in idem_or_zero:
-                raise NotOrthodoxError((e, f))
-    v = inverse_sets(t)
+    p = np.array(zband.p.entries, dtype=bool)   # p[lam, i]
+    cells = np.argwhere(p.T)                    # idempotent (i, lam), pair-index order
+    rows, cols = cells[:, 0], cells[:, 1]
+    # (i, lam)(k, mu) = (i, mu) when p[lam, k], and (i, mu) is idempotent when p[mu, i]
+    meets = p[np.ix_(cols, rows)]
+    bad = meets & ~meets.T
+    first = int(bad.argmax())
+    if bad.flat[first]:
+        e, f = divmod(first, len(cells))
+        raise NotOrthodoxError((int(zband.pair_index(*cells[e])), int(zband.pair_index(*cells[f]))))
     subbands = []
-    assigned = set()
-    for e in idems:
-        if e in assigned:
+    row_block = [-1] * zband.m
+    col_block = [-1] * zband.n
+    for i in range(zband.m):
+        if row_block[i] != -1:
             continue
-        members = tuple(sorted(v[e]))
-        for f in members:
-            if f not in idem_or_zero or f == zero or v[f] != v[e]:
-                raise RuntimeError("inverse classes of an orthodox band must agree")
-        r_indices = tuple(sorted({zband.coords(x)[0] for x in members}))
-        l_indices = tuple(sorted({zband.coords(x)[1] for x in members}))
-        if len(members) != len(r_indices) * len(l_indices):
-            raise RuntimeError("block is not a full rectangle of cells")
-        if set(members) != {
-            zband.pair_index(i, lam) for i in r_indices for lam in l_indices
-        }:
-            raise RuntimeError("block cells do not form a grid")
+        l_indices = tuple(int(lam) for lam in np.flatnonzero(p[:, i]))
+        r_indices = tuple(int(k) for k in np.flatnonzero(p[l_indices[0]]))
+        for k in r_indices:
+            row_block[k] = len(subbands)
+        for lam in l_indices:
+            col_block[lam] = len(subbands)
+        members = tuple(zband.pair_index(k, lam) for k in r_indices for lam in l_indices)
         subbands.append(
             Subband(
                 rep=members[0],
@@ -216,18 +218,8 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
                 n=len(l_indices),
             )
         )
-        assigned.update(members)
     r_order = tuple(i for s in subbands for i in s.r_indices)
     l_order = tuple(lam for s in subbands for lam in s.l_indices)
-    if sorted(r_order) != list(range(zband.m)) or sorted(l_order) != list(range(zband.n)):
-        raise RuntimeError("blocks must partition the rows and columns of the band")
-    row_block = [0] * zband.m
-    col_block = [0] * zband.n
-    for k, s in enumerate(subbands):
-        for i in s.r_indices:
-            row_block[i] = k
-        for lam in s.l_indices:
-            col_block[lam] = k
     phi = {
         a: (row_block[i], col_block[lam]) for a, (i, lam) in zband.h_map.items()
     }

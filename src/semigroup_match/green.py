@@ -245,8 +245,3 @@ def omega_data(table: MulTable, a: int) -> OmegaData:
     omega_minus_one = seq[k - 1]
     return OmegaData(omega=omega, omega_minus_one=omega_minus_one, index=index, period=period)
 
-
-def is_combinatorial(table: MulTable) -> bool:
-    """True when every H-class is a singleton."""
-    g = green_classes(table)
-    return len(g.h_classes) == table.n

@@ -5,8 +5,10 @@ a; an involution matching additionally satisfies f(f(a)) = a.  Existence of
 a permutation matching is exactly Hall's condition for the sets V(a), which
 this module decides two independent ways: maximum bipartite matching with a
 violating-set certificate, and (for orthodox input) a structural test on the
-maximal rectangular blocks of each D-class, which also yields an involution
-matching when it succeeds.
+maximal rectangular blocks of each D-class of S's own egg box, which also
+yields an involution matching when it succeeds.  decide() is the one entry
+point that picks a route and returns a verified Matching, a HallCertificate
+or, for the involution search, SearchExhausted.
 """
 
 from __future__ import annotations
@@ -21,13 +23,19 @@ from .errors import CapExceededError, LiftFailureError, NotOrthodoxError, TooLar
 from .factors import (
     PrincipalFactor,
     ZeroRectBand,
-    h_quotient_band,
+    egg_box_band,
     maximal_rect_subbands,
-    principal_factors,
     similarity_check,
 )
-from .green import omega_data
-from .structure import classify, gamma_structure, inverse_sets, orthodoxy_witness
+from .green import green_classes, omega_data
+from .structure import (
+    classify,
+    gamma_structure,
+    idempotents,
+    inverse_sets,
+    inverses_of_set,
+    orthodoxy_witness,
+)
 from .table import MulTable
 
 DEFAULT_INVOLUTION_CAP = 200
@@ -83,6 +91,14 @@ def verify_matching(table: MulTable, f, require_involution: bool = False) -> Ver
             if f[f[a]] != a:
                 return VerifyResult(False, "not an involution", a)
     return VerifyResult(True, None, None)
+
+
+def _verified(table: MulTable, m: Matching) -> Matching:
+    """m itself once verify_matching accepts it for its kind; RuntimeError otherwise."""
+    check = verify_matching(table, m.f, require_involution=m.kind == "involution")
+    if not check.ok:
+        raise RuntimeError(f"{m.provenance} produced no {m.kind} matching: {check.reason}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -215,8 +231,14 @@ def find_permutation_matching(table: MulTable):
             if match_l[a] == -1:
                 _hk_augment(a, adj, dist, match_l, match_r, free_dist)
     if all(b != -1 for b in match_l):
-        return Matching(f=tuple(match_l), kind="permutation", provenance="hall_bipartite")
+        return _verified(table, Matching(f=tuple(match_l), kind="permutation",
+                                         provenance="hall_bipartite"))
     return _hall_certificate(n, adj, match_l, match_r)
+
+
+def _inverse_masks(table: MulTable) -> list:
+    """V(a) as a bitmask of elements, for every a."""
+    return [sum(1 << b for b in va) for va in inverse_sets(table)]
 
 
 @dataclass(frozen=True)
@@ -235,11 +257,7 @@ def hall_brute_force(table: MulTable, max_size: int = DEFAULT_BRUTE_CAP) -> Hall
     n = table.n
     if n > max_size:
         raise TooLargeError(f"subset enumeration over {n} elements exceeds the cap of {max_size}")
-    v = inverse_sets(table)
-    masks = [0] * n
-    for a in range(n):
-        for b in v[a]:
-            masks[a] |= 1 << b
+    masks = _inverse_masks(table)
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
             union = 0
@@ -302,19 +320,15 @@ def orthodox_involution(table: MulTable):
             for a, b in zip(gs.class_list[c], gs.class_list[d]):
                 f[a] = b
                 f[b] = a
-    m = Matching(f=tuple(f), kind="involution", provenance="gamma_class_pairing")
-    check = verify_matching(table, m.f, require_involution=True)
-    if not check.ok:
-        raise RuntimeError("V-class pairing failed to produce an involution matching")
-    return m
+    return _verified(table, Matching(f=tuple(f), kind="involution",
+                                     provenance="gamma_class_pairing"))
 
 
 @dataclass(frozen=True)
 class DClassVerdict:
-    """Block analysis of one D-class: factor, band quotient, decomposition."""
+    """Block analysis of one D-class: band quotient, decomposition, similarity."""
 
     d_class: int
-    factor: PrincipalFactor
     band: ZeroRectBand
     decomposition: object
     similarity: object
@@ -367,25 +381,38 @@ def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matchin
     return lifted
 
 
+def _swapped_cell(dec, i: int, lam: int) -> tuple:
+    """Cell (i, lam) of row block a and column block b pairs with the cell at
+    the same pair-index position among those of row block b and column block a.
+    """
+    src = dec.subbands[dec.row_block[i]]
+    dst = dec.subbands[dec.col_block[lam]]
+    k = src.r_indices.index(i) * dst.n + dst.l_indices.index(lam)
+    r, c = divmod(k, src.n)
+    return dst.r_indices[r], src.l_indices[c]
+
+
 def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
     """Structural existence test for matchings of an orthodox semigroup.
 
-    Works one D-class at a time: the principal factor collapses to a
-    rectangular band with zero, whose idempotent cells split into maximal
-    rectangular blocks.  A permutation matching of S exists exactly when,
-    inside every D-class, the block shapes are pairwise proportional.  When
-    they are, an involution matching is assembled by matching each band to
-    itself and lifting through the factors.
+    Works one D-class at a time on S's own egg box, building no derived
+    table: its H-classes form a rectangular band with zero whose idempotent
+    cells split into maximal rectangular blocks.  A permutation matching of S
+    exists exactly when, inside every D-class, the block shapes are pairwise
+    proportional.  Then each band cell pairs with its swapped-block partner,
+    every element goes to its unique inverse in the partner H-class, and the
+    assembled involution matching is verified on S.
     """
     _require_orthodox(table)
+    boxes = green_classes(table).egg_boxes
+    idems = set(idempotents(table))
     verdicts = []
-    for pf in principal_factors(table):
-        band = h_quotient_band(pf)
+    for box in boxes:
+        band = egg_box_band(box, idems)
         dec = maximal_rect_subbands(band)
         verdicts.append(
             DClassVerdict(
-                d_class=pf.d_class,
-                factor=pf,
+                d_class=box.d_class,
                 band=band,
                 decomposition=dec,
                 similarity=similarity_check(dec),
@@ -394,18 +421,18 @@ def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
     exists = all(vd.similarity.pairwise_similar for vd in verdicts)
     if not exists:
         return OrthodoxDecision(exists=False, per_d_class=tuple(verdicts), matching=None)
+    v = inverse_sets(table)
     f = [-1] * table.n
-    for vd in verdicts:
-        band_matching = orthodox_involution(vd.band.table())
-        if not isinstance(band_matching, Matching):
-            raise RuntimeError("similar blocks must admit a band involution")
-        lifted = lift_band_matching(vd.factor, vd.band, band_matching)
-        for x in range(vd.factor.zero):
-            f[vd.factor.element_map[x]] = vd.factor.element_map[lifted.f[x]]
-    matching = Matching(f=tuple(f), kind="involution", provenance="band_lift")
-    check = verify_matching(table, matching.f, require_involution=True)
-    if not check.ok:
-        raise RuntimeError("assembled band lift is not an involution matching")
+    for vd, box in zip(verdicts, boxes):
+        for x, (i, lam) in vd.band.h_map.items():
+            i2, lam2 = _swapped_cell(vd.decomposition, i, lam)
+            image = v[x].intersection(box.grid[i2][lam2])
+            if len(image) != 1:
+                raise LiftFailureError(
+                    f"element {x} has {len(image)} inverses in the image cell, need exactly 1"
+                )
+            (f[x],) = image
+    matching = _verified(table, Matching(f=tuple(f), kind="involution", provenance="band_lift"))
     return OrthodoxDecision(exists=True, per_d_class=tuple(verdicts), matching=matching)
 
 
@@ -505,8 +532,53 @@ def find_involution_matching(table: MulTable, cap: int = DEFAULT_INVOLUTION_CAP,
         if needed > old_limit:
             sys.setrecursionlimit(old_limit)
     if found:
-        return Matching(f=tuple(partner), kind="involution", provenance="brute_force_involution")
+        return _verified(table, Matching(f=tuple(partner), kind="involution",
+                                         provenance="brute_force_involution"))
     return SearchExhausted(complete=not state["timed_out"], nodes=state["nodes"])
+
+
+METHODS = ("auto", "hall", "orthodox", "brute")
+
+
+def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=None,
+           budget_ms=None):
+    """Decide whether S has a permutation (or involution) matching onto inverses.
+
+    method picks the structural ("orthodox"), bipartite ("hall") or subset
+    ("brute") route; "auto" is structural on orthodox input and bipartite
+    otherwise, and an involution on non-orthodox input is searched for by
+    backtracking.  cap bounds the search and "brute", budget_ms the search.
+    Returns a verified Matching, a HallCertificate, or SearchExhausted from
+    the search.  Bipartite matching must agree with the other routes.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if involution and method in ("hall", "brute"):
+        raise ValueError(f"involution matchings cannot use method {method}")
+    if method == "auto":
+        method = "orthodox" if classify(table).orthodox else "hall"
+    if method == "orthodox":
+        decision = decide_orthodox_matching(table)
+        if decision.exists:
+            return decision.matching
+        cert = find_permutation_matching(table)
+        if not isinstance(cert, HallCertificate):
+            raise RuntimeError("block similarity and bipartite matching verdicts disagree")
+        return cert
+    if involution:
+        return find_involution_matching(
+            table, cap=DEFAULT_INVOLUTION_CAP if cap is None else cap, budget_ms=budget_ms
+        )
+    if method == "hall":
+        return find_permutation_matching(table)
+    res = hall_brute_force(table, max_size=DEFAULT_BRUTE_CAP if cap is None else cap)
+    if not res.holds:
+        image = tuple(sorted(inverses_of_set(table, res.witness)))
+        return HallCertificate(violating_set=res.witness, image=image)
+    m = find_permutation_matching(table)
+    if not isinstance(m, Matching):
+        raise RuntimeError("subset enumeration and bipartite matching verdicts disagree")
+    return m
 
 
 @dataclass(frozen=True)
@@ -525,11 +597,7 @@ def count_permutation_matchings(table: MulTable, limit=None,
     n = table.n
     if n > max_size:
         raise TooLargeError(f"matching count over {n} elements exceeds the cap of {max_size}")
-    v = inverse_sets(table)
-    masks = [0] * n
-    for a in range(n):
-        for b in v[a]:
-            masks[a] |= 1 << b
+    masks = _inverse_masks(table)
     if any(m == 0 for m in masks):
         return MatchingCount(count=0, exact=True)
     state = {"count": 0, "capped": False}

@@ -46,10 +46,6 @@ def inverse_sets(table: MulTable) -> tuple:
     return result
 
 
-def inverses_of(table: MulTable, a: int) -> set:
-    return set(inverse_sets(table)[a])
-
-
 def inverses_of_set(table: MulTable, elements) -> set:
     """V(A) = union of V(a) over a in A."""
     v = inverse_sets(table)
@@ -140,15 +136,23 @@ def gamma_structure(table: MulTable) -> InverseSets:
 
 
 def orthodoxy_witness(table: MulTable):
-    """First idempotent pair (e, f) with ef not idempotent, or None if orthodox."""
-    idems = idempotents(table)
-    idem_set = set(idems)
-    prod = table.product
-    for e in idems:
-        for f in idems:
-            if int(prod[e, f]) not in idem_set:
-                return (e, f)
-    return None
+    """First idempotent pair (e, f) with ef not idempotent, or None if orthodox.
+
+    Pairs are scanned in row-major order over the idempotents ascending.
+    """
+    if "orthodoxy_witness" in table._cache:   # None, the orthodox result, is cached too
+        return table._cache["orthodoxy_witness"]
+    idems = np.array(idempotents(table), dtype=np.intp)
+    is_idem = np.zeros(table.n, dtype=bool)
+    is_idem[idems] = True
+    bad = ~is_idem[table.product[np.ix_(idems, idems)]]
+    first = int(bad.argmax())
+    result = None
+    if bad.flat[first]:
+        e, f = divmod(first, len(idems))
+        result = (int(idems[e]), int(idems[f]))
+    table._cache["orthodoxy_witness"] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,9 @@ class ClassificationFlags:
 
 def classify(table: MulTable) -> ClassificationFlags:
     """All standard structural flags, computed independently of each other."""
+    cached = table._cache.get("classify")
+    if cached is not None:
+        return cached
     n = table.n
     prod = table.product
     ar = np.arange(n)
@@ -192,7 +199,7 @@ def classify(table: MulTable) -> ClassificationFlags:
     has_zero = any(
         bool(np.all(prod[z] == z)) and bool(np.all(prod[:, z] == z)) for z in range(n)
     )
-    return ClassificationFlags(
+    result = ClassificationFlags(
         regular=regular,
         orthodox=ortho,
         inverse=inverse,
@@ -205,6 +212,8 @@ def classify(table: MulTable) -> ClassificationFlags:
         self_inverse=self_inverse,
         has_zero=has_zero,
     )
+    table._cache["classify"] = result
+    return result
 
 
 @dataclass(frozen=True)

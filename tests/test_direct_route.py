@@ -1,0 +1,142 @@
+"""The structural route on S's own egg box against the principal-factor route.
+
+The reference route builds each D-class's principal factor, its band
+quotient table and a V-class involution of that table, then lifts it back;
+the direct route reads everything off S.  Both must give the same bands,
+blocks and matchings.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from semigroup_match import (
+    BandDecomposition,
+    Matching,
+    MulTable,
+    NotOrthodoxError,
+    Subband,
+    classify,
+    decide_orthodox_matching,
+    egg_box_band,
+    green_classes,
+    h_quotient_band,
+    idempotents,
+    inverse_sets,
+    lift_band_matching,
+    maximal_rect_subbands,
+    orthodox_involution,
+    principal_factors,
+    rectangular_band,
+)
+from semigroup_match import factors as factors_mod
+from semigroup_match import matching as matching_mod
+from semigroup_match import table as table_mod
+
+from corpus import brandt, full_corpus
+
+
+def reference_subbands(zband) -> BandDecomposition:
+    """Blocks read from the band's own table: idempotent closure, then inverse sets."""
+    t = zband.table()
+    zero = zband.zero
+    idems = [e for e in idempotents(t) if e != zero]
+    idem_or_zero = set(idems) | {zero}
+    for e in idems:
+        for f in idems:
+            if t.mul(e, f) not in idem_or_zero:
+                raise NotOrthodoxError((e, f))
+    v = inverse_sets(t)
+    subbands = []
+    assigned = set()
+    for e in idems:
+        if e in assigned:
+            continue
+        members = tuple(sorted(v[e]))
+        r_indices = tuple(sorted({zband.coords(x)[0] for x in members}))
+        l_indices = tuple(sorted({zband.coords(x)[1] for x in members}))
+        subbands.append(Subband(rep=members[0], members=members, r_indices=r_indices,
+                                l_indices=l_indices, m=len(r_indices), n=len(l_indices)))
+        assigned.update(members)
+    row_block = [0] * zband.m
+    col_block = [0] * zband.n
+    for k, s in enumerate(subbands):
+        for i in s.r_indices:
+            row_block[i] = k
+        for lam in s.l_indices:
+            col_block[lam] = k
+    return BandDecomposition(
+        subbands=tuple(subbands),
+        r_order=tuple(i for s in subbands for i in s.r_indices),
+        l_order=tuple(lam for s in subbands for lam in s.l_indices),
+        row_block=tuple(row_block),
+        col_block=tuple(col_block),
+        phi={a: (row_block[i], col_block[lam]) for a, (i, lam) in zband.h_map.items()},
+    )
+
+
+def reference_matching(table: MulTable) -> tuple:
+    """Involution matching assembled through principal factors and band tables."""
+    f = [-1] * table.n
+    for pf in principal_factors(table):
+        band = h_quotient_band(pf)
+        band_matching = orthodox_involution(band.table())
+        assert isinstance(band_matching, Matching)
+        lifted = lift_band_matching(pf, band, band_matching)
+        for x in range(pf.zero):
+            f[pf.element_map[x]] = pf.element_map[lifted.f[x]]
+    return tuple(f)
+
+
+def _blocks_or_witness(read_blocks, zband):
+    try:
+        return read_blocks(zband)
+    except NotOrthodoxError as exc:
+        return exc.witness
+
+
+# full_corpus includes the whole orthodox matching corpus
+@pytest.mark.parametrize("name,table", full_corpus())
+def test_egg_box_band_matches_principal_factor_band(name, table):
+    g = green_classes(table)
+    idems = set(idempotents(table))
+    for pf, box in zip(principal_factors(table), g.egg_boxes):
+        if not idems.intersection(g.d_classes[pf.d_class]):
+            continue
+        direct = egg_box_band(box, idems)
+        ref = h_quotient_band(pf)
+        assert (direct.m, direct.n, direct.p, direct.h_map) == (ref.m, ref.n, ref.p, ref.h_map), name
+        assert (_blocks_or_witness(maximal_rect_subbands, direct)
+                == _blocks_or_witness(reference_subbands, ref)), name
+
+
+@pytest.mark.parametrize("name,table", full_corpus())
+def test_direct_matching_matches_factor_lift(name, table):
+    if not classify(table).orthodox:
+        return
+    decision = decide_orthodox_matching(table)
+    if not decision.exists:
+        return
+    assert decision.matching.f == reference_matching(table), name
+
+
+@pytest.mark.parametrize("table", [rectangular_band(16, 16), brandt(16)], ids=["rect16x16", "b16"])
+def test_direct_route_builds_no_tables(monkeypatch, table):
+    built = []
+    init = MulTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct route must not call this")
+
+    monkeypatch.setattr(MulTable, "__init__", counting_init)
+    for mod, name in [(factors_mod, "principal_factors"), (factors_mod, "rees_matrix"),
+                      (table_mod, "rees_matrix"), (matching_mod, "orthodox_involution"),
+                      (matching_mod, "lift_band_matching")]:
+        monkeypatch.setattr(mod, name, forbidden)
+    decision = decide_orthodox_matching(table)
+    assert decision.exists
+    assert built == []

@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 
 from semigroup_match import (
+    classify,
     green_classes,
     idempotents,
-    is_combinatorial,
     omega_data,
 )
 
@@ -209,7 +209,7 @@ class TestOmega:
 
 class TestCombinatorial:
     def test_flags(self):
-        assert is_combinatorial(band7())
-        assert not is_combinatorial(cyclic(6))
-        assert is_combinatorial(monogenic(3, 1))
-        assert not is_combinatorial(t_n(3))
+        assert classify(band7()).combinatorial
+        assert not classify(cyclic(6)).combinatorial
+        assert classify(monogenic(3, 1)).combinatorial
+        assert not classify(t_n(3)).combinatorial

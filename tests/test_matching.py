@@ -11,7 +11,9 @@ from semigroup_match import (
     NotOrthodoxError,
     SearchExhausted,
     TooLargeError,
+    VerifyResult,
     count_permutation_matchings,
+    decide,
     decide_orthodox_matching,
     find_involution_matching,
     find_permutation_matching,
@@ -237,6 +239,34 @@ class TestLift:
         assert lifted.provenance == "band_lift"
         assert verify_matching(pf.table, lifted.f).ok
         assert lifted.f[pf.zero] == pf.zero
+
+
+class TestReturnedMatchingsAreVerified:
+    @pytest.mark.parametrize("find", [find_permutation_matching, find_involution_matching])
+    def test_failed_verification_raises(self, monkeypatch, find):
+        monkeypatch.setattr(
+            "semigroup_match.matching.verify_matching",
+            lambda *args, **kwargs: VerifyResult(False, "rejected", 0),
+        )
+        with pytest.raises(RuntimeError):
+            find(cyclic(3))
+
+
+class TestDecide:
+    @pytest.mark.parametrize("method", ["auto", "hall", "orthodox", "brute"])
+    def test_routes_agree_on_existence(self, method):
+        assert isinstance(decide(block_band([(2, 4), (1, 2)]), method=method), Matching)
+        assert isinstance(decide(band7(), method=method), HallCertificate)
+
+    def test_non_orthodox_involution_searches(self):
+        res = decide(t_n(3), involution=True)
+        assert isinstance(res, Matching) and res.is_involution_map()
+        assert isinstance(decide(null_semigroup(2), involution=True), SearchExhausted)
+
+    @pytest.mark.parametrize("method", ["hall", "brute", "nope"])
+    def test_rejects_bad_method(self, method):
+        with pytest.raises(ValueError):
+            decide(cyclic(2), method=method, involution=method != "nope")
 
 
 class TestInvolutionSearch:
