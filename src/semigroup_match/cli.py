@@ -47,8 +47,9 @@ from .table import (
 )
 
 
-def _load(path) -> MulTable:
-    return parse_table(Path(path).read_text(encoding="utf-8"))
+def _load(path, cap) -> MulTable:
+    max_size = DEFAULT_SIZE_CAP if cap is None else max(cap, DEFAULT_SIZE_CAP)
+    return parse_table(Path(path).read_text(encoding="utf-8"), max_size=max_size)
 
 
 def render_matching(table: MulTable, m: Matching) -> str:
@@ -197,7 +198,7 @@ def _flags_dict(flags) -> dict:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
-    table = _load(args.file)
+    table = _load(args.file, args.cap)
     flags = classify(table)
     g = green_classes(table)
     report = {
@@ -281,7 +282,7 @@ def _emit_matching_result(args, table, base, m=None, cert=None, search=None,
 
 
 def cmd_matching(args) -> int:
-    table = _load(args.file)
+    table = _load(args.file, args.cap)
     cap = args.cap
     base = {
         "command": "matching",
@@ -317,7 +318,7 @@ def cmd_matching(args) -> int:
 
 
 def cmd_factors(args) -> int:
-    table = _load(args.file)
+    table = _load(args.file, args.cap)
     reports = _d_class_reports(table, with_grid=True)
     if args.json:
         print(json.dumps({
@@ -378,8 +379,8 @@ def cmd_gen(args) -> int:
         else:
             table = full_transformation(args.n)
     else:
-        s = _load(args.f1)
-        t = _load(args.f2)
+        s = _load(args.f1, args.cap)
+        t = _load(args.f2, args.cap)
         table = direct_product(
             s, t, max_size=args.cap if args.cap is not None else DEFAULT_SIZE_CAP
         )

@@ -44,18 +44,17 @@ def _fresh_zero_name(taken) -> str:
 def principal_factors(table: MulTable) -> tuple:
     """Principal factor of every D-class, in D-class id order."""
     g = green_classes(table)
-    prod = table.product
+    d_class = np.array(g.d_class, dtype=np.intp)
+    index_of = np.empty(table.n, dtype=np.intp)   # position within its own D-class
+    for members in g.d_classes:
+        index_of[list(members)] = np.arange(len(members))
     out = []
     for d, members in enumerate(g.d_classes):
-        index_of = {a: i for i, a in enumerate(members)}
         k = len(members)
         zero = k
+        block = table.product[np.ix_(members, members)]
         fprod = np.full((k + 1, k + 1), zero, dtype=np.intp)
-        for i, a in enumerate(members):
-            for j, b in enumerate(members):
-                ab = int(prod[a, b])
-                if g.d_class[ab] == d:
-                    fprod[i, j] = index_of[ab]
+        fprod[:k, :k] = np.where(d_class[block] == d, index_of[block], zero)
         member_names = [table.element_name(a) for a in members]
         names = member_names + [_fresh_zero_name(set(member_names))]
         out.append(

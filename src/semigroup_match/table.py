@@ -1,9 +1,10 @@
 """Finite semigroups as multiplication tables, plus the standard constructions.
 
 Elements are the integers 0..n-1; an optional name per element is kept for
-display only.  Every constructor funnels through MulTable, which checks all
-n^3 triples for associativity, so no table in the rest of the package is
-ever trusted blindly.
+display only.  Every constructor funnels through MulTable, which decides
+associativity exactly (Light's test over a generating set, about n^2 checks
+per generator), so no table in the rest of the package is ever trusted
+blindly.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .errors import (
 DEFAULT_SIZE_CAP = 5000
 DEFAULT_RANK_CAP = 4
 
-# scratch cells per chunk of the vectorized associativity sweep
+# scratch cells per chunk of the vectorized associativity checks
 _ASSOC_CHUNK_CELLS = 1 << 21
 
 
-def _associativity_witness(product: np.ndarray):
+def _full_witness(product: np.ndarray):
     """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None."""
     n = product.shape[0]
     chunk = max(1, _ASSOC_CHUNK_CELLS // (n * n))
@@ -41,13 +42,67 @@ def _associativity_witness(product: np.ndarray):
     return None
 
 
+def _generators(product: np.ndarray) -> np.ndarray:
+    """Elements whose products, multiplied out from the left, reach every element.
+
+    Every element outside S^2 is taken; then, while some element is not yet
+    reached, the first such element.  The reached set grows by right
+    multiplication, each (reached element, generator) pair computed once.
+    """
+    n = product.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    gens = np.empty(0, dtype=np.intp)
+    in_square = np.zeros(n, dtype=bool)
+    in_square[product.ravel()] = True
+    new = np.flatnonzero(~in_square)
+    while True:
+        old = np.flatnonzero(reached)
+        gens = np.concatenate([gens, new])
+        fresh = np.concatenate([new, product[np.ix_(old, new)].ravel()])
+        while fresh.size:
+            fresh = np.unique(fresh[~reached[fresh]])
+            reached[fresh] = True
+            fresh = product[np.ix_(fresh, gens)].ravel()
+        first = int(reached.argmin())
+        if reached[first]:
+            return gens
+        new = np.array([first], dtype=np.intp)
+
+
+def _associativity_witness(product: np.ndarray):
+    """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None.
+
+    Light's test: the g with (xg)y = x(gy) for all x, y are closed under the
+    product, so checking a generating set decides associativity.  Only a
+    table that fails it pays the full sweep, which finds the first triple.
+    """
+    n = product.shape[0]
+    # the narrowest dtype that holds every element cuts the gathers' memory traffic
+    compact = product.astype(np.min_scalar_type(n - 1))
+    gens = _generators(compact)
+    xg = compact[:, gens]             # xg[x, k] = x*g_k
+    gy = compact[gens]                # gy[k, y] = g_k*y
+    g_step = max(1, _ASSOC_CHUNK_CELLS // (n * n))
+    x_step = max(1, _ASSOC_CHUNK_CELLS // (g_step * n))
+    # np.take lays x(gy) out in C order like (xg)y; fancy indexing would
+    # not, and comparing mismatched layouts is several times slower
+    for k in range(0, len(gens), g_step):
+        for x in range(0, n, x_step):
+            left = compact[xg[x:x + x_step, k:k + g_step]]                  # (xg)y
+            right = np.take(compact[x:x + x_step], gy[k:k + g_step], axis=1)   # x(gy)
+            if not np.array_equal(left, right):
+                return _full_witness(compact)
+    return None
+
+
 class MulTable:
     """A finite semigroup on elements 0..n-1 given by its product table.
 
-    Entries are range-checked and associativity is verified for every triple
-    at construction; instances are immutable afterwards.  Derived structure
-    (Green classes, inverse sets) is cached on the instance by the modules
-    that compute it.
+    Entries are range-checked and associativity is verified at construction;
+    a non-associative table raises NotAssociativeError with its
+    lexicographically first bad triple.  Instances are immutable afterwards.
+    Derived structure (Green classes, inverse sets) is cached on the instance
+    by the modules that compute it.
     """
 
     __slots__ = ("n", "product", "names", "_cache")
@@ -111,12 +166,13 @@ class MulTable:
         return f"MulTable(n={self.n})"
 
 
-def parse_table(text: str) -> MulTable:
+def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
     """Parse the table file format.
 
     Lines starting with '#' are comments; a '# names: x y z' comment supplies
     display names.  The first data line is the element count n, followed by n
-    lines of n whitespace-separated entries in [0, n).
+    lines of n whitespace-separated entries in [0, n).  A count above
+    max_size raises CapExceededError before any row is read.
     """
     names = None
     data = []
@@ -141,6 +197,8 @@ def parse_table(text: str) -> MulTable:
         raise TableFormatError(f"element count is not an integer: {head[0]!r}") from None
     if n <= 0:
         raise TableFormatError("element count must be positive")
+    if n > max_size:
+        raise CapExceededError(f"table has {n} elements, cap is {max_size}")
     if len(data) - 1 != n:
         raise TableFormatError(f"expected {n} table rows, got {len(data) - 1}")
     rows = []

@@ -228,6 +228,20 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
+    def test_size_cap_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.tbl"
+        big.write_text("5001\n", encoding="utf-8")
+        code, _, err = run(["analyze", big], capsys)
+        assert code == 2
+        assert "error: table has 5001 elements, cap is 5000" in err
+        # --cap raises the limit; the missing rows are the next error
+        code, _, err = run(["analyze", big, "--cap", 6000], capsys)
+        assert code == 2
+        assert "expected 5001 table rows" in err
+        # a --cap below the default never lowers it
+        code, _, err = run(["analyze", big, "--cap", 10], capsys)
+        assert "cap is 5000" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(["analyze", "does-not-exist.tbl"], capsys)
         assert code == 2

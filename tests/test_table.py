@@ -82,8 +82,8 @@ class TestMulTable:
         assert rectangular_band(2, 2) != MulTable(rectangular_band(2, 2).product)
 
     def test_associativity_of_every_fixture(self):
-        # MulTable construction re-checks all triples; re-verify one corner
-        # case by hand on a bigger instance to guard the chunked sweep.
+        # MulTable construction checks associativity by Light's test;
+        # re-verify a few triples by hand on a bigger instance.
         t = full_transformation(3)
         p = t.product
         trip = [(0, 13, 26), (26, 13, 0), (25, 25, 25)]
@@ -126,6 +126,16 @@ class TestParseRender:
             parse_table("2\n0 1\n0\n")
         with pytest.raises(TableFormatError, match="row 0: non-integer"):
             parse_table("2\n0 z\n1 0\n")
+
+    def test_parse_size_cap(self):
+        # the count alone decides: no row is read before the cap check
+        with pytest.raises(CapExceededError, match="5001 elements, cap is 5000"):
+            parse_table("5001\n")
+        with pytest.raises(CapExceededError, match="cap is 2"):
+            parse_table("3\n0 0 0\n0 0 0\n0 0 0\n", max_size=2)
+        with pytest.raises(TableFormatError, match="expected 5001 table rows"):
+            parse_table("5001\n", max_size=5001)
+        assert parse_table("3\n0 0 0\n0 0 0\n0 0 0\n", max_size=3).n == 3
 
 
 class TestStructureMatrix:
