@@ -1,9 +1,9 @@
 """Green's relations, egg-box pictures, and omega powers.
 
-R-classes are the strongly connected components of the right Cayley graph
-(edges a -> ab), L-classes those of the left graph, H their common
-refinement, and D the join of R and L.  All class ids follow first-seen
-element order so output is deterministic.
+Green's relations are read straight off the product table: the principal
+right ideal aS^1 is row a of the table together with a, and the left ideal
+S^1a is column a together with a.  D is the composite R o L.  All class ids
+follow first-seen element order so output is deterministic.
 """
 
 from __future__ import annotations
@@ -58,70 +58,13 @@ class OmegaData:
     period: int
 
 
-def _sccs(n: int, neighbors) -> list:
-    """Tarjan strongly connected components, iterative, in component lists."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(neighbors(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(neighbors(w))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
+def _ids(class_min: np.ndarray) -> tuple:
+    """Class ids in first-seen element order, given each element's least class-mate.
 
-
-def _relabel(n: int, comps) -> tuple:
-    """Assign component ids in first-seen element order."""
-    comp_of = [0] * n
-    for cid, comp in enumerate(comps):
-        for x in comp:
-            comp_of[x] = cid
-    seen = {}
-    out = [0] * n
-    for x in range(n):
-        c = comp_of[x]
-        if c not in seen:
-            seen[c] = len(seen)
-        out[x] = seen[c]
-    return tuple(out)
+    A class is first seen at its least element, so first-seen order is the
+    order of the minima, which is their rank in np.unique.
+    """
+    return tuple(np.unique(class_min, return_inverse=True)[1].tolist())
 
 
 def _members(labels) -> tuple:
@@ -133,73 +76,49 @@ def _members(labels) -> tuple:
 
 
 def green_classes(table: MulTable) -> GreenStructure:
-    """Compute all of Green's relations for the table (cached on the table)."""
+    """Compute all of Green's relations for the table (cached on the table).
+
+    b lies in aS^1 exactly when b is a or an entry of row a of the table,
+    and in S^1a exactly when b is a or an entry of column a.  So a R b iff
+    each is in the other's row, a L b likewise with columns, and H = R meet
+    L.  R and L commute, so D = R o L: the least element of a's D-class is
+    the least L-class minimum over a's R-class.
+    """
     cached = table._cache.get("green")
     if cached is not None:
         return cached
     n = table.n
     prod = table.product
-    right_nbrs = [np.unique(prod[a]).tolist() for a in range(n)]
-    left_nbrs = [np.unique(prod[:, a]).tolist() for a in range(n)]
-    r_class = _relabel(n, _sccs(n, lambda a: right_nbrs[a]))
-    l_class = _relabel(n, _sccs(n, lambda a: left_nbrs[a]))
-
-    # H: common refinement of R and L
-    pairs = {}
-    h_class = []
-    for a in range(n):
-        key = (r_class[a], l_class[a])
-        if key not in pairs:
-            pairs[key] = len(pairs)
-        h_class.append(pairs[key])
-    h_class = tuple(h_class)
-
-    # D: smallest equivalence containing R and L, via union-find
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for members in _members(r_class):
-        for x in members[1:]:
-            union(members[0], x)
-    for members in _members(l_class):
-        for x in members[1:]:
-            union(members[0], x)
-    seen = {}
-    d_class = []
-    for a in range(n):
-        root = find(a)
-        if root not in seen:
-            seen[root] = len(seen)
-        d_class.append(seen[root])
-    d_class = tuple(d_class)
+    right = np.eye(n, dtype=bool)          # right[a, b]: b in aS^1
+    right[np.arange(n)[:, None], prod] = True
+    # indexed [b, a] so that both scatters read prod in memory order
+    left = np.eye(n, dtype=bool)           # left[b, a]: b in S^1a
+    left[prod, np.arange(n)[None, :]] = True
+    r_rel = right & right.T
+    l_rel = left & left.T
+    # argmax finds the first True, so these are the least elements of the classes
+    r_min = r_rel.argmax(axis=1)
+    l_min = l_rel.argmax(axis=1)
+    h_min = (r_rel & l_rel).argmax(axis=1)
+    d_min = np.full(n, n, dtype=np.intp)
+    np.minimum.at(d_min, r_min, l_min)
+    r_class = _ids(r_min)
+    l_class = _ids(l_min)
+    h_class = _ids(h_min)
+    d_class = _ids(d_min[r_min])
 
     d_members = _members(d_class)
     egg_boxes = []
     for d, members in enumerate(d_members):
-        r_ids = []
-        l_ids = []
-        for x in members:
-            if r_class[x] not in r_ids:
-                r_ids.append(r_class[x])
-            if l_class[x] not in l_ids:
-                l_ids.append(l_class[x])
+        r_ids = tuple(dict.fromkeys(r_class[x] for x in members))
+        l_ids = tuple(dict.fromkeys(l_class[x] for x in members))
         cells = {}
         for x in members:
             cells.setdefault((r_class[x], l_class[x]), []).append(x)
         grid = tuple(
             tuple(tuple(cells.get((r, l), ())) for l in l_ids) for r in r_ids
         )
-        egg_boxes.append(EggBox(d, tuple(r_ids), tuple(l_ids), grid))
+        egg_boxes.append(EggBox(d, r_ids, l_ids, grid))
 
     result = GreenStructure(
         n=n,

@@ -98,7 +98,9 @@ def _associativity_witness(product: np.ndarray):
 class MulTable:
     """A finite semigroup on elements 0..n-1 given by its product table.
 
-    Entries are range-checked and associativity is verified at construction;
+    The input must be a square array of integer dtype (anything else raises
+    TableFormatError), entries are range-checked and associativity is
+    verified at construction;
     a non-associative table raises NotAssociativeError with its
     lexicographically first bad triple.  Instances are immutable afterwards.
     Derived structure (Green classes, inverse sets) is cached on the instance
@@ -108,15 +110,21 @@ class MulTable:
     __slots__ = ("n", "product", "names", "_cache")
 
     def __init__(self, product, names=None):
-        arr = np.array(product, dtype=np.intp)
+        try:
+            arr = np.asarray(product)
+        except ValueError as exc:
+            raise TableFormatError(f"product table is not a rectangular array: {exc}") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise TableFormatError(f"product table must be square, got shape {arr.shape}")
+        if arr.dtype.kind not in "iu":
+            raise TableFormatError(f"product table entries must be integers, got dtype {arr.dtype}")
         n = int(arr.shape[0])
         if n == 0:
             raise TableFormatError("a semigroup needs at least one element")
         if int(arr.min()) < 0 or int(arr.max()) >= n:
             a, b = (int(x) for x in np.argwhere((arr < 0) | (arr >= n))[0])
             raise EntryRangeError(f"entry product[{a}][{b}] = {int(arr[a, b])} outside [0, {n})")
+        arr = arr.astype(np.intp)
         witness = _associativity_witness(arr)
         if witness is not None:
             raise NotAssociativeError(witness)

@@ -1,22 +1,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semigroup_match import (
+    MulTable,
     classify,
     green_classes,
     idempotents,
     omega_data,
 )
 
-from corpus import band7, cyclic, full_corpus, monogenic, small_corpus, t_n
+from corpus import band7, cyclic, full_corpus, monogenic, t_n
 
 
 def brute_green(table):
-    """Naive ideal-equality Green classes, independent of the graph code.
+    """Naive ideal-equality Green classes, the reference for green_classes.
 
     aRb iff aS^1 = bS^1, aLb iff S^1a = S^1b, H = R meet L, and D is the
-    smallest equivalence containing R and L.
+    smallest equivalence containing R and L, found by union-find rather
+    than through D = R o L.
     """
     n = table.n
     p = table.product
@@ -61,24 +65,41 @@ def as_sets(classes):
     return {frozenset(c) for c in classes}
 
 
-class TestAgainstIdealOracle:
-    @pytest.mark.parametrize("name,table", small_corpus())
-    def test_small_corpus(self, name, table):
-        g = green_classes(table)
-        r, l, h, d = brute_green(table)
-        assert as_sets(g.r_classes) == r
-        assert as_sets(g.l_classes) == l
-        assert as_sets(g.h_classes) == h
-        assert as_sets(g.d_classes) == d
+def check_against_oracle(table, name=""):
+    g = green_classes(table)
+    r, l, h, d = brute_green(table)
+    assert as_sets(g.r_classes) == r, name
+    assert as_sets(g.l_classes) == l, name
+    assert as_sets(g.h_classes) == h, name
+    assert as_sets(g.d_classes) == d, name
 
-    def test_t3(self):
-        table = t_n(3)
-        g = green_classes(table)
-        r, l, h, d = brute_green(table)
-        assert as_sets(g.r_classes) == r
-        assert as_sets(g.l_classes) == l
-        assert as_sets(g.h_classes) == h
-        assert as_sets(g.d_classes) == d
+
+def check_first_seen_ids(g, name=""):
+    for classes, labels in (
+        (g.r_classes, g.r_class),
+        (g.l_classes, g.l_class),
+        (g.h_classes, g.h_class),
+        (g.d_classes, g.d_class),
+    ):
+        firsts = [min(c) for c in classes]
+        assert firsts == sorted(firsts), name
+        for cid, members in enumerate(classes):
+            assert all(labels[a] == cid for a in members), name
+
+
+def check_grids_partition(g, name=""):
+    for box in g.egg_boxes:
+        seen = [a for row in box.grid for cell in row for a in cell]
+        assert sorted(seen) == sorted(g.d_classes[box.d_class]), name
+        for row in box.grid:
+            for cell in row:
+                assert len(cell) >= 1, name
+
+
+class TestAgainstIdealOracle:
+    @pytest.mark.parametrize("name,table", full_corpus())
+    def test_full_corpus(self, name, table):
+        check_against_oracle(table, name)
 
 
 class TestFrozenStructure:
@@ -119,22 +140,12 @@ class TestFrozenStructure:
         assert green_classes(table) is green_classes(table)
 
     def test_ids_in_first_seen_order(self):
-        for name, table in small_corpus():
-            g = green_classes(table)
-            for classes, labels in (
-                (g.r_classes, g.r_class),
-                (g.l_classes, g.l_class),
-                (g.h_classes, g.h_class),
-                (g.d_classes, g.d_class),
-            ):
-                firsts = [min(c) for c in classes]
-                assert firsts == sorted(firsts), name
-                for cid, members in enumerate(classes):
-                    assert all(labels[a] == cid for a in members), name
+        for name, table in full_corpus():
+            check_first_seen_ids(green_classes(table), name)
 
 
 class TestEggBoxes:
-    @pytest.mark.parametrize("name,table", small_corpus())
+    @pytest.mark.parametrize("name,table", full_corpus())
     def test_regular_d_class_rows_and_columns_hold_idempotents(self, name, table):
         g = green_classes(table)
         e = set(idempotents(table))
@@ -147,15 +158,51 @@ class TestEggBoxes:
             for col in zip(*box.grid):
                 assert any(a in e for cell in col for a in cell), name
 
-    @pytest.mark.parametrize("name,table", small_corpus())
+    @pytest.mark.parametrize("name,table", full_corpus())
     def test_grid_partitions_the_d_class(self, name, table):
+        check_grids_partition(green_classes(table), name)
+
+
+@st.composite
+def transformation_subsemigroups(draw):
+    """Subsemigroup of T_k (k <= 4) generated by 1-3 maps, randomly relabelled.
+
+    Maps compose left to right, (xy)(i) = y(x(i)).  Such semigroups have
+    non-regular D-classes and D-classes that are not R u L.
+    """
+    k = draw(st.integers(1, 4))
+    a_map = st.tuples(*[st.integers(0, k - 1)] * k)
+    gens = draw(st.lists(a_map, min_size=1, max_size=3, unique=True))
+
+    def mul(x, y):
+        return tuple(y[x[i]] for i in range(k))
+
+    elems = list(gens)
+    index = {x: i for i, x in enumerate(elems)}
+    # elems grows while it is walked, so every pair of elements is multiplied
+    for pos, x in enumerate(elems):
+        for y in elems[:pos + 1]:
+            for z in (mul(x, y), mul(y, x)):
+                if z not in index:
+                    index[z] = len(elems)
+                    elems.append(z)
+    m = len(elems)
+    perm = draw(st.permutations(range(m)))
+    rows = [[0] * m for _ in range(m)]
+    for a, x in enumerate(elems):
+        for b, y in enumerate(elems):
+            rows[perm[a]][perm[b]] = perm[index[mul(x, y)]]
+    return MulTable(rows)
+
+
+class TestTransformationSubsemigroups:
+    @settings(max_examples=300)
+    @given(transformation_subsemigroups())
+    def test_green_classes_match_oracle(self, table):
+        check_against_oracle(table)
         g = green_classes(table)
-        for box in g.egg_boxes:
-            seen = [a for row in box.grid for cell in row for a in cell]
-            assert sorted(seen) == sorted(g.d_classes[box.d_class]), name
-            for row in box.grid:
-                for cell in row:
-                    assert len(cell) >= 1
+        check_first_seen_ids(g)
+        check_grids_partition(g)
 
 
 class TestOmega:

@@ -51,6 +51,17 @@ class TestMulTable:
         with pytest.raises(TableFormatError):
             MulTable([[0, 0], [0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("rows", [
+        [[0.7]],
+        [[0, 1.9], [1, 0.2]],
+        [["0", "1"], ["1", "0"]],
+        [[0, 1], [1]],
+        [[None]],
+    ])
+    def test_rejects_non_integer_entries(self, rows):
+        with pytest.raises(TableFormatError):
+            MulTable(rows)
+
     def test_rejects_empty(self):
         with pytest.raises(TableFormatError):
             MulTable(np.empty((0, 0), dtype=int))
