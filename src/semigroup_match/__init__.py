@@ -35,7 +35,6 @@ from .green import (
 )
 from .matching import (
     DEFAULT_BRUTE_CAP,
-    DEFAULT_INVOLUTION_CAP,
     METHODS,
     CharacterizationReport,
     ClassSizeMismatch,
@@ -46,7 +45,7 @@ from .matching import (
     Matching,
     MatchingCount,
     OrthodoxDecision,
-    SearchExhausted,
+    TutteBarrier,
     VerifyResult,
     count_permutation_matchings,
     decide,
@@ -57,6 +56,7 @@ from .matching import (
     hall_brute_force,
     lift_band_matching,
     orthodox_involution,
+    verify_barrier,
     verify_matching,
 )
 from .structure import (

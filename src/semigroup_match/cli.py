@@ -1,14 +1,14 @@
-"""Command-line front end: analyze tables, search matchings, render factors.
+"""Command-line front end: analyze tables, decide matchings, render factors.
 
 Four subcommands: analyze (classification, Green summary, per-D-class block
 report, matching verdict), matching (find/count permutation or involution
 matchings), factors (egg-box grids with subband blocks on the diagonal) and
 gen (write generated tables).  All commands take --json for a byte-stable
-machine-readable report, --budget MS for search time limits, and --cap N to
-raise the per-operation size guards.
+machine-readable report and --cap N to raise the per-operation size guards.
+--budget MS is still accepted but no route is time-limited any more.
 
-Exit codes: 0 found/ok, 1 definitively absent, 2 input error, 3 search
-budget exhausted.
+Exit codes: 0 found/ok, 1 definitively absent, 2 input error.  Every
+answer is definitive; an involution "no" carries a Tutte barrier.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .matching import (
     METHODS,
     HallCertificate,
     Matching,
+    TutteBarrier,
     count_permutation_matchings,
     decide,
     verify_matching,
@@ -254,15 +255,36 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _emit_matching_result(args, table, base, m=None, cert=None, search=None,
+def render_barrier(table: MulTable, barrier: TutteBarrier) -> str:
+    x_names = " ".join(table.element_name(a) for a in barrier.elements)
+    comps = " ".join(
+        "{" + " ".join(table.element_name(a) for a in comp) + "}"
+        for comp in barrier.odd_components
+    )
+    return (
+        "no involution matching: Tutte barrier\n"
+        f"X ({_count_noun(len(barrier.elements))}): {x_names if x_names else '(empty)'}\n"
+        f"odd components without a in V(a) ({len(barrier.odd_components)}): {comps}\n"
+        f"search: {barrier.nodes} nodes"
+    )
+
+
+def _emit_matching_result(args, table, base, m=None, cert=None, barrier=None,
                           count=None) -> None:
     if args.json:
         report = dict(base)
         report["matching"] = _matching_json(table, m) if m is not None else None
         report["certificate"] = _certificate_json(cert) if cert is not None else None
+        # an involution "no" keeps certificate null: the barrier is not a
+        # Hall certificate, and search.complete marks the answer definitive
         report["search"] = (
-            {"complete": search.complete, "nodes": search.nodes} if search is not None else None
+            {"complete": True, "nodes": barrier.nodes} if barrier is not None else None
         )
+        if base["mode"] == "involution":
+            report["barrier"] = {
+                "elements": list(barrier.elements),
+                "odd_components": [list(c) for c in barrier.odd_components],
+            } if barrier is not None else None
         if count is not None:
             report["count"] = count.count
             report["exact"] = count.exact
@@ -274,11 +296,8 @@ def _emit_matching_result(args, table, base, m=None, cert=None, search=None,
         print(render_matching(table, m))
     elif cert is not None:
         print(render_certificate(table, cert))
-    elif search is not None:
-        if search.complete:
-            print(f"no involution matching: search complete ({search.nodes} nodes)")
-        else:
-            print(f"involution search budget exhausted ({search.nodes} nodes)")
+    else:
+        print(render_barrier(table, barrier))
 
 
 def cmd_matching(args) -> int:
@@ -305,16 +324,15 @@ def cmd_matching(args) -> int:
     if args.involution and args.method in ("hall", "brute"):
         print(f"error: --involution cannot use method {args.method}", file=sys.stderr)
         return 2
-    res = decide(table, method=args.method, involution=args.involution, cap=cap,
-                 budget_ms=args.budget)
+    res = decide(table, method=args.method, involution=args.involution, cap=cap)
     if isinstance(res, Matching):
         _emit_matching_result(args, table, base, m=res)
         return 0
     if isinstance(res, HallCertificate):
         _emit_matching_result(args, table, base, cert=res)
         return 1
-    _emit_matching_result(args, table, base, search=res)
-    return 1 if res.complete else 3
+    _emit_matching_result(args, table, base, barrier=res)
+    return 1
 
 
 def cmd_factors(args) -> int:
@@ -401,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable report")
     common.add_argument("--budget", type=float, metavar="MS", default=None,
-                        help="wall-clock budget for searches, in milliseconds")
+                        help="accepted for compatibility; no route is time-limited any more")
     common.add_argument("--cap", type=int, metavar="N", default=None,
                         help="override per-operation size guards")
     parser = argparse.ArgumentParser(

@@ -6,20 +6,20 @@ a permutation matching is exactly Hall's condition for the sets V(a), which
 this module decides two independent ways: maximum bipartite matching with a
 violating-set certificate, and (for orthodox input) a structural test on the
 maximal rectangular blocks of each D-class of S's own egg box, which also
-yields an involution matching when it succeeds.  decide() is the one entry
-point that picks a route and returns a verified Matching, a HallCertificate
-or, for the involution search, SearchExhausted.
+yields an involution matching when it succeeds.  Involution matchings of
+any semigroup are decided in polynomial time by Edmonds' blossom algorithm,
+which on failure returns a Tutte barrier.  decide() is the one entry point
+that picks a route and returns a verified Matching, a HallCertificate or a
+verified TutteBarrier.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
-import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import CapExceededError, LiftFailureError, NotOrthodoxError, TooLargeError
+from .errors import LiftFailureError, NotOrthodoxError, TooLargeError
 from .factors import (
     PrincipalFactor,
     ZeroRectBand,
@@ -38,7 +38,6 @@ from .structure import (
 )
 from .table import MulTable
 
-DEFAULT_INVOLUTION_CAP = 200
 DEFAULT_BRUTE_CAP = 20
 
 _INF = float("inf")
@@ -437,119 +436,244 @@ def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
 
 
 @dataclass(frozen=True)
-class SearchExhausted:
-    """Involution search ended without a matching.
+class TutteBarrier:
+    """A set X of elements witnessing that no involution matching exists.
 
-    complete distinguishes a definitive no (the whole tree was explored)
-    from a budget timeout.
+    Removing X from the graph of mutually inverse elements leaves more than
+    |X| odd components with no element a in V(a); odd_components lists them.
+    Each must send an element into X, and X can take at most |X| of them.
+    nodes counts the vertices scanned by the Edmonds searches.
     """
 
-    complete: bool
+    elements: tuple
+    odd_components: tuple
     nodes: int
 
 
-def find_involution_matching(table: MulTable, cap: int = DEFAULT_INVOLUTION_CAP,
-                             budget_ms=None):
-    """Backtracking search for an involution matching of any semigroup.
+def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
+    """Check that barrier proves the absence of an involution matching.
 
-    An involution matching is a perfect matching of the graph joining
-    mutually inverse elements, with fixed points allowed at a = a^3.
-    Elements are processed in order of fewest inverses; assignments keep a
-    live count of remaining candidates per element and backtrack as soon as
-    one hits zero.
+    The listed components must be pairwise disjoint and disjoint from X, of
+    odd size, free of elements a in V(a), closed under taking inverses except
+    into X, and more numerous than X.  The first violation is reported.
     """
     n = table.n
-    if n > cap:
-        raise CapExceededError(f"involution search over {n} elements exceeds the cap of {cap}")
     v = inverse_sets(table)
-    if any(not v[a] for a in range(n)):
-        return SearchExhausted(complete=True, nodes=0)
-    deadline = None
-    if budget_ms is not None:
-        deadline = time.monotonic() + budget_ms / 1000.0
-    order = sorted(range(n), key=lambda a: (len(v[a]), a))
-    neighbors = [tuple(sorted(b for b in v[a] if b != a)) for a in range(n)]
-    loop = [a in v[a] for a in range(n)]
-    avail = [len(neighbors[a]) + (1 if loop[a] else 0) for a in range(n)]
-    partner = [-1] * n
-    state = {"nodes": 0, "timed_out": False}
+    xs = set(barrier.elements)
+    if len(xs) != len(barrier.elements) or any(not 0 <= x < n for x in xs):
+        return VerifyResult(False, "barrier is not a set of elements", None)
+    seen = set(xs)
+    for comp in barrier.odd_components:
+        members = set(comp)
+        if any(not 0 <= a < n for a in members):
+            return VerifyResult(False, "component element out of range", None)
+        if len(members) != len(comp) or not seen.isdisjoint(members):
+            return VerifyResult(False, "components overlap", min(members & seen, default=None))
+        seen |= members
+        if len(members) % 2 == 0:
+            return VerifyResult(False, "component of even size", min(members, default=None))
+        for a in sorted(members):
+            if a in v[a]:
+                return VerifyResult(False, "component element is its own inverse", a)
+            if not v[a] <= members | xs:
+                return VerifyResult(False, "component has an inverse outside the barrier", a)
+    if len(barrier.odd_components) <= len(xs):
+        return VerifyResult(False, "no more odd components than barrier elements", None)
+    return VerifyResult(True, None, None)
 
-    def mark(x):
-        ok = True
-        for y in neighbors[x]:
-            avail[y] -= 1
-            if partner[y] == -1 and avail[y] == 0:
-                ok = False
-        return ok
 
-    def unmark(x):
-        for y in neighbors[x]:
-            avail[y] += 1
+class _Blossom:
+    """Edmonds' cardinality matching on adjacency lists.
 
-    def extend(pos):
-        while pos < n and partner[order[pos]] != -1:
-            pos += 1
-        if pos == n:
-            return True
-        state["nodes"] += 1
-        if deadline is not None and state["nodes"] % 256 == 1:
-            if time.monotonic() > deadline:
-                state["timed_out"] = True
-                return False
-        a = order[pos]
-        if loop[a]:
-            partner[a] = a
-            if mark(a) and extend(pos + 1):
-                return True
-            unmark(a)
-            partner[a] = -1
-            if state["timed_out"]:
-                return False
-        for b in neighbors[a]:
-            if partner[b] != -1:
-                continue
-            partner[a] = b
-            partner[b] = a
-            ok = mark(a)
-            ok = mark(b) and ok
-            if ok and extend(pos + 1):
-                return True
-            unmark(b)
-            unmark(a)
-            partner[a] = -1
-            partner[b] = -1
-            if state["timed_out"]:
-                return False
-        return False
+    Each search grows an alternating forest breadth-first and contracts an
+    odd cycle (blossom) into its base by relabelling base[] over the
+    forest's vertices; parent[] keeps the even-length route back to a root
+    through every contracted blossom.  nodes counts the vertices taken off
+    the search queues.
+    """
 
-    old_limit = sys.getrecursionlimit()
-    needed = 3 * n + 200
-    if needed > old_limit:
-        sys.setrecursionlimit(needed)
-    try:
-        found = extend(0)
-    finally:
-        if needed > old_limit:
-            sys.setrecursionlimit(old_limit)
-    if found:
-        return _verified(table, Matching(f=tuple(partner), kind="involution",
-                                         provenance="brute_force_involution"))
-    return SearchExhausted(complete=not state["timed_out"], nodes=state["nodes"])
+    def __init__(self, adj):
+        self.adj = adj
+        self.match = [-1] * len(adj)
+        self.nodes = 0
+
+    def grow(self, roots):
+        """Alternating forest from roots, stopping at an exposed non-root.
+
+        Returns (end, parent, outer): end is that exposed vertex, from
+        which augment() flips the path back to its root, or -1 once the
+        forest is complete.  An edge joining two trees is an augmenting
+        path too; callers grow several trees only over a maximum matching,
+        where such an edge is impossible.
+        """
+        adj, match = self.adj, self.match
+        size = len(adj)
+        base = list(range(size))
+        parent = [-1] * size
+        outer = [False] * size
+        for r in roots:
+            outer[r] = True
+        queue = deque(roots)
+        forest = list(roots)
+
+        def lca(a, b):
+            path = set()
+            while True:
+                a = base[a]
+                path.add(a)
+                if match[a] == -1:
+                    break
+                a = parent[match[a]]
+            while True:
+                b = base[b]
+                if b in path:
+                    return b
+                if match[b] == -1:
+                    raise RuntimeError("augmenting path between two trees of a maximum matching")
+                b = parent[match[b]]
+
+        def mark_path(x, b, child, bases):
+            while base[x] != b:
+                bases.add(base[x])
+                bases.add(base[match[x]])
+                parent[x] = child
+                child = match[x]
+                x = parent[match[x]]
+
+        while queue:
+            x = queue.popleft()
+            self.nodes += 1
+            for y in adj[x]:
+                if base[x] == base[y] or match[x] == y:
+                    continue
+                if outer[y]:
+                    b = lca(x, y)
+                    bases = set()
+                    mark_path(x, b, y, bases)
+                    mark_path(y, b, x, bases)
+                    for z in forest:
+                        if base[z] in bases:
+                            base[z] = b
+                            if not outer[z]:
+                                outer[z] = True
+                                queue.append(z)
+                elif parent[y] == -1:
+                    parent[y] = x
+                    if match[y] == -1:
+                        return y, parent, outer
+                    outer[match[y]] = True
+                    queue.append(match[y])
+                    forest += (y, match[y])
+        return -1, parent, outer
+
+    def augment(self, end, parent):
+        match = self.match
+        while end != -1:
+            x = parent[end]
+            nxt = match[x]
+            match[end] = x
+            match[x] = end
+            end = nxt
+
+    def maximize(self):
+        """Greedy start, then one search per exposed vertex with a neighbour.
+
+        A vertex with no augmenting path now has none after later
+        augmentations either, so each vertex is searched from once.
+        """
+        match = self.match
+        for x, nbrs in enumerate(self.adj):
+            if match[x] == -1:
+                for y in nbrs:
+                    if match[y] == -1:
+                        match[x] = y
+                        match[y] = x
+                        break
+        for r, nbrs in enumerate(self.adj):
+            if match[r] == -1 and nbrs:
+                end, parent, _ = self.grow([r])
+                if end != -1:
+                    self.augment(end, parent)
+
+    def inner_vertices(self):
+        """Gallai-Edmonds A-set of a maximum matching: the odd vertices of
+        the complete forest grown from every exposed vertex."""
+        exposed = [x for x, m in enumerate(self.match) if m == -1]
+        end, parent, outer = self.grow(exposed)
+        if end != -1:
+            raise RuntimeError("augmenting path left after maximum matching")
+        return [x for x in range(len(parent)) if parent[x] != -1 and not outer[x]]
+
+
+def _odd_loop_free_components(v, removed) -> tuple:
+    """Odd components of the mutual-inverse graph minus removed that hold no
+    element a in V(a), each sorted, in order of least element."""
+    n = len(v)
+    seen = set(removed)
+    comps = []
+    for a in range(n):
+        if a in seen:
+            continue
+        seen.add(a)
+        comp = [a]
+        for x in comp:
+            for y in v[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        if len(comp) % 2 == 1 and all(x not in v[x] for x in comp):
+            comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def find_involution_matching(table: MulTable):
+    """Involution matching of any semigroup, by Edmonds' blossom algorithm.
+
+    An involution matching is a perfect matching of the graph joining
+    mutually inverse elements, with fixed points allowed at a = a^3 (that
+    is, a in V(a)).  The doubled graph has two copies of that graph, vertex
+    a + c*n in copy c, with each a in V(a) also joined to its own copy (that
+    edge listed first, so the greedy start fixes such elements).  It has a
+    perfect matching exactly when S has an involution matching, read off
+    copy 0, a cross edge meaning f(a) = a.  Otherwise the Gallai-Edmonds
+    A-set of the doubled graph is X x {0, 1}, by the symmetry that swaps the
+    copies, and X is returned as a verified TutteBarrier.
+    """
+    n = table.n
+    v = inverse_sets(table)
+    adj = []
+    for c in (0, 1):
+        for a in range(n):
+            nbrs = [b + c * n for b in sorted(v[a]) if b != a]
+            if a in v[a]:
+                nbrs.insert(0, a + (1 - c) * n)
+            adj.append(nbrs)
+    solver = _Blossom(adj)
+    solver.maximize()
+    if -1 not in solver.match:
+        f = tuple(m if m < n else a for a, m in enumerate(solver.match[:n]))
+        return _verified(table, Matching(f=f, kind="involution", provenance="blossom"))
+    xs = tuple(x for x in solver.inner_vertices() if x < n)
+    barrier = TutteBarrier(elements=xs, odd_components=_odd_loop_free_components(v, xs),
+                           nodes=solver.nodes)
+    check = verify_barrier(table, barrier)
+    if not check.ok:
+        raise RuntimeError(f"blossom produced no Tutte barrier: {check.reason}")
+    return barrier
 
 
 METHODS = ("auto", "hall", "orthodox", "brute")
 
 
-def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=None,
-           budget_ms=None):
+def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=None):
     """Decide whether S has a permutation (or involution) matching onto inverses.
 
     method picks the structural ("orthodox"), bipartite ("hall") or subset
     ("brute") route; "auto" is structural on orthodox input and bipartite
-    otherwise, and an involution on non-orthodox input is searched for by
-    backtracking.  cap bounds the search and "brute", budget_ms the search.
-    Returns a verified Matching, a HallCertificate, or SearchExhausted from
-    the search.  Bipartite matching must agree with the other routes.
+    otherwise, and an involution on non-orthodox input is decided by
+    Edmonds' blossom algorithm.  cap bounds "brute".  Returns a verified
+    Matching, a HallCertificate, or a verified TutteBarrier from the blossom
+    route.  Bipartite matching must agree with the other routes.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -566,9 +690,7 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
             raise RuntimeError("block similarity and bipartite matching verdicts disagree")
         return cert
     if involution:
-        return find_involution_matching(
-            table, cap=DEFAULT_INVOLUTION_CAP if cap is None else cap, budget_ms=budget_ms
-        )
+        return find_involution_matching(table)
     if method == "hall":
         return find_permutation_matching(table)
     res = hall_brute_force(table, max_size=DEFAULT_BRUTE_CAP if cap is None else cap)

@@ -332,18 +332,22 @@ class TestMatching:
         assert "--involution cannot use method hall" in err
 
     def test_involution_budget_exhaustion(self, tables, capsys):
+        # --budget is still accepted, but no route is time-limited
         code, out, _ = run(
-            ["matching", tables["t3"], "--involution", "--budget", 0], capsys
+            ["matching", tables["t3"], "--involution", "--budget", 0, "--json"], capsys
         )
-        assert code == 3
-        assert "budget exhausted" in out
+        assert code == 0
+        f = tuple(json.loads(out)["matching"]["map"])
+        assert verify_matching(t_n(3), f, require_involution=True).ok
 
     def test_involution_cap_is_an_input_error(self, tables, capsys):
-        code, _, err = run(
-            ["matching", tables["t3"], "--involution", "--cap", 10], capsys
+        # --cap no longer bounds --involution
+        code, out, _ = run(
+            ["matching", tables["t3"], "--involution", "--cap", 10, "--json"], capsys
         )
-        assert code == 2
-        assert "error:" in err
+        assert code == 0
+        f = tuple(json.loads(out)["matching"]["map"])
+        assert verify_matching(t_n(3), f, require_involution=True).ok
 
     def test_involution_and_count_are_exclusive(self, tables, capsys):
         with pytest.raises(SystemExit) as exc:

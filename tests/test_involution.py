@@ -1,0 +1,292 @@
+"""Edmonds' blossom route for involution matchings, checked from outside.
+
+The backtracking oracle and networkx's general matching of the doubled
+graph decide existence independently; every matching must verify and every
+"no" must carry a Tutte barrier that verify_barrier accepts.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import semigroup_match
+from semigroup_match import (
+    BoolStructureMatrix,
+    Matching,
+    TutteBarrier,
+    classify,
+    decide,
+    decide_orthodox_matching,
+    find_involution_matching,
+    inverse_sets,
+    rees_matrix,
+    render_table,
+    verify_barrier,
+    verify_matching,
+)
+from semigroup_match.cli import main
+from semigroup_match.matching import _Blossom
+
+from corpus import T3_INVOLUTION, band7, full_corpus, t_n
+from involution_oracle import involution_oracle
+
+CORPUS = full_corpus()
+SMALL = [(name, table) for name, table in CORPUS if table.n <= 20]
+
+# 2x3 structure matrix whose Rees semigroup (7 elements) is not orthodox, so
+# --involution takes the blossom route, and has no involution matching
+NO_MATRIX = ((False, False, True), (True, True, True))
+
+
+def check_answer(table, res):
+    if isinstance(res, Matching):
+        assert verify_matching(table, res.f, require_involution=True).ok
+    else:
+        assert isinstance(res, TutteBarrier)
+        assert verify_barrier(table, res).ok
+
+
+def networkx_exists(table) -> bool:
+    """Perfect matching of two copies of the mutual-inverse graph, each
+    a in V(a) joined to its copy."""
+    n = table.n
+    v = inverse_sets(table)
+    g = nx.Graph()
+    g.add_nodes_from(range(2 * n))
+    for a in range(n):
+        for b in v[a]:
+            if b > a:
+                g.add_edge(a, b)
+                g.add_edge(a + n, b + n)
+        if a in v[a]:
+            g.add_edge(a, a + n)
+    return len(nx.max_weight_matching(g, maxcardinality=True)) == n
+
+
+@pytest.mark.parametrize("name,table", SMALL, ids=[name for name, _ in SMALL])
+def test_blossom_agrees_with_oracle(name, table):
+    res = find_involution_matching(table)
+    check_answer(table, res)
+    assert isinstance(res, Matching) == isinstance(involution_oracle(table), Matching)
+
+
+@pytest.mark.parametrize("name,table", CORPUS, ids=[name for name, _ in CORPUS])
+def test_blossom_agrees_with_structure_on_orthodox(name, table):
+    res = find_involution_matching(table)
+    check_answer(table, res)
+    if classify(table).orthodox:
+        # an orthodox S with a permutation matching has an involution one
+        assert isinstance(res, Matching) == decide_orthodox_matching(table).exists
+
+
+def test_t3_oracle_finds_the_frozen_map():
+    assert involution_oracle(t_n(3)).f == T3_INVOLUTION
+
+
+@st.composite
+def regular_matrices(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    bits = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    entries = [bits[r * cols:(r + 1) * cols] for r in range(rows)]
+    # a one in every row and column keeps the matrix regular
+    for r in range(rows):
+        entries[r][draw(st.integers(0, cols - 1))] = True
+    for c in range(cols):
+        entries[draw(st.integers(0, rows - 1))][c] = True
+    return BoolStructureMatrix(tuple(tuple(row) for row in entries))
+
+
+@settings(max_examples=150)
+@given(regular_matrices())
+def test_blossom_agrees_with_networkx(p):
+    table = rees_matrix(p)
+    res = find_involution_matching(table)
+    check_answer(table, res)
+    assert isinstance(res, Matching) == networkx_exists(table)
+
+
+@st.composite
+def random_graphs(draw):
+    size = draw(st.integers(1, 14))
+    pairs = [(x, y) for x in range(size) for y in range(x + 1, size)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return size, edges
+
+
+@settings(max_examples=300)
+@given(random_graphs())
+def test_blossom_on_general_graphs(graph):
+    """Maximum cardinality against networkx, and the A-set against the
+    Tutte-Berge formula: exposed vertices = odd components of G - A - |A|."""
+    size, edges = graph
+    adj = [[] for _ in range(size)]
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    solver = _Blossom(adj)
+    solver.maximize()
+    match = solver.match
+    assert all(m == -1 or (match[m] == x and m in adj[x]) for x, m in enumerate(match))
+    g = nx.Graph()
+    g.add_nodes_from(range(size))
+    g.add_edges_from(edges)
+    exposed = match.count(-1)
+    assert size - exposed == 2 * len(nx.max_weight_matching(g, maxcardinality=True))
+    a_set = solver.inner_vertices()
+    rest = g.subgraph(set(range(size)) - set(a_set))
+    odd = sum(1 for comp in nx.connected_components(rest) if len(comp) % 2)
+    assert exposed == odd - len(a_set)
+
+
+class TestVerifyBarrier:
+    def setup_method(self):
+        self.table = rees_matrix(BoolStructureMatrix(NO_MATRIX))
+        self.barrier = find_involution_matching(self.table)
+
+    def tampered(self, **fields):
+        base = {"elements": self.barrier.elements,
+                "odd_components": self.barrier.odd_components, "nodes": 0}
+        return TutteBarrier(**{**base, **fields})
+
+    def test_library_barrier_verifies(self):
+        assert isinstance(self.barrier, TutteBarrier)
+        assert len(self.barrier.odd_components) > len(self.barrier.elements)
+        assert verify_barrier(self.table, self.barrier).ok
+
+    def test_too_few_components(self):
+        res = verify_barrier(self.table, self.tampered(odd_components=self.barrier.odd_components[:1]))
+        assert res.reason == "no more odd components than barrier elements"
+
+    def test_barrier_element_out_of_range(self):
+        res = verify_barrier(self.table, self.tampered(elements=(self.table.n,)))
+        assert res.reason == "barrier is not a set of elements"
+
+    def test_overlap(self):
+        comp = self.barrier.odd_components[0]
+        res = verify_barrier(self.table, self.tampered(odd_components=(comp, comp)))
+        assert res.reason == "components overlap"
+
+    def test_component_leaks_past_barrier(self):
+        res = verify_barrier(self.table, self.tampered(elements=()))
+        assert not res.ok
+        assert res.reason == "component has an inverse outside the barrier"
+
+    def test_even_component(self):
+        comp = self.barrier.odd_components[0]
+        res = verify_barrier(self.table, self.tampered(
+            odd_components=(comp + self.barrier.elements,) + self.barrier.odd_components[1:],
+            elements=()))
+        assert res.reason == "component of even size"
+
+    def test_self_inverse_element(self):
+        table = band7()
+        v = inverse_sets(table)
+        e = next(a for a in range(table.n) if a in v[a])
+        res = verify_barrier(table, TutteBarrier(elements=(), odd_components=((e,),), nodes=0))
+        assert (res.ok, res.reason, res.element) == (False, "component element is its own inverse", e)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_no_global_interpreter_state(monkeypatch):
+    """The blossom route neither recurses deeply nor touches the recursion
+    limit, even when that limit sits just above the caller's depth."""
+    p = tuple(tuple(lam == k or (lam + 2 * k) % 5 == 0 for k in range(12)) for lam in range(12))
+    table = rees_matrix(BoolStructureMatrix(p))
+    assert table.n == 145 and not classify(table).orthodox
+    set_limit = sys.setrecursionlimit
+    saved = sys.getrecursionlimit()
+    set_limit(_frame_depth() + 150)
+    try:
+        before = sys.getrecursionlimit()
+
+        def refuse(limit):
+            raise AssertionError("the library changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        res = decide(table, involution=True)
+        after = sys.getrecursionlimit()
+    finally:
+        monkeypatch.undo()
+        set_limit(saved)
+    assert after == before
+    check_answer(table, res)
+
+
+def _src_env(**extra) -> dict:
+    src = str(Path(semigroup_match.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
+
+
+def test_cli_import_leaves_out_networkx_and_scipy():
+    code = ("import sys, semigroup_match.cli; "
+            "print(sorted(m for m in ('networkx', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture()
+def involution_tables(tmp_path):
+    paths = {}
+    for name, table in [("yes", t_n(3)), ("no", rees_matrix(BoolStructureMatrix(NO_MATRIX)))]:
+        path = tmp_path / f"{name}.tbl"
+        path.write_text(render_table(table), encoding="utf-8")
+        paths[name] = (path, table)
+    return paths
+
+
+@pytest.mark.parametrize("name", ["yes", "no"])
+def test_involution_json_is_byte_identical(involution_tables, name):
+    path, _ = involution_tables[name]
+    argv = [sys.executable, "-m", "semigroup_match.cli", "matching", str(path),
+            "--involution", "--json"]
+    runs = [subprocess.run(argv, env=_src_env(PYTHONHASHSEED=seed), capture_output=True,
+                           timeout=120) for seed in ("0", "1")]
+    expected = 0 if name == "yes" else 1
+    assert [r.returncode for r in runs] == [expected, expected]
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_involution_no_report(involution_tables, capsys):
+    path, table = involution_tables["no"]
+    code = main(["matching", str(path), "--involution", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["matching"] is None and report["certificate"] is None
+    assert report["search"]["complete"] is True
+    assert report["search"]["nodes"] > 0
+    barrier = TutteBarrier(
+        elements=tuple(report["barrier"]["elements"]),
+        odd_components=tuple(tuple(c) for c in report["barrier"]["odd_components"]),
+        nodes=report["search"]["nodes"],
+    )
+    assert verify_barrier(table, barrier).ok
+    code = main(["matching", str(path), "--involution"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("no involution matching: Tutte barrier")
+
+
+def test_barrier_key_only_in_involution_reports(involution_tables, capsys):
+    path, _ = involution_tables["yes"]
+    main(["matching", str(path), "--involution", "--json"])
+    assert json.loads(capsys.readouterr().out)["barrier"] is None
+    main(["matching", str(path), "--json"])
+    assert "barrier" not in json.loads(capsys.readouterr().out)

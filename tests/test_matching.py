@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from semigroup_match import (
-    CapExceededError,
     ClassSizeMismatch,
     HallCertificate,
     LiftFailureError,
     Matching,
     NotOrthodoxError,
-    SearchExhausted,
     TooLargeError,
+    TutteBarrier,
     VerifyResult,
     count_permutation_matchings,
     decide,
@@ -26,6 +27,7 @@ from semigroup_match import (
     orthodox_involution,
     principal_factors,
     rectangular_band,
+    verify_barrier,
     verify_matching,
 )
 
@@ -44,6 +46,7 @@ from corpus import (
     small_corpus,
     t_n,
 )
+from involution_oracle import OracleExhausted, involution_oracle
 
 
 class TestVerify:
@@ -251,6 +254,14 @@ class TestReturnedMatchingsAreVerified:
         with pytest.raises(RuntimeError):
             find(cyclic(3))
 
+    def test_failed_barrier_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            "semigroup_match.matching.verify_barrier",
+            lambda *args, **kwargs: VerifyResult(False, "rejected", None),
+        )
+        with pytest.raises(RuntimeError):
+            find_involution_matching(band7())
+
 
 class TestDecide:
     @pytest.mark.parametrize("method", ["auto", "hall", "orthodox", "brute"])
@@ -261,7 +272,7 @@ class TestDecide:
     def test_non_orthodox_involution_searches(self):
         res = decide(t_n(3), involution=True)
         assert isinstance(res, Matching) and res.is_involution_map()
-        assert isinstance(decide(null_semigroup(2), involution=True), SearchExhausted)
+        assert isinstance(decide(null_semigroup(2), involution=True), TutteBarrier)
 
     @pytest.mark.parametrize("method", ["hall", "brute", "nope"])
     def test_rejects_bad_method(self, method):
@@ -275,15 +286,21 @@ class TestInvolutionSearch:
         assert isinstance(res, Matching)
         assert res.f == (0, 2, 1, 3, 4)
         assert res.kind == "involution"
-        assert res.provenance == "brute_force_involution"
+        assert res.provenance == "blossom"
+        assert involution_oracle(five_unique()).f == res.f
 
     def test_band7_exhausts_quickly(self):
+        # a barrier is a complete answer; the oracle's node count is frozen
         res = find_involution_matching(band7())
-        assert res == SearchExhausted(complete=True, nodes=2)
+        assert isinstance(res, TutteBarrier)
+        assert verify_barrier(band7(), res).ok
+        assert involution_oracle(band7()) == OracleExhausted(nodes=2)
 
     def test_non_regular_is_definitive(self):
         res = find_involution_matching(null_semigroup(3))
-        assert res == SearchExhausted(complete=True, nodes=0)
+        assert (res.elements, res.odd_components) == ((), ((1,), (2,)))
+        assert verify_barrier(null_semigroup(3), res).ok
+        assert involution_oracle(null_semigroup(3)) == OracleExhausted(nodes=0)
 
     def test_t3_regression(self):
         res = find_involution_matching(t_n(3))
@@ -292,14 +309,18 @@ class TestInvolutionSearch:
         assert verify_matching(t_n(3), res.f, require_involution=True).ok
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            find_involution_matching(t_n(3), cap=10)
+        # no size cap bounds the polynomial route any more
+        res = decide(t_n(3), involution=True, cap=10)
+        assert isinstance(res, Matching)
+        assert verify_matching(t_n(3), res.f, require_involution=True).ok
 
     def test_budget_exhaustion_is_flagged(self):
-        res = find_involution_matching(t_n(3), budget_ms=0)
-        assert isinstance(res, SearchExhausted)
-        assert not res.complete
-        assert res.nodes >= 1
+        # no route is time-limited: the answer on T_3 is always definitive
+        assert "budget_ms" not in inspect.signature(find_involution_matching).parameters
+        assert "budget_ms" not in inspect.signature(decide).parameters
+        res = find_involution_matching(t_n(3))
+        assert isinstance(res, Matching)
+        assert verify_matching(t_n(3), res.f, require_involution=True).ok
 
     @pytest.mark.parametrize("name,table", small_corpus())
     def test_found_involutions_verify(self, name, table):
@@ -307,7 +328,7 @@ class TestInvolutionSearch:
         if isinstance(res, Matching):
             assert verify_matching(table, res.f, require_involution=True).ok, name
         else:
-            assert res.complete, name
+            assert verify_barrier(table, res).ok, name
 
 
 class TestCounting:

@@ -147,7 +147,7 @@ class TestMatchingRouteAgreement:
     @pytest.mark.parametrize("name,table", ORTHODOX)
     def test_involution_search_agrees_on_orthodox(self, name, table):
         # for orthodox input, involution existence and permutation
-        # existence coincide, and the backtracking search must see it
+        # existence coincide, and the blossom route must see it
         if table.n > 20:
             return
         res = find_involution_matching(table)
