@@ -67,6 +67,7 @@ from .structure import (
     find_inverse_square,
     gamma_structure,
     idempotents,
+    inverse_matrix,
     inverse_sets,
     inverses_of_set,
     orthodoxy_witness,

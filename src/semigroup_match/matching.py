@@ -16,8 +16,11 @@ verified TutteBarrier.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import LiftFailureError, NotOrthodoxError, TooLargeError
 from .factors import (
@@ -32,8 +35,7 @@ from .structure import (
     classify,
     gamma_structure,
     idempotents,
-    inverse_sets,
-    inverses_of_set,
+    inverse_matrix,
     orthodoxy_witness,
 )
 from .table import MulTable
@@ -65,14 +67,20 @@ class VerifyResult:
 def verify_matching(table: MulTable, f, require_involution: bool = False) -> VerifyResult:
     """Check that f is a permutation of S with f(a) in V(a) for every a.
 
-    With require_involution also demand f(f(a)) = a.  Conditions are checked
-    in that order, each over elements ascending, and the first violation is
+    Images must be integers (anything operator.index accepts).  With
+    require_involution also demand f(f(a)) = a.  Conditions are checked in
+    that order, each over elements ascending, and the first violation is
     reported.
     """
     n = table.n
-    f = tuple(int(x) for x in f)
+    f = list(f)
     if len(f) != n:
         return VerifyResult(False, "wrong length", None)
+    for a in range(n):
+        try:
+            f[a] = operator.index(f[a])
+        except TypeError:
+            return VerifyResult(False, "image not an integer", a)
     for a in range(n):
         if not 0 <= f[a] < n:
             return VerifyResult(False, "image out of range", a)
@@ -81,10 +89,9 @@ def verify_matching(table: MulTable, f, require_involution: bool = False) -> Ver
         if seen[f[a]]:
             return VerifyResult(False, "not injective", a)
         seen[f[a]] = True
-    v = inverse_sets(table)
-    for a in range(n):
-        if f[a] not in v[a]:
-            return VerifyResult(False, "image not an inverse", a)
+    hits = inverse_matrix(table)[np.arange(n), f]
+    if not hits.all():
+        return VerifyResult(False, "image not an inverse", int(hits.argmin()))
     if require_involution:
         for a in range(n):
             if f[f[a]] != a:
@@ -106,11 +113,6 @@ class HallCertificate:
 
     violating_set: tuple
     image: tuple
-
-
-def _adjacency(table: MulTable) -> list:
-    v = inverse_sets(table)
-    return [tuple(sorted(v[a])) for a in range(table.n)]
 
 
 def _hk_bfs(n, adj, match_l, match_r, dist):
@@ -215,7 +217,7 @@ def find_permutation_matching(table: MulTable):
     no inverse at all short-circuits to a singleton certificate.
     """
     n = table.n
-    adj = _adjacency(table)
+    adj = [np.flatnonzero(row).tolist() for row in inverse_matrix(table)]
     for a in range(n):
         if not adj[a]:
             return HallCertificate(violating_set=(a,), image=())
@@ -235,9 +237,9 @@ def find_permutation_matching(table: MulTable):
     return _hall_certificate(n, adj, match_l, match_r)
 
 
-def _inverse_masks(table: MulTable) -> list:
-    """V(a) as a bitmask of elements, for every a."""
-    return [sum(1 << b for b in va) for va in inverse_sets(table)]
+def _bitmask(row) -> int:
+    """A bool row as an int whose bit b is row[b]."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ def hall_brute_force(table: MulTable, max_size: int = DEFAULT_BRUTE_CAP) -> Hall
     n = table.n
     if n > max_size:
         raise TooLargeError(f"subset enumeration over {n} elements exceeds the cap of {max_size}")
-    masks = _inverse_masks(table)
+    masks = [_bitmask(row) for row in inverse_matrix(table)]
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
             union = 0
@@ -276,10 +278,10 @@ class ClassSizeMismatch:
 
 
 def _require_orthodox(table: MulTable):
-    v = inverse_sets(table)
-    for a in range(table.n):
-        if not v[a]:
-            raise NotOrthodoxError(a, f"not orthodox: element {a} has no inverse")
+    regular = inverse_matrix(table).any(axis=1)
+    if not regular.all():
+        a = int(regular.argmin())
+        raise NotOrthodoxError(a, f"not orthodox: element {a} has no inverse")
     pair = orthodoxy_witness(table)
     if pair is not None:
         e, f = pair
@@ -357,18 +359,18 @@ def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matchin
     for x in range(factor.zero):
         cell = band.h_map[factor.element_map[x]]
         cell_members.setdefault(cell, []).append(x)
-    v = inverse_sets(factor.table)
+    v = inverse_matrix(factor.table)
     f = [-1] * (factor.zero + 1)
     f[factor.zero] = factor.zero
     for x in range(factor.zero):
         src = band.h_map[factor.element_map[x]]
-        dst = band.coords(band_matching.f[band.pair_index(*src)])
-        candidates = sorted(v[x] & set(cell_members[dst]))
+        dst = np.array(cell_members[band.coords(band_matching.f[band.pair_index(*src)])])
+        candidates = dst[v[x, dst]]
         if len(candidates) != 1:
             raise LiftFailureError(
                 f"element {x} has {len(candidates)} inverses in the image cell, need exactly 1"
             )
-        f[x] = candidates[0]
+        f[x] = int(candidates[0])
     lifted = Matching(
         f=tuple(f),
         kind=band_matching.kind,
@@ -420,18 +422,24 @@ def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
     exists = all(vd.similarity.pairwise_similar for vd in verdicts)
     if not exists:
         return OrthodoxDecision(exists=False, per_d_class=tuple(verdicts), matching=None)
-    v = inverse_sets(table)
-    f = [-1] * table.n
+    v = inverse_matrix(table)
+    f = np.full(table.n, -1)
     for vd, box in zip(verdicts, boxes):
-        for x, (i, lam) in vd.band.h_map.items():
-            i2, lam2 = _swapped_cell(vd.decomposition, i, lam)
-            image = v[x].intersection(box.grid[i2][lam2])
-            if len(image) != 1:
-                raise LiftFailureError(
-                    f"element {x} has {len(image)} inverses in the image cell, need exactly 1"
-                )
-            (f[x],) = image
-    matching = _verified(table, Matching(f=tuple(f), kind="involution", provenance="band_lift"))
+        for i, row in enumerate(box.grid):
+            for lam, cell in enumerate(row):
+                i2, lam2 = _swapped_cell(vd.decomposition, i, lam)
+                image = np.array(box.grid[i2][lam2])
+                hits = v[np.ix_(cell, image)]      # hits[x, y]: y in V(x)
+                counts = hits.sum(axis=1)
+                if (counts != 1).any():
+                    x = int(np.argmax(counts != 1))
+                    raise LiftFailureError(
+                        f"element {cell[x]} has {counts[x]} inverses in the image cell, "
+                        "need exactly 1"
+                    )
+                f[list(cell)] = image[hits.argmax(axis=1)]
+    f = tuple(f.tolist())
+    matching = _verified(table, Matching(f=f, kind="involution", provenance="band_lift"))
     return OrthodoxDecision(exists=True, per_d_class=tuple(verdicts), matching=matching)
 
 
@@ -458,7 +466,7 @@ def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
     into X, and more numerous than X.  The first violation is reported.
     """
     n = table.n
-    v = inverse_sets(table)
+    v = inverse_matrix(table)
     xs = set(barrier.elements)
     if len(xs) != len(barrier.elements) or any(not 0 <= x < n for x in xs):
         return VerifyResult(False, "barrier is not a set of elements", None)
@@ -472,10 +480,12 @@ def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
         seen |= members
         if len(members) % 2 == 0:
             return VerifyResult(False, "component of even size", min(members, default=None))
+        outside = np.ones(n, dtype=bool)
+        outside[list(members | xs)] = False
         for a in sorted(members):
-            if a in v[a]:
+            if v[a, a]:
                 return VerifyResult(False, "component element is its own inverse", a)
-            if not v[a] <= members | xs:
+            if (v[a] & outside).any():
                 return VerifyResult(False, "component has an inverse outside the barrier", a)
     if len(barrier.odd_components) <= len(xs):
         return VerifyResult(False, "no more odd components than barrier elements", None)
@@ -608,20 +618,19 @@ class _Blossom:
 def _odd_loop_free_components(v, removed) -> tuple:
     """Odd components of the mutual-inverse graph minus removed that hold no
     element a in V(a), each sorted, in order of least element."""
-    n = len(v)
-    seen = set(removed)
+    seen = np.zeros(len(v), dtype=bool)
+    seen[list(removed)] = True
     comps = []
-    for a in range(n):
-        if a in seen:
+    for a in range(len(v)):
+        if seen[a]:
             continue
-        seen.add(a)
+        seen[a] = True
         comp = [a]
         for x in comp:
-            for y in v[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        if len(comp) % 2 == 1 and all(x not in v[x] for x in comp):
+            fresh = np.flatnonzero(v[x] & ~seen)
+            seen[fresh] = True
+            comp += fresh.tolist()
+        if len(comp) % 2 == 1 and not v[comp, comp].any():
             comps.append(tuple(sorted(comp)))
     return tuple(comps)
 
@@ -640,12 +649,13 @@ def find_involution_matching(table: MulTable):
     copies, and X is returned as a verified TutteBarrier.
     """
     n = table.n
-    v = inverse_sets(table)
+    v = inverse_matrix(table)
     adj = []
     for c in (0, 1):
         for a in range(n):
-            nbrs = [b + c * n for b in sorted(v[a]) if b != a]
-            if a in v[a]:
+            nbrs = (np.flatnonzero(v[a]) + c * n).tolist()
+            if v[a, a]:
+                nbrs.remove(a + c * n)
                 nbrs.insert(0, a + (1 - c) * n)
             adj.append(nbrs)
     solver = _Blossom(adj)
@@ -695,7 +705,8 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
         return find_permutation_matching(table)
     res = hall_brute_force(table, max_size=DEFAULT_BRUTE_CAP if cap is None else cap)
     if not res.holds:
-        image = tuple(sorted(inverses_of_set(table, res.witness)))
+        rows = inverse_matrix(table)[list(res.witness)]
+        image = tuple(np.flatnonzero(rows.any(axis=0)).tolist())
         return HallCertificate(violating_set=res.witness, image=image)
     m = find_permutation_matching(table)
     if not isinstance(m, Matching):
@@ -713,39 +724,33 @@ def count_permutation_matchings(table: MulTable, limit=None,
                                 max_size: int = DEFAULT_BRUTE_CAP) -> MatchingCount:
     """Count permutation matchings by exhaustive assignment.
 
-    Always branches on an element with fewest remaining images.  With a
-    limit the count stops there and exact is False.
+    Always branches on an element with fewest remaining images, depth first
+    on an explicit stack of partial assignments (used images, elements still
+    to place).  With a limit the count stops there and exact is False.
     """
     n = table.n
     if n > max_size:
         raise TooLargeError(f"matching count over {n} elements exceeds the cap of {max_size}")
-    masks = _inverse_masks(table)
+    masks = [_bitmask(row) for row in inverse_matrix(table)]
     if any(m == 0 for m in masks):
         return MatchingCount(count=0, exact=True)
-    state = {"count": 0, "capped": False}
-
-    def rec(used, remaining):
-        if state["capped"]:
-            return
+    count = 0
+    stack = [(0, list(range(n)))]
+    while stack:
+        used, remaining = stack.pop()
         if not remaining:
-            state["count"] += 1
-            if limit is not None and state["count"] >= limit:
-                state["capped"] = True
-            return
+            count += 1
+            if limit is not None and count >= limit:
+                return MatchingCount(count=count, exact=False)
+            continue
         best = min(remaining, key=lambda a: (masks[a] & ~used).bit_count())
         cand = masks[best] & ~used
-        if cand == 0:
-            return
         rest = [a for a in remaining if a != best]
         while cand:
             bit = cand & -cand
-            rec(used | bit, rest)
-            if state["capped"]:
-                return
+            stack.append((used | bit, rest))
             cand ^= bit
-
-    rec(0, list(range(n)))
-    return MatchingCount(count=state["count"], exact=not state["capped"])
+    return MatchingCount(count=count, exact=True)
 
 
 @dataclass(frozen=True)
@@ -812,7 +817,7 @@ def formula_characterizations(table: MulTable, k=None) -> CharacterizationReport
     om = [omega_data(table, a) for a in range(n)]
     omega = [d.omega for d in om]
     om1 = [d.omega_minus_one for d in om]
-    v = inverse_sets(table)
+    v = inverse_matrix(table)
     clauses = []
 
     left, witness = _map_matches(table, om1)
@@ -836,22 +841,9 @@ def formula_characterizations(table: MulTable, k=None) -> CharacterizationReport
         right = all(table.power(x, k + 2) == x for x in range(n))
         clauses.append(ClauseResult(f"power_identity_k{k}", left, right, witness))
 
-    witness = None
-    left = True
-    for a in range(n):
-        if len(v[a]) != n:
-            left = False
-            witness = (a,)
-            break
-    clauses.append(ClauseResult("rectangular_band", left, flags.rectangular_band, witness))
-
-    witness = None
-    left = True
-    for a in range(n):
-        if a not in v[a]:
-            left = False
-            witness = (a,)
-            break
-    clauses.append(ClauseResult("self_inverse", left, flags.self_inverse, witness))
+    for name, holds in (("rectangular_band", v.all(axis=1)), ("self_inverse", v.diagonal())):
+        left = bool(holds.all())
+        witness = None if left else (int(holds.argmin()),)
+        clauses.append(ClauseResult(name, left, getattr(flags, name), witness))
 
     return CharacterizationReport(clauses=tuple(clauses))

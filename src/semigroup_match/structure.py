@@ -1,9 +1,11 @@
 """Idempotents, inverse sets, classification flags, and the V-class partition.
 
 The inverse set V(a) = {b : aba = a and bab = b} drives everything in the
-matching modules.  For orthodox semigroups the relation "same inverse set"
-partitions S; gamma_structure computes that partition together with the
-induced involution on classes when it exists.
+matching modules.  inverse_matrix holds the whole relation as one cached
+boolean array, which every consumer reads; inverse_sets and inverses_of_set
+are set-valued views of it.  For orthodox semigroups the relation "same
+inverse set" partitions S; gamma_structure computes that partition together
+with the induced involution on classes when it exists.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRegularError
-from .green import green_classes
+from .green import _ids, _members, green_classes
 from .table import MulTable
 
 
@@ -27,32 +29,38 @@ def idempotents(table: MulTable) -> tuple:
     return result
 
 
+def inverse_matrix(table: MulTable) -> np.ndarray:
+    """V as a read-only n x n bool array: V[a, b] holds when aba = a and bab = b.
+
+    The relation is symmetric; np.flatnonzero(V[a]) is V(a) in ascending order.
+    """
+    cached = table._cache.get("inverse_matrix")
+    if cached is not None:
+        return cached
+    # the narrowest dtype that holds every element cuts the gathers' memory traffic
+    p = table.product.astype(np.min_scalar_type(table.n - 1))
+    ar = np.arange(table.n, dtype=p.dtype)
+    col = ar[:, None]
+    result = (p[p, col] == col) & (p[p.T, ar] == ar)   # (ab)a == a, (ba)b == b
+    result.setflags(write=False)
+    table._cache["inverse_matrix"] = result
+    return result
+
+
 def inverse_sets(table: MulTable) -> tuple:
-    """V(a) for every a, as a tuple of frozensets indexed by element."""
+    """V(a) for every a, as a tuple of frozensets: a view of inverse_matrix."""
     cached = table._cache.get("inverse_sets")
     if cached is not None:
         return cached
-    n = table.n
-    prod = table.product
-    ar = np.arange(n)
-    out = []
-    for a in range(n):
-        aba = prod[prod[a], a]          # aba[b] = (ab)a
-        bab = prod[prod[:, a], ar]      # bab[b] = (ba)b
-        mask = (aba == a) & (bab == ar)
-        out.append(frozenset(int(b) for b in np.flatnonzero(mask)))
-    result = tuple(out)
+    result = tuple(frozenset(np.flatnonzero(row).tolist()) for row in inverse_matrix(table))
     table._cache["inverse_sets"] = result
     return result
 
 
 def inverses_of_set(table: MulTable, elements) -> set:
-    """V(A) = union of V(a) over a in A."""
-    v = inverse_sets(table)
-    out = set()
-    for a in elements:
-        out |= v[a]
-    return out
+    """V(A) = union of V(a) over a in A, read off the rows of inverse_matrix."""
+    rows = inverse_matrix(table)[list(elements)]
+    return set(np.flatnonzero(rows.any(axis=0)).tolist())
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,6 @@ class InverseSets:
     only set when that map is well defined (always, for orthodox input).
     """
 
-    v: tuple
     gamma_class: tuple
     class_list: tuple
     v_involution: tuple | None
@@ -91,34 +98,27 @@ def gamma_structure(table: MulTable) -> InverseSets:
     cached = table._cache.get("gamma")
     if cached is not None:
         return cached
-    v = inverse_sets(table)
-    for a in range(table.n):
-        if not v[a]:
-            raise NotRegularError(a)
-    key_to_id = {}
-    gamma_class = []
-    for a in range(table.n):
-        key = v[a]
-        if key not in key_to_id:
-            key_to_id[key] = len(key_to_id)
-        gamma_class.append(key_to_id[key])
-    gamma_class = tuple(gamma_class)
-    k = len(key_to_id)
-    members = [[] for _ in range(k)]
-    for a, c in enumerate(gamma_class):
-        members[c].append(a)
-    class_list = tuple(tuple(m) for m in members)
+    v = inverse_matrix(table)
+    regular = v.any(axis=1)
+    if not regular.all():
+        raise NotRegularError(int(regular.argmin()))
+    # equal rows are one class; each element's least class-mate fixes the ids
+    _, first, row_id = np.unique(v, axis=0, return_index=True, return_inverse=True)
+    gamma_class = _ids(first[row_id.ravel()])
+    class_list = _members(gamma_class)
+    k = len(class_list)
 
     v_involution = None
     if orthodoxy_witness(table) is None:
+        ids = np.array(gamma_class)
         involution = []
         for c in range(k):
-            rep = class_list[c][0]
-            targets = {gamma_class[b] for b in v[rep]}
+            inverses = np.flatnonzero(v[class_list[c][0]])
+            targets = np.unique(ids[inverses])
             if len(targets) != 1:
                 raise RuntimeError("inverses of an orthodox element must fill one class")
-            d = targets.pop()
-            if v[rep] != frozenset(class_list[d]):
+            d = int(targets[0])
+            if not np.array_equal(inverses, class_list[d]):
                 raise RuntimeError("inverse sets of an orthodox semigroup must partition it")
             involution.append(d)
         v_involution = tuple(involution)
@@ -129,7 +129,7 @@ def gamma_structure(table: MulTable) -> InverseSets:
                 for a in class_list[c]:
                     if table.power(a, 3) != a:
                         raise RuntimeError("fixed V-class contains a != a^3")
-    result = InverseSets(v=v, gamma_class=gamma_class, class_list=class_list,
+    result = InverseSets(gamma_class=gamma_class, class_list=class_list,
                          v_involution=v_involution)
     table._cache["gamma"] = result
     return result
@@ -179,11 +179,11 @@ def classify(table: MulTable) -> ClassificationFlags:
     prod = table.product
     ar = np.arange(n)
     g = green_classes(table)
-    v = inverse_sets(table)
+    inverse_counts = inverse_matrix(table).sum(axis=1)
 
-    regular = all(v[a] for a in range(n))
+    regular = bool(inverse_counts.all())
     ortho = regular and orthodoxy_witness(table) is None
-    inverse = regular and all(len(v[a]) == 1 for a in range(n))
+    inverse = regular and bool((inverse_counts == 1).all())
     band = bool(np.array_equal(prod[ar, ar], ar))
     rect_band = band and all(bool(np.all(prod[prod[a], a] == a)) for a in range(n))
     # completely regular: a lies in a subgroup, i.e. a H a^2
@@ -239,14 +239,14 @@ def find_inverse_square(table: MulTable):
     or not regular (the configuration requires an idempotent with a second,
     non-idempotent inverse).
     """
-    v = inverse_sets(table)
-    if not all(v[a] for a in range(table.n)):
+    v = inverse_matrix(table)
+    if not v.any(axis=1).all():
         return None
     idem_set = set(idempotents(table))
     g_rel = green_classes(table)
     prod = table.product
     for e in sorted(idem_set):
-        for a in sorted(v[e]):
+        for a in np.flatnonzero(v[e]).tolist():
             if a in idem_set:
                 continue
             f = int(prod[e, a])

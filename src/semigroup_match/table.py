@@ -276,21 +276,14 @@ def rees_matrix(p: BoolStructureMatrix) -> MulTable:
     sits last.  Display names are 1-based, "(1,2)" style.
     """
     rows, cols = p.rows, p.cols
-    nz = cols * rows
-    n = nz + 1
-    zero = nz
-
-    def idx(i, lam):
-        return i * rows + lam
-
-    prod = np.full((n, n), zero, dtype=np.intp)
-    for i in range(cols):
-        for lam in range(rows):
-            a = idx(i, lam)
-            for k in range(cols):
-                if p.entries[lam][k]:
-                    for mu in range(rows):
-                        prod[a, idx(k, mu)] = idx(i, mu)
+    zero = cols * rows
+    i, lam = np.divmod(np.arange(zero), rows)    # element i*rows + lam is (i, lam)
+    prod = np.full((zero + 1, zero + 1), zero, dtype=np.intp)
+    prod[:zero, :zero] = np.where(
+        np.array(p.entries, dtype=bool)[lam[:, None], i[None, :]],
+        i[:, None] * rows + lam[None, :],
+        zero,
+    )
     names = [f"({i + 1},{lam + 1})" for i in range(cols) for lam in range(rows)]
     names.append("0")
     return MulTable(prod, names)
@@ -320,14 +313,14 @@ def full_transformation(n: int, max_rank: int = DEFAULT_RANK_CAP) -> MulTable:
         raise CapExceededError(
             f"T_{n} has {n ** n} elements; default rank cap is {max_rank}, raise it explicitly"
         )
-    maps = list(itertools.product(range(n), repeat=n))
-    index = {f: i for i, f in enumerate(maps)}
-    size = len(maps)
-    prod = np.empty((size, size), dtype=np.intp)
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            prod[i, j] = index[tuple(g[x] for x in f)]
-    names = ["".join(str(v) for v in f) for f in maps]
+    size = n ** n
+    # maps in lexicographic order are the base-n numerals 0..size-1, in the
+    # narrowest dtype that holds every index
+    dtype = np.min_scalar_type(size - 1)
+    maps = np.array(list(itertools.product(range(n), repeat=n)), dtype=dtype)
+    composed = maps[np.arange(size)[None, :, None], maps[:, None, :]]   # [i, j, x] = x f_i g_j
+    prod = composed @ (n ** np.arange(n - 1, -1, -1)).astype(dtype)
+    names = ["".join(str(v) for v in f) for f in maps.tolist()]
     return MulTable(prod, names)
 
 

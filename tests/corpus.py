@@ -6,6 +6,8 @@ exact expected values next to the construction that produced them.
 
 from __future__ import annotations
 
+import sys
+
 from semigroup_match import (
     BoolStructureMatrix,
     MulTable,
@@ -233,3 +235,11 @@ def full_corpus() -> list[tuple[str, MulTable]]:
             seen.add(name)
             items.append((name, table))
     return items
+
+
+def frame_depth() -> int:
+    """Number of Python frames on the caller's stack, for recursion-limit tests."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth

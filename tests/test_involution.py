@@ -36,7 +36,7 @@ from semigroup_match import (
 from semigroup_match.cli import main
 from semigroup_match.matching import _Blossom
 
-from corpus import T3_INVOLUTION, band7, full_corpus, t_n
+from corpus import T3_INVOLUTION, band7, frame_depth, full_corpus, t_n
 from involution_oracle import involution_oracle
 
 CORPUS = full_corpus()
@@ -196,13 +196,6 @@ class TestVerifyBarrier:
         assert (res.ok, res.reason, res.element) == (False, "component element is its own inverse", e)
 
 
-def _frame_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_no_global_interpreter_state(monkeypatch):
     """The blossom route neither recurses deeply nor touches the recursion
     limit, even when that limit sits just above the caller's depth."""
@@ -211,7 +204,7 @@ def test_no_global_interpreter_state(monkeypatch):
     assert table.n == 145 and not classify(table).orthodox
     set_limit = sys.setrecursionlimit
     saved = sys.getrecursionlimit()
-    set_limit(_frame_depth() + 150)
+    set_limit(frame_depth() + 150)
     try:
         before = sys.getrecursionlimit()
 

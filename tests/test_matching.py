@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import inspect
+import sys
 
+import numpy as np
 import pytest
 
 from semigroup_match import (
@@ -39,6 +41,7 @@ from corpus import (
     chain_semilattice,
     cyclic,
     five_unique,
+    frame_depth,
     full_corpus,
     klein,
     monogenic,
@@ -78,6 +81,19 @@ class TestVerify:
         t = rectangular_band(2, 2)
         res = verify_matching(t, (0, 0, 2, 3))
         assert (res.ok, res.reason, res.element) == (False, "not injective", 1)
+
+    @pytest.mark.parametrize("f,element", [
+        ([0.5, 1.7], 0),
+        ((0, 1.0), 1),
+        ((0, "1"), 1),
+        ((None, 1), 0),
+    ])
+    def test_image_not_an_integer(self, f, element):
+        res = verify_matching(cyclic(2), f)
+        assert (res.ok, res.reason, res.element) == (False, "image not an integer", element)
+
+    def test_numpy_integers_are_integers(self):
+        assert verify_matching(cyclic(3), np.array([0, 2, 1], dtype=np.uint8)).ok
 
     def test_not_an_involution(self):
         # a 3-cycle on a rectangular band is a matching but no involution
@@ -355,6 +371,18 @@ class TestCounting:
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
             count_permutation_matchings(t_n(3))
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        """One branch per element: 306 levels run under a limit 150 frames
+        above the caller's depth."""
+        table = rectangular_band(17, 18)
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 150)
+        try:
+            res = count_permutation_matchings(table, limit=1, max_size=table.n)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert (res.count, res.exact) == (1, False)
 
     @pytest.mark.parametrize("name,table", small_corpus())
     def test_positive_iff_matching_exists(self, name, table):

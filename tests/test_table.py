@@ -201,6 +201,40 @@ class TestReesMatrix:
                         assert got == want
 
 
+def rees_reference(p: BoolStructureMatrix) -> np.ndarray:
+    """The Rees product filled in cell by cell: (i, lam)(k, mu) = (i, mu)
+    at index i*rows + mu when p[lam][k], else the zero (last index)."""
+    rows, cols = p.rows, p.cols
+    zero = cols * rows
+    prod = np.full((zero + 1, zero + 1), zero, dtype=np.intp)
+    for i in range(cols):
+        for lam in range(rows):
+            for k in range(cols):
+                if p.entries[lam][k]:
+                    for mu in range(rows):
+                        prod[i * rows + lam, k * rows + mu] = i * rows + mu
+    return prod
+
+
+class TestReesAgainstReference:
+    def test_random_matrices(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(50):
+            rows, cols = (int(x) for x in rng.integers(1, 8, size=2))
+            entries = rng.random((rows, cols)) < rng.uniform(0.2, 0.8)
+            # one mark per row and per column keeps the matrix regular
+            entries[np.arange(rows), np.arange(rows) % cols] = True
+            entries[np.arange(cols) % rows, np.arange(cols)] = True
+            p = BoolStructureMatrix(entries.tolist())
+            assert np.array_equal(rees_matrix(p).product, rees_reference(p)), entries
+
+    def test_corpus_matrices(self):
+        for entries in [((True,),), ((True, False), (True, True)),
+                        ((True, True, False), (False, True, True))]:
+            p = BoolStructureMatrix(entries)
+            assert np.array_equal(rees_matrix(p).product, rees_reference(p))
+
+
 class TestRectangularBand:
     def test_defining_identity(self):
         for m, n in [(2, 3), (3, 2), (1, 4)]:
@@ -253,6 +287,15 @@ class TestFullTransformation:
         t = full_transformation(3)
         ident = t.names.index("012")
         assert all(t.mul(ident, a) == a and t.mul(a, ident) == a for a in range(t.n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_against_composition_loop(self, n):
+        maps = list(itertools.product(range(n), repeat=n))
+        index = {f: i for i, f in enumerate(maps)}
+        want = [[index[tuple(g[x] for x in f)] for g in maps] for f in maps]
+        t = full_transformation(n, max_rank=n)
+        assert np.array_equal(t.product, want)
+        assert t.names == tuple("".join(map(str, f)) for f in maps)
 
     def test_rank_cap(self):
         with pytest.raises(CapExceededError, match="raise it explicitly"):
