@@ -23,6 +23,7 @@ from .factors import (
     egg_box_band,
     h_quotient_band,
     maximal_rect_subbands,
+    principal_factor,
     principal_factors,
     similarity_check,
 )

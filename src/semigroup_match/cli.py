@@ -14,6 +14,7 @@ answer is definitive; an involution "no" carries a Tutte barrier.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,7 +23,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .errors import NotOrthodoxError, SemigroupError, TableFormatError
-from .factors import h_quotient_band, maximal_rect_subbands, principal_factors, similarity_check
+from .factors import h_quotient_band, maximal_rect_subbands, principal_factor, similarity_check
 from .green import green_classes
 from .matching import (
     DEFAULT_BRUTE_CAP,
@@ -125,10 +126,9 @@ def _d_class_reports(table: MulTable, with_grid: bool = False) -> list:
     g = green_classes(table)
     idem = set(idempotents(table))
     reports = []
-    for pf in principal_factors(table):
-        members = g.d_classes[pf.d_class]
+    for d, members in enumerate(g.d_classes):
         entry = {
-            "d_class": pf.d_class,
+            "d_class": d,
             "size": len(members),
             "regular": any(a in idem for a in members),
             "band": None,
@@ -138,7 +138,7 @@ def _d_class_reports(table: MulTable, with_grid: bool = False) -> list:
         }
         grid = None
         if entry["regular"]:
-            band = h_quotient_band(pf)
+            band = h_quotient_band(principal_factor(table, d))
             entry["band"] = [band.m, band.n]
             try:
                 dec = maximal_rect_subbands(band)
@@ -467,8 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -41,31 +41,24 @@ def _fresh_zero_name(taken) -> str:
     return name
 
 
+def principal_factor(table: MulTable, d: int) -> PrincipalFactor:
+    """D-class d with a fresh zero that absorbs every product leaving the class."""
+    members = green_classes(table).d_classes[d]
+    k = len(members)
+    index_of = np.full(table.n, k, dtype=np.intp)   # position in the class, the zero outside it
+    index_of[list(members)] = np.arange(k)
+    fprod = np.full((k + 1, k + 1), k, dtype=np.intp)
+    fprod[:k, :k] = index_of[table.product[np.ix_(members, members)]]
+    member_names = [table.element_name(a) for a in members]
+    names = member_names + [_fresh_zero_name(set(member_names))]
+    return PrincipalFactor(
+        d_class=d, table=MulTable(fprod, names), element_map=tuple(members), zero=k
+    )
+
+
 def principal_factors(table: MulTable) -> tuple:
     """Principal factor of every D-class, in D-class id order."""
-    g = green_classes(table)
-    d_class = np.array(g.d_class, dtype=np.intp)
-    index_of = np.empty(table.n, dtype=np.intp)   # position within its own D-class
-    for members in g.d_classes:
-        index_of[list(members)] = np.arange(len(members))
-    out = []
-    for d, members in enumerate(g.d_classes):
-        k = len(members)
-        zero = k
-        block = table.product[np.ix_(members, members)]
-        fprod = np.full((k + 1, k + 1), zero, dtype=np.intp)
-        fprod[:k, :k] = np.where(d_class[block] == d, index_of[block], zero)
-        member_names = [table.element_name(a) for a in members]
-        names = member_names + [_fresh_zero_name(set(member_names))]
-        out.append(
-            PrincipalFactor(
-                d_class=d,
-                table=MulTable(fprod, names),
-                element_map=tuple(members),
-                zero=zero,
-            )
-        )
-    return tuple(out)
+    return tuple(principal_factor(table, d) for d in range(len(green_classes(table).d_classes)))
 
 
 class ZeroRectBand:

@@ -3,13 +3,19 @@
 Elements are the integers 0..n-1; an optional name per element is kept for
 display only.  Every constructor funnels through MulTable, which decides
 associativity exactly (Light's test over a generating set, about n^2 checks
-per generator), so no table in the rest of the package is ever trusted
-blindly.
+per distinct generator), so no table in the rest of the package is ever
+trusted blindly.
+
+parse_table reads the rows of a table file with np.fromstring; any row that
+reader might take differently from str.split and int() sends the whole table
+through the per-row int() loop, which accepts the same tables and words
+every error.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -69,17 +75,31 @@ def _generators(product: np.ndarray) -> np.ndarray:
         new = np.array([first], dtype=np.intp)
 
 
+def _distinct_generators(product: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """The first of gens with each (row, column) pair, in the order of gens.
+
+    When g and h share their row and their column, (xg)y = x(gy) and
+    (xh)y = x(hy) are the same condition, so they pass or fail together.
+    """
+    pairs = np.concatenate([product[gens], product[:, gens].T], axis=1)
+    first = {}
+    for g, pair in zip(gens.tolist(), pairs):
+        first.setdefault(pair.tobytes(), g)
+    return np.array(list(first.values()), dtype=np.intp)
+
+
 def _associativity_witness(product: np.ndarray):
     """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None.
 
     Light's test: the g with (xg)y = x(gy) for all x, y are closed under the
-    product, so checking a generating set decides associativity.  Only a
-    table that fails it pays the full sweep, which finds the first triple.
+    product, so checking a generating set decides associativity, one
+    generator per distinct (row, column) pair.  Only a table that fails it
+    pays the full sweep, which finds the first triple.
     """
     n = product.shape[0]
     # the narrowest dtype that holds every element cuts the gathers' memory traffic
     compact = product.astype(np.min_scalar_type(n - 1))
-    gens = _generators(compact)
+    gens = _distinct_generators(compact, _generators(compact))
     xg = compact[:, gens]             # xg[x, k] = x*g_k
     gy = compact[gens]                # gy[k, y] = g_k*y
     g_step = max(1, _ASSOC_CHUNK_CELLS // (n * n))
@@ -174,6 +194,48 @@ class MulTable:
         return f"MulTable(n={self.n})"
 
 
+def _rows_by_loop(body: list, n: int) -> list:
+    """Each row split on whitespace and read with int(); words every row error."""
+    rows = []
+    for i, line in enumerate(body):
+        toks = line.split()
+        if len(toks) != n:
+            raise TableFormatError(f"row {i}: expected {n} entries, got {len(toks)}")
+        try:
+            rows.append([int(t) for t in toks])
+        except ValueError:
+            raise TableFormatError(f"row {i}: non-integer entry") from None
+    return rows
+
+
+def _rows_by_numpy(body: list, n: int):
+    """The rows as an n x n intp array, or None when _rows_by_loop must read them.
+
+    None covers every row np.fromstring fails on or might split differently
+    from str.split, every row without n values and every value outside
+    [0, n), so an array returned here is what _rows_by_loop would read.
+    """
+    product = np.empty((n, n), dtype=np.intp)
+    with warnings.catch_warnings():
+        # older numpy only warns about unmatched data
+        warnings.simplefilter("error")
+        for i, line in enumerate(body):
+            # np.fromstring reads "+ 1" as one value and a lone sign as 0
+            if "+" in line or "-" in line:
+                return None
+            try:
+                row = np.fromstring(line, dtype=np.intp, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+            if row.size != n:
+                return None
+            product[i] = row
+    # np.fromstring clips values past the intp range instead of failing
+    if int(product.min()) < 0 or int(product.max()) >= n:
+        return None
+    return product
+
+
 def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
     """Parse the table file format.
 
@@ -181,6 +243,11 @@ def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
     display names.  The first data line is the element count n, followed by n
     lines of n whitespace-separated entries in [0, n).  A count above
     max_size raises CapExceededError before any row is read.
+
+    Rows are read with np.fromstring.  A table with any row that reader
+    rejects or might read differently (a sign, a row without n values, a
+    value outside [0, n)) is read again, whole, by the per-row int() loop,
+    so the accepted tables and every error message are those of the loop.
     """
     names = None
     data = []
@@ -209,16 +276,10 @@ def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
         raise CapExceededError(f"table has {n} elements, cap is {max_size}")
     if len(data) - 1 != n:
         raise TableFormatError(f"expected {n} table rows, got {len(data) - 1}")
-    rows = []
-    for i, line in enumerate(data[1:]):
-        toks = line.split()
-        if len(toks) != n:
-            raise TableFormatError(f"row {i}: expected {n} entries, got {len(toks)}")
-        try:
-            rows.append([int(t) for t in toks])
-        except ValueError:
-            raise TableFormatError(f"row {i}: non-integer entry") from None
-    return MulTable(rows, names)
+    product = _rows_by_numpy(data[1:], n)
+    if product is None:
+        product = _rows_by_loop(data[1:], n)
+    return MulTable(product, names)
 
 
 def render_table(table: MulTable) -> str:
@@ -227,8 +288,7 @@ def render_table(table: MulTable) -> str:
     if table.names is not None:
         lines.append("# names: " + " ".join(table.names))
     lines.append(str(table.n))
-    for a in range(table.n):
-        lines.append(" ".join(str(int(x)) for x in table.product[a]))
+    lines.extend(" ".join(map(str, row.tolist())) for row in table.product)
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from semigroup_match import MulTable, NotAssociativeError
 from semigroup_match import table as table_mod
-from semigroup_match.table import _associativity_witness, _full_witness, _generators
+from semigroup_match.table import (
+    _associativity_witness,
+    _distinct_generators,
+    _full_witness,
+    _generators,
+)
 
 from corpus import full_corpus, left_zero, null_semigroup
 
@@ -110,3 +115,35 @@ def test_null_semigroup_and_left_zero_band_verify(n):
     band = left_zero(n).product
     assert _generators(band).tolist() == list(range(n))
     assert _associativity_witness(band) is None
+
+
+def _checked_generators(monkeypatch, product) -> list:
+    """The generators _associativity_witness checks on product."""
+    checked = []
+
+    def recording(compact, gens):
+        kept = _distinct_generators(compact, gens)
+        checked.append(kept.tolist())
+        return kept
+
+    monkeypatch.setattr(table_mod, "_distinct_generators", recording)
+    assert _associativity_witness(product) is None
+    (gens,) = checked
+    return gens
+
+
+def test_one_generator_per_distinct_row_and_column(monkeypatch):
+    # every generator of the null semigroup has an all-zero row and column;
+    # the left-zero band's rows are constant at the generator, so all differ
+    assert _checked_generators(monkeypatch, null_semigroup(64).product) == [1]
+    assert _checked_generators(monkeypatch, left_zero(64).product) == list(range(64))
+
+
+@pytest.mark.parametrize("name,table", CORPUS, ids=[name for name, _ in CORPUS])
+def test_distinct_generators_keep_first_of_each_pair(name, table):
+    p = table.product
+    gens = _generators(p).tolist()
+    kept = _distinct_generators(p, np.array(gens, dtype=np.intp)).tolist()
+    pairs = [(p[g].tolist(), p[:, g].tolist()) for g in gens]
+    want = [g for k, g in enumerate(gens) if pairs[k] not in pairs[:k]]
+    assert kept == want

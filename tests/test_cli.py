@@ -5,10 +5,17 @@ import json
 import jsonschema
 import pytest
 
-from semigroup_match import render_table, parse_table, verify_matching
+from semigroup_match import (
+    cli,
+    green_classes,
+    idempotents,
+    parse_table,
+    render_table,
+    verify_matching,
+)
 from semigroup_match.cli import main
 
-from corpus import band7, brandt, cyclic, five_unique, t_n
+from corpus import band7, brandt, cyclic, five_unique, monogenic, null_semigroup, t_n
 
 FLAG_NAMES = [
     "regular", "orthodox", "inverse", "band", "rectangular_band",
@@ -410,6 +417,39 @@ class TestFactors:
         assert report["command"] == "factors"
         assert report["d_classes"][0]["grid"] is not None
         assert report["d_classes"][0]["subbands"] == [[1, 2], [1, 1]]
+
+    @pytest.mark.parametrize("command", ["analyze", "factors"])
+    @pytest.mark.parametrize("table", [null_semigroup(6), monogenic(3, 2), t_n(3)],
+                             ids=["null6", "mono_3_2", "t3"])
+    def test_factor_tables_only_for_regular_classes(self, monkeypatch, tmp_path, capsys,
+                                                    command, table):
+        built = []
+        build = cli.principal_factor
+
+        def recording(t, d):
+            built.append(d)
+            return build(t, d)
+
+        monkeypatch.setattr(cli, "principal_factor", recording)
+        path = tmp_path / "s.tbl"
+        path.write_text(render_table(table), encoding="utf-8")
+        code, out, _ = run([command, path, "--json"], capsys)
+        assert code == 0
+        idem = set(idempotents(table))
+        regular = [d for d, members in enumerate(green_classes(table).d_classes)
+                   if idem & set(members)]
+        assert built == regular
+        report = json.loads(out)
+        entries = report["d_class_reports" if command == "analyze" else "d_classes"]
+        for entry in entries:
+            assert entry["regular"] == (entry["d_class"] in regular)
+            if not entry["regular"]:
+                assert entry["note"] == "no idempotent: not a regular D-class"
+
+
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 class TestGen:

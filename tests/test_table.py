@@ -22,7 +22,7 @@ from semigroup_match import (
     render_table,
 )
 
-from corpus import band7, cyclic, small_corpus
+from corpus import band7, cyclic, full_corpus, small_corpus
 
 
 class TestMulTable:
@@ -116,6 +116,14 @@ class TestParseRender:
     def test_round_trip_every_fixture(self):
         for name, t in small_corpus():
             assert parse_table(render_table(t)) == t, name
+
+    @pytest.mark.parametrize("name,table", full_corpus())
+    def test_render_matches_per_entry_loop(self, name, table):
+        lines = [] if table.names is None else ["# names: " + " ".join(table.names)]
+        lines.append(str(table.n))
+        for a in range(table.n):
+            lines.append(" ".join(str(int(x)) for x in table.product[a]))
+        assert render_table(table) == "\n".join(lines) + "\n"
 
     def test_render_exact_format(self):
         t = rectangular_band(1, 2)
