@@ -184,21 +184,20 @@ def classify(table: MulTable) -> ClassificationFlags:
     regular = bool(inverse_counts.all())
     ortho = regular and orthodoxy_witness(table) is None
     inverse = regular and bool((inverse_counts == 1).all())
-    band = bool(np.array_equal(prod[ar, ar], ar))
-    rect_band = band and all(bool(np.all(prod[prod[a], a] == a)) for a in range(n))
-    # completely regular: a lies in a subgroup, i.e. a H a^2
     sq = prod[ar, ar]
-    completely_regular = all(
-        g.h_class[a] == g.h_class[int(sq[a])] for a in range(n)
-    )
+    band = bool(np.array_equal(sq, ar))
+    # aba = a for all a, b: every b is an inverse of every a
+    rect_band = band and bool((inverse_counts == n).all())
+    # completely regular: a lies in a subgroup, i.e. a H a^2
+    h_class = np.asarray(g.h_class)
+    completely_regular = bool(np.array_equal(h_class[sq], h_class))
     completely_simple = completely_regular and len(g.d_classes) == 1
     combinatorial = len(g.h_classes) == n
     group = len(g.h_classes) == 1
-    cube = prod[prod[ar, ar], ar]
-    self_inverse = bool(np.array_equal(cube, ar))
-    has_zero = any(
-        bool(np.all(prod[z] == z)) and bool(np.all(prod[:, z] == z)) for z in range(n)
-    )
+    self_inverse = bool(np.array_equal(prod[sq, ar], ar))
+    # a zero is a left zero (row z all z) whose column is all z too
+    left_zeros = np.flatnonzero((prod == ar[:, None]).all(axis=1))
+    has_zero = bool((prod[:, left_zeros] == left_zeros).all(axis=0).any())
     result = ClassificationFlags(
         regular=regular,
         orthodox=ortho,

@@ -4,7 +4,12 @@ Elements are the integers 0..n-1; an optional name per element is kept for
 display only.  Every constructor funnels through MulTable, which decides
 associativity exactly (Light's test over a generating set, about n^2 checks
 per distinct generator), so no table in the rest of the package is ever
-trusted blindly.
+trusted blindly.  The generating set is every element outside S^2, then
+greedily the unreached element with the largest |aS| + |Sa| whose row and
+column minima (its R- and L-class, when it is regular) no generator has
+yet, or failing that the unreached one with the largest |aS| + |Sa|:
+6 generators for T_5, whose rank is 3, and max(k, l) for a k x l
+rectangular band.
 
 parse_table reads the rows of a table file with np.fromstring; any row that
 reader might take differently from str.split and int() sends the whole table
@@ -48,31 +53,108 @@ def _full_witness(product: np.ndarray):
     return None
 
 
+def _entries_seen(lines: np.ndarray) -> np.ndarray:
+    """seen[i, x] holds when x is an entry of lines[i]."""
+    seen = np.zeros(lines.shape, dtype=bool)
+    seen.ravel()[lines + np.arange(0, seen.size, seen.shape[1])[:, None]] = True
+    return seen
+
+
+def _ideal_profile(product: np.ndarray):
+    """|aS| + |Sa| and the least elements of aS and of Sa for each a, and S^2.
+
+    The entries of a block of rows, and of the matching block of columns,
+    are scattered into bool blocks and counted, so nothing is sorted and no
+    n x n temporary is made.
+    """
+    n = product.shape[0]
+    # the blocks' intp scatter index takes about _ASSOC_CHUNK_CELLS bytes
+    step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
+    size = np.empty(n, dtype=np.intp)
+    row_min = np.empty(n, dtype=np.intp)
+    col_min = np.empty(n, dtype=np.intp)
+    in_square = np.zeros(n, dtype=bool)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        rows = _entries_seen(product[block])
+        cols = _entries_seen(product[:, block].T)
+        size[block] = np.count_nonzero(rows, axis=1) + np.count_nonzero(cols, axis=1)
+        # argmax finds the first True, the least entry
+        row_min[block] = rows.argmax(axis=1)
+        col_min[block] = cols.argmax(axis=1)
+        in_square |= rows.any(axis=0)
+    return size, row_min, col_min, in_square
+
+
 def _generators(product: np.ndarray) -> np.ndarray:
     """Elements whose products, multiplied out from the left, reach every element.
 
-    Every element outside S^2 is taken; then, while some element is not yet
-    reached, the first such element.  The reached set grows by right
-    multiplication, each (reached element, generator) pair computed once.
+    Every element outside S^2 is taken first.  Then, while some element is
+    not yet reached, candidates are read in order of |aS| + |Sa|, larger
+    principal ideals first and ties by index, and the next generator is the
+    first unreached candidate whose row minimum and column minimum no
+    generator has yet: R-related regular elements share their row minimum
+    and L-related ones their column minimum, so this prefers a new R-class
+    and a new L-class at once.  When no candidate has both, the first
+    unreached candidate is taken.  Both scans only move forward.
+
+    The reached set grows by right multiplication over Python lists of the
+    generators' columns, each (element, generator) product read once, and
+    stops as soon as every element is reached.
     """
     n = product.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    gens = np.empty(0, dtype=np.intp)
-    in_square = np.zeros(n, dtype=bool)
-    in_square[product.ravel()] = True
-    new = np.flatnonzero(~in_square)
+    size, row_min, col_min, in_square = _ideal_profile(product)
+    candidates = np.argsort(-size, kind="stable").tolist()
+    row_min, col_min = row_min.tolist(), col_min.tolist()
+    reached = bytearray(n)
+    queue = []                        # reached elements, in the order reached
+    gens, columns, done = [], [], []  # done[k]: queue[:done[k]] times gens[k] is read
+    rows_taken, cols_taken = bytearray(n), bytearray(n)
+    new = np.flatnonzero(~in_square).tolist()
+    tie = fallback = 0
     while True:
-        old = np.flatnonzero(reached)
-        gens = np.concatenate([gens, new])
-        fresh = np.concatenate([new, product[np.ix_(old, new)].ravel()])
-        while fresh.size:
-            fresh = np.unique(fresh[~reached[fresh]])
-            reached[fresh] = True
-            fresh = product[np.ix_(fresh, gens)].ravel()
-        first = int(reached.argmin())
-        if reached[first]:
-            return gens
-        new = np.array([first], dtype=np.intp)
+        for g in new:
+            gens.append(g)
+            columns.append(None)
+            done.append(0)
+            rows_taken[row_min[g]] = cols_taken[col_min[g]] = 1
+            # no product reaches an element outside S^2, and later picks are unreached
+            reached[g] = 1
+            queue.append(g)
+        # visit the generators in turn until none has an unread product
+        k = idle = 0
+        while len(queue) < n and idle < len(gens):
+            i = done[k]
+            if i == len(queue):
+                idle += 1
+            else:
+                idle = 0
+                if columns[k] is None:
+                    columns[k] = product[:, gens[k]].tolist()
+                column = columns[k]
+                while i < len(queue):
+                    y = column[queue[i]]
+                    i += 1
+                    if not reached[y]:
+                        reached[y] = 1
+                        queue.append(y)
+                        if len(queue) == n:
+                            break
+                done[k] = i
+            k = (k + 1) % len(gens)
+        if len(queue) == n:
+            return np.array(gens, dtype=np.intp)
+        while tie < n:
+            c = candidates[tie]
+            if not (reached[c] or rows_taken[row_min[c]] or cols_taken[col_min[c]]):
+                break
+            tie += 1
+        if tie < n:
+            new = [candidates[tie]]
+        else:
+            while reached[candidates[fallback]]:
+                fallback += 1
+            new = [candidates[fallback]]
 
 
 def _distinct_generators(product: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -195,7 +277,12 @@ class MulTable:
 
 
 def _rows_by_loop(body: list, n: int) -> list:
-    """Each row split on whitespace and read with int(); words every row error."""
+    """Each row split on whitespace and read with int(); words every row error.
+
+    Once every row is read, the first entry outside [0, n) in row-major
+    order raises MulTable's EntryRangeError, also for a value no integer
+    dtype holds.
+    """
     rows = []
     for i, line in enumerate(body):
         toks = line.split()
@@ -205,6 +292,10 @@ def _rows_by_loop(body: list, n: int) -> list:
             rows.append([int(t) for t in toks])
         except ValueError:
             raise TableFormatError(f"row {i}: non-integer entry") from None
+    for a, row in enumerate(rows):
+        if min(row) < 0 or max(row) >= n:
+            b, value = next((b, v) for b, v in enumerate(row) if not 0 <= v < n)
+            raise EntryRangeError(f"entry product[{a}][{b}] = {value} outside [0, {n})")
     return rows
 
 

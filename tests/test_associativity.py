@@ -12,13 +12,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semigroup_match import MulTable, NotAssociativeError
+from semigroup_match import (
+    MulTable,
+    NotAssociativeError,
+    full_transformation,
+    rectangular_band,
+)
 from semigroup_match import table as table_mod
 from semigroup_match.table import (
     _associativity_witness,
     _distinct_generators,
     _full_witness,
     _generators,
+    _ideal_profile,
 )
 
 from corpus import full_corpus, left_zero, null_semigroup
@@ -115,6 +121,47 @@ def test_null_semigroup_and_left_zero_band_verify(n):
     band = left_zero(n).product
     assert _generators(band).tolist() == list(range(n))
     assert _associativity_witness(band) is None
+
+
+@pytest.mark.parametrize("cells", [1, 200, 1 << 21])
+def test_ideal_profile_matches_the_definition(monkeypatch, cells):
+    # 200 cells split the tables of 6 to 12 elements into blocks of 2 to 4
+    # rows, the last block short for some of them
+    monkeypatch.setattr(table_mod, "_ASSOC_CHUNK_CELLS", cells)
+    for _, table in SMALL:
+        p = table.product
+        rows = [set(p[a].tolist()) for a in range(table.n)]
+        cols = [set(p[:, a].tolist()) for a in range(table.n)]
+        size, row_min, col_min, in_square = _ideal_profile(p)
+        assert size.tolist() == [len(r) + len(c) for r, c in zip(rows, cols)]
+        assert row_min.tolist() == [min(r) for r in rows]
+        assert col_min.tolist() == [min(c) for c in cols]
+        assert np.flatnonzero(in_square).tolist() == sorted(set().union(*rows))
+
+
+def _relabelled(product, seed):
+    """product with element a renamed perm[a], perm drawn from seed."""
+    perm = np.random.default_rng(seed).permutation(product.shape[0])
+    relabelled = np.empty_like(product)
+    relabelled[perm[:, None], perm[None, :]] = perm[product]
+    return relabelled
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 9), (9, 1), (2, 7), (7, 2), (5, 5), (4, 13), (32, 32)])
+def test_rectangular_band_gets_its_rank(rows, cols):
+    # while both remain, each pick takes a new R-class and a new L-class;
+    # after that each takes one of those left, so the count is the rank
+    for seed in range(3):
+        product = _relabelled(rectangular_band(rows, cols).product, seed)
+        assert len(_generators(product)) == max(rows, cols)
+        _check_generators(product)
+
+
+def test_full_transformation_gets_few_generators():
+    # T_4 has rank 3; index order alone took 36
+    product = full_transformation(4).product
+    assert len(_generators(product)) <= 6
+    _check_generators(product)
 
 
 def _checked_generators(monkeypatch, product) -> list:

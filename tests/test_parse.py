@@ -124,7 +124,9 @@ def test_pinned_outcomes():
     assert _outcome(_c3_with_row_1(BAD_ROWS["equal_to_n"])) == (
         EntryRangeError, "entry product[1][0] = 3 outside [0, 3)")
     assert _outcome(_c3_with_row_1(BAD_ROWS["huge"])) == (
-        TableFormatError, "product table entries must be integers, got dtype object")
+        EntryRangeError, "entry product[1][0] = 99999999999999999999 outside [0, 3)")
+    assert _outcome(_c3_with_row_1(BAD_ROWS["minus_huge"])) == (
+        EntryRangeError, "entry product[1][0] = -99999999999999999999 outside [0, 3)")
     # str.splitlines ends a line at \x1c, so this row is two rows
     assert _outcome(_c3_with_row_1(BAD_ROWS["file_separator_between"])) == (
         TableFormatError, "expected 3 table rows, got 4")

@@ -210,6 +210,22 @@ class TestClassify:
         if f.self_inverse:
             assert f.regular
 
+    @pytest.mark.parametrize("name,table", full_corpus())
+    def test_flags_match_the_definitions(self, name, table):
+        # the per-element readings of the array tests in classify
+        f = classify(table)
+        prod, n = table.product, table.n
+        h_class = green_classes(table).h_class
+        band = all(prod[a, a] == a for a in range(n))
+        assert f.band == band
+        assert f.rectangular_band == (band and all(
+            prod[prod[a, b], a] == a for a in range(n) for b in range(n)))
+        assert f.completely_regular == all(
+            h_class[a] == h_class[prod[a, a]] for a in range(n))
+        assert f.self_inverse == all(prod[prod[a, a], a] == a for a in range(n))
+        assert f.has_zero == any(
+            (prod[z] == z).all() and (prod[:, z] == z).all() for z in range(n))
+
 
 class TestInverseSquare:
     def test_five_unique_frozen(self):
