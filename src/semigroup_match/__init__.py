@@ -70,7 +70,6 @@ from .structure import (
     idempotents,
     inverse_matrix,
     inverse_sets,
-    inverses_of_set,
     orthodoxy_witness,
 )
 from .table import (

@@ -7,8 +7,9 @@ gen (write generated tables).  All commands take --json for a byte-stable
 machine-readable report and --cap N to raise the per-operation size guards.
 --budget MS is still accepted but no route is time-limited any more.
 
-Exit codes: 0 found/ok, 1 definitively absent, 2 input error.  Every
-answer is definitive; an involution "no" carries a Tutte barrier.
+Exit codes: 0 found/ok, 1 definitively absent, 2 input or usage error.
+Every answer is definitive; an involution "no" carries a Tutte barrier.
+gen refuses a table above the size cap before building it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
-from .errors import NotOrthodoxError, SemigroupError, TableFormatError
+from .errors import CapExceededError, NotOrthodoxError, SemigroupError, TableFormatError
 from .factors import h_quotient_band, maximal_rect_subbands, principal_factor, similarity_check
 from .green import green_classes
 from .matching import (
@@ -49,9 +50,17 @@ from .table import (
 )
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load(path, cap) -> MulTable:
     max_size = DEFAULT_SIZE_CAP if cap is None else max(cap, DEFAULT_SIZE_CAP)
-    return parse_table(Path(path).read_text(encoding="utf-8"), max_size=max_size)
+    return parse_table(_read_text(path), max_size=max_size)
 
 
 def render_matching(table: MulTable, m: Matching) -> str:
@@ -386,11 +395,22 @@ def _parse_structure_matrix(text: str) -> BoolStructureMatrix:
     return BoolStructureMatrix(entries)
 
 
+def _check_gen_size(what: str, size: int, cap) -> None:
+    """Refuse to build a table of more than cap elements (default DEFAULT_SIZE_CAP)."""
+    cap = DEFAULT_SIZE_CAP if cap is None else cap
+    if size > cap:
+        raise CapExceededError(f"{what} has {size} elements, cap is {cap}")
+
+
 def cmd_gen(args) -> int:
     if args.kind == "rect":
+        if args.m >= 1 and args.n >= 1:
+            _check_gen_size("rectangular band", args.m * args.n, args.cap)
         table = rectangular_band(args.m, args.n)
     elif args.kind == "rees":
-        table = rees_matrix(_parse_structure_matrix(Path(args.matrixfile).read_text(encoding="utf-8")))
+        p = _parse_structure_matrix(_read_text(args.matrixfile))
+        _check_gen_size("Rees matrix semigroup", p.rows * p.cols + 1, args.cap)
+        table = rees_matrix(p)
     elif args.kind == "tn":
         if args.cap is not None and args.n >= 1 and args.n ** args.n <= args.cap:
             table = full_transformation(args.n, max_rank=args.n)

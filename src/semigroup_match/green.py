@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import MulTable
+from .table import MulTable, derived
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ def _members(labels) -> tuple:
     return tuple(tuple(b) for b in buckets)
 
 
+@derived("green")
 def green_classes(table: MulTable) -> GreenStructure:
     """Compute all of Green's relations for the table (cached on the table).
 
@@ -84,9 +85,6 @@ def green_classes(table: MulTable) -> GreenStructure:
     L.  R and L commute, so D = R o L: the least element of a's D-class is
     the least L-class minimum over a's R-class.
     """
-    cached = table._cache.get("green")
-    if cached is not None:
-        return cached
     n = table.n
     prod = table.product
     right = np.eye(n, dtype=bool)          # right[a, b]: b in aS^1
@@ -120,7 +118,7 @@ def green_classes(table: MulTable) -> GreenStructure:
         )
         egg_boxes.append(EggBox(d, r_ids, l_ids, grid))
 
-    result = GreenStructure(
+    return GreenStructure(
         n=n,
         r_class=r_class,
         l_class=l_class,
@@ -132,8 +130,6 @@ def green_classes(table: MulTable) -> GreenStructure:
         d_classes=d_members,
         egg_boxes=tuple(egg_boxes),
     )
-    table._cache["green"] = result
-    return result
 
 
 def omega_data(table: MulTable, a: int) -> OmegaData:

@@ -2,10 +2,10 @@
 
 The inverse set V(a) = {b : aba = a and bab = b} drives everything in the
 matching modules.  inverse_matrix holds the whole relation as one cached
-boolean array, which every consumer reads; inverse_sets and inverses_of_set
-are set-valued views of it.  For orthodox semigroups the relation "same
-inverse set" partitions S; gamma_structure computes that partition together
-with the induced involution on classes when it exists.
+boolean array, which every consumer reads; inverse_sets is a set-valued
+view of it.  For orthodox semigroups the relation "same inverse set"
+partitions S; gamma_structure computes that partition together with the
+induced involution on classes when it exists.
 """
 
 from __future__ import annotations
@@ -16,51 +16,33 @@ import numpy as np
 
 from .errors import NotRegularError
 from .green import _ids, _members, green_classes
-from .table import MulTable
+from .table import MulTable, _narrow, derived
 
 
+@derived("idempotents")
 def idempotents(table: MulTable) -> tuple:
-    cached = table._cache.get("idempotents")
-    if cached is not None:
-        return cached
     diag = table.product[np.arange(table.n), np.arange(table.n)]
-    result = tuple(int(x) for x in np.flatnonzero(diag == np.arange(table.n)))
-    table._cache["idempotents"] = result
-    return result
+    return tuple(int(x) for x in np.flatnonzero(diag == np.arange(table.n)))
 
 
+@derived("inverse_matrix")
 def inverse_matrix(table: MulTable) -> np.ndarray:
     """V as a read-only n x n bool array: V[a, b] holds when aba = a and bab = b.
 
     The relation is symmetric; np.flatnonzero(V[a]) is V(a) in ascending order.
     """
-    cached = table._cache.get("inverse_matrix")
-    if cached is not None:
-        return cached
-    # the narrowest dtype that holds every element cuts the gathers' memory traffic
-    p = table.product.astype(np.min_scalar_type(table.n - 1))
+    p = _narrow(table.product)
     ar = np.arange(table.n, dtype=p.dtype)
     col = ar[:, None]
     result = (p[p, col] == col) & (p[p.T, ar] == ar)   # (ab)a == a, (ba)b == b
     result.setflags(write=False)
-    table._cache["inverse_matrix"] = result
     return result
 
 
+@derived("inverse_sets")
 def inverse_sets(table: MulTable) -> tuple:
     """V(a) for every a, as a tuple of frozensets: a view of inverse_matrix."""
-    cached = table._cache.get("inverse_sets")
-    if cached is not None:
-        return cached
-    result = tuple(frozenset(np.flatnonzero(row).tolist()) for row in inverse_matrix(table))
-    table._cache["inverse_sets"] = result
-    return result
-
-
-def inverses_of_set(table: MulTable, elements) -> set:
-    """V(A) = union of V(a) over a in A, read off the rows of inverse_matrix."""
-    rows = inverse_matrix(table)[list(elements)]
-    return set(np.flatnonzero(rows.any(axis=0)).tolist())
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in inverse_matrix(table))
 
 
 @dataclass(frozen=True)
@@ -86,6 +68,7 @@ class InverseSets:
         return tuple(i for i, j in enumerate(self.v_involution) if i == j)
 
 
+@derived("gamma")
 def gamma_structure(table: MulTable) -> InverseSets:
     """Group elements by their inverse sets; derive the class involution.
 
@@ -95,9 +78,6 @@ def gamma_structure(table: MulTable) -> InverseSets:
     class of its inverses is an involution whose fixed classes consist of
     elements with a = a^3.  These facts are re-verified, not assumed.
     """
-    cached = table._cache.get("gamma")
-    if cached is not None:
-        return cached
     v = inverse_matrix(table)
     regular = v.any(axis=1)
     if not regular.all():
@@ -129,30 +109,25 @@ def gamma_structure(table: MulTable) -> InverseSets:
                 for a in class_list[c]:
                     if table.power(a, 3) != a:
                         raise RuntimeError("fixed V-class contains a != a^3")
-    result = InverseSets(gamma_class=gamma_class, class_list=class_list,
-                         v_involution=v_involution)
-    table._cache["gamma"] = result
-    return result
+    return InverseSets(gamma_class=gamma_class, class_list=class_list,
+                       v_involution=v_involution)
 
 
+@derived("orthodoxy_witness")
 def orthodoxy_witness(table: MulTable):
     """First idempotent pair (e, f) with ef not idempotent, or None if orthodox.
 
     Pairs are scanned in row-major order over the idempotents ascending.
     """
-    if "orthodoxy_witness" in table._cache:   # None, the orthodox result, is cached too
-        return table._cache["orthodoxy_witness"]
     idems = np.array(idempotents(table), dtype=np.intp)
     is_idem = np.zeros(table.n, dtype=bool)
     is_idem[idems] = True
     bad = ~is_idem[table.product[np.ix_(idems, idems)]]
     first = int(bad.argmax())
-    result = None
-    if bad.flat[first]:
-        e, f = divmod(first, len(idems))
-        result = (int(idems[e]), int(idems[f]))
-    table._cache["orthodoxy_witness"] = result
-    return result
+    if not bad.flat[first]:
+        return None
+    e, f = divmod(first, len(idems))
+    return (int(idems[e]), int(idems[f]))
 
 
 @dataclass(frozen=True)
@@ -170,11 +145,9 @@ class ClassificationFlags:
     has_zero: bool
 
 
+@derived("classify")
 def classify(table: MulTable) -> ClassificationFlags:
     """All standard structural flags, computed independently of each other."""
-    cached = table._cache.get("classify")
-    if cached is not None:
-        return cached
     n = table.n
     prod = table.product
     ar = np.arange(n)
@@ -198,7 +171,7 @@ def classify(table: MulTable) -> ClassificationFlags:
     # a zero is a left zero (row z all z) whose column is all z too
     left_zeros = np.flatnonzero((prod == ar[:, None]).all(axis=1))
     has_zero = bool((prod[:, left_zeros] == left_zeros).all(axis=0).any())
-    result = ClassificationFlags(
+    return ClassificationFlags(
         regular=regular,
         orthodox=ortho,
         inverse=inverse,
@@ -211,8 +184,6 @@ def classify(table: MulTable) -> ClassificationFlags:
         self_inverse=self_inverse,
         has_zero=has_zero,
     )
-    table._cache["classify"] = result
-    return result
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ every error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 
@@ -37,6 +38,14 @@ DEFAULT_RANK_CAP = 4
 
 # scratch cells per chunk of the vectorized associativity checks
 _ASSOC_CHUNK_CELLS = 1 << 21
+
+
+def _narrow(product: np.ndarray) -> np.ndarray:
+    """product in the narrowest dtype that holds every element, in C order.
+
+    Gathers through the narrower copy move less memory.
+    """
+    return np.array(product, dtype=np.min_scalar_type(product.shape[0] - 1), order="C")
 
 
 def _full_witness(product: np.ndarray):
@@ -179,8 +188,7 @@ def _associativity_witness(product: np.ndarray):
     pays the full sweep, which finds the first triple.
     """
     n = product.shape[0]
-    # the narrowest dtype that holds every element cuts the gathers' memory traffic
-    compact = product.astype(np.min_scalar_type(n - 1))
+    compact = _narrow(product)
     gens = _distinct_generators(compact, _generators(compact))
     xg = compact[:, gens]             # xg[x, k] = x*g_k
     gy = compact[gens]                # gy[k, y] = g_k*y
@@ -204,9 +212,11 @@ class MulTable:
     TableFormatError), entries are range-checked and associativity is
     verified at construction;
     a non-associative table raises NotAssociativeError with its
-    lexicographically first bad triple.  Instances are immutable afterwards.
-    Derived structure (Green classes, inverse sets) is cached on the instance
-    by the modules that compute it.
+    lexicographically first bad triple.  The product is stored as a
+    read-only C-ordered intp copy, whatever the input's layout, and
+    instances are immutable afterwards.  Structure derived from the table
+    (Green classes, inverse sets) is cached on the instance through
+    `derived`.
     """
 
     __slots__ = ("n", "product", "names", "_cache")
@@ -226,7 +236,7 @@ class MulTable:
         if int(arr.min()) < 0 or int(arr.max()) >= n:
             a, b = (int(x) for x in np.argwhere((arr < 0) | (arr >= n))[0])
             raise EntryRangeError(f"entry product[{a}][{b}] = {int(arr[a, b])} outside [0, {n})")
-        arr = arr.astype(np.intp)
+        arr = np.array(arr, dtype=np.intp, order="C")
         witness = _associativity_witness(arr)
         if witness is not None:
             raise NotAssociativeError(witness)
@@ -274,6 +284,24 @@ class MulTable:
 
     def __repr__(self):
         return f"MulTable(n={self.n})"
+
+
+def derived(key: str):
+    """Decorator caching fn(table) in the table's cache under key.
+
+    Everything derived from a table is a function of its immutable product,
+    so fn runs once per table; a None result is cached like any other.  An
+    exception is not cached.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(table: MulTable):
+            cache = table._cache
+            if key not in cache:
+                cache[key] = fn(table)
+            return cache[key]
+        return cached
+    return decorate
 
 
 def _rows_by_loop(body: list, n: int) -> list:

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 from semigroup_match import (
     BoolStructureMatrix,
     MulTable,
     direct_product,
     full_transformation,
+    inverse_matrix,
     rectangular_band,
     rees_matrix,
 )
@@ -235,6 +238,12 @@ def full_corpus() -> list[tuple[str, MulTable]]:
             seen.add(name)
             items.append((name, table))
     return items
+
+
+def inverses_of_set(table: MulTable, elements) -> set:
+    """V(A) = union of V(a) over a in A, read off the rows of inverse_matrix."""
+    rows = inverse_matrix(table)[list(elements)]
+    return set(np.flatnonzero(rows.any(axis=0)).tolist())
 
 
 def frame_depth() -> int:

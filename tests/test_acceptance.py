@@ -28,7 +28,6 @@ from semigroup_match import (
     hall_brute_force,
     idempotents,
     inverse_sets,
-    inverses_of_set,
     maximal_rect_subbands,
     orthodox_involution,
     principal_factors,
@@ -45,6 +44,7 @@ from corpus import (
     cyclic,
     five_unique,
     full_corpus,
+    inverses_of_set,
     klein,
     orthodox_matching_corpus,
     rectangular_band,

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from semigroup_match import (
+    TableFormatError,
     cli,
     green_classes,
     idempotents,
@@ -508,3 +509,44 @@ class TestGen:
         code, _, err = run(["gen", "rect", 0, 3, tmp_path / "x.tbl"], capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_rect_size_cap(self, tmp_path, capsys):
+        out_path = tmp_path / "x.tbl"
+        code, _, err = run(["gen", "rect", 1000, 1000, out_path], capsys)
+        assert code == 2
+        assert "error: rectangular band has 1000000 elements, cap is 5000" in err
+        assert not out_path.exists()
+        code, _, err = run(["gen", "rect", 3, 3, out_path, "--cap", 8], capsys)
+        assert code == 2
+        assert "9 elements, cap is 8" in err
+        code, _, _ = run(["gen", "rect", 3, 3, out_path, "--cap", 9], capsys)
+        assert code == 0
+
+    def test_rees_size_cap(self, tmp_path, capsys):
+        mat = tmp_path / "id71.mat"
+        mat.write_text("71 71\n" + "\n".join(
+            " ".join("1" if i == j else "0" for j in range(71)) for i in range(71)
+        ) + "\n", encoding="utf-8")
+        out_path = tmp_path / "x.tbl"
+        code, _, err = run(["gen", "rees", mat, out_path], capsys)
+        assert code == 2
+        assert "error: Rees matrix semigroup has 5042 elements, cap is 5000" in err
+        assert not out_path.exists()
+
+    def test_non_utf8_matrix_file(self, tmp_path, capsys):
+        mat = tmp_path / "bad.mat"
+        mat.write_bytes(b"1 1\n\xff\n")
+        code, _, err = run(["gen", "rees", mat, tmp_path / "x.tbl"], capsys)
+        assert code == 2
+        assert f"error: {mat}: not UTF-8 text" in err
+
+
+def test_non_utf8_table_file(tmp_path, capsys):
+    path = tmp_path / "bad.tbl"
+    path.write_bytes(b"1\n0\xff\n")
+    with pytest.raises(TableFormatError, match="not UTF-8 text"):
+        cli._load(path, None)
+    code, out, err = run(["analyze", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}: not UTF-8 text" in err

@@ -12,7 +12,6 @@ from semigroup_match import (
     h_quotient_band,
     idempotents,
     inverse_sets,
-    inverses_of_set,
     maximal_rect_subbands,
     principal_factors,
     similarity_check,
@@ -24,6 +23,7 @@ from corpus import (
     brandt,
     five_unique,
     full_corpus,
+    inverses_of_set,
     monogenic,
     small_corpus,
 )

@@ -135,10 +135,6 @@ class TestFrozenStructure:
         # rank-1 constants, rank-2 maps, rank-3 permutations
         assert sizes == [3, 6, 18]
 
-    def test_results_are_cached(self):
-        table = band7()
-        assert green_classes(table) is green_classes(table)
-
     def test_ids_in_first_seen_order(self):
         for name, table in full_corpus():
             check_first_seen_ids(green_classes(table), name)

@@ -1,8 +1,8 @@
 """The inverse relation as one cached boolean matrix, checked from outside.
 
 inverse_matrix must equal the aba = a, bab = b definition evaluated one
-product at a time; inverse_sets, inverses_of_set and the V-class partition
-are views of it; and no command-line path falls back to the frozenset view.
+product at a time; inverse_sets and the V-class partition are views of
+it; and no command-line path falls back to the frozenset view.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from semigroup_match import (
     gamma_structure,
     inverse_matrix,
     inverse_sets,
-    inverses_of_set,
     render_table,
 )
 from semigroup_match import cli
@@ -71,13 +70,6 @@ def test_read_only_and_cached():
     assert table._cache["inverse_matrix"] is v
     with pytest.raises(ValueError):
         v[0, 0] = not v[0, 0]
-
-
-def test_inverses_of_set():
-    table = band7()
-    assert inverses_of_set(table, []) == set()
-    assert inverses_of_set(table, (0, 3)) == {3, 4, 5}
-    assert inverses_of_set(table, iter([1])) == {1, 2}
 
 
 COMMANDS = [["analyze"], ["factors"], ["matching", "--count", "3"]] + [

@@ -21,7 +21,6 @@ from semigroup_match import (
     hall_brute_force,
     idempotents,
     inverse_sets,
-    inverses_of_set,
     omega_data,
     orthodox_involution,
     rectangular_band,
@@ -29,7 +28,7 @@ from semigroup_match import (
     verify_matching,
 )
 
-from corpus import full_corpus, monogenic, small_corpus
+from corpus import full_corpus, inverses_of_set, monogenic, small_corpus
 
 ORTHODOX = [(name, t) for name, t in full_corpus() if classify(t).orthodox]
 

@@ -13,16 +13,22 @@ from semigroup_match import (
     NotAssociativeError,
     NotRegularMatrixError,
     TableFormatError,
+    classify,
     direct_product,
     full_transformation,
+    gamma_structure,
+    green_classes,
+    idempotents,
+    inverse_matrix,
     inverse_sets,
+    orthodoxy_witness,
     parse_table,
     rectangular_band,
     rees_matrix,
     render_table,
 )
 
-from corpus import band7, cyclic, full_corpus, small_corpus
+from corpus import band7, cyclic, full_corpus, small_corpus, t_n
 
 
 class TestMulTable:
@@ -87,6 +93,16 @@ class TestMulTable:
         with pytest.raises(TableFormatError):
             MulTable([[0, 1], [1, 0]], names=["x", ""])
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose],
+                             ids=["fortran", "transposed"])
+    def test_product_is_c_ordered(self, layout):
+        # T_3's transposed table is its opposite semigroup, also associative
+        given = layout(t_n(3).product)
+        assert not given.flags.c_contiguous
+        t = MulTable(given)
+        assert t.product.flags.c_contiguous
+        assert t == MulTable(np.ascontiguousarray(given))
+
     def test_equality(self):
         assert cyclic(3) == cyclic(3)
         assert cyclic(3) != cyclic(4)
@@ -100,6 +116,29 @@ class TestMulTable:
         trip = [(0, 13, 26), (26, 13, 0), (25, 25, 25)]
         for a, b, c in trip:
             assert p[p[a, b], c] == p[a, p[b, c]]
+
+
+# every function whose result is cached on the table, with its cache key
+DERIVED = [
+    (green_classes, "green"),
+    (idempotents, "idempotents"),
+    (inverse_matrix, "inverse_matrix"),
+    (inverse_sets, "inverse_sets"),
+    (gamma_structure, "gamma"),
+    (orthodoxy_witness, "orthodoxy_witness"),
+    (classify, "classify"),
+]
+
+
+@pytest.mark.parametrize("fn,key", DERIVED, ids=[key for _, key in DERIVED])
+def test_derived_results_are_cached(fn, key):
+    # band7 is orthodox, so orthodoxy_witness caches its None result too
+    table = band7()
+    first = fn(table)
+    assert table._cache[key] is first
+    assert fn(table) is first
+    if fn is orthodoxy_witness:
+        assert first is None
 
 
 class TestParseRender:
