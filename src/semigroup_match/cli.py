@@ -384,7 +384,10 @@ def _parse_structure_matrix(text: str) -> BoolStructureMatrix:
         rows, cols = int(head[0]), int(head[1])
     except ValueError:
         raise TableFormatError("structure matrix header is not two integers") from None
-    if rows < 1 or cols < 1 or len(lines) - 1 != rows:
+    if rows < 1 or cols < 1:
+        raise TableFormatError(
+            f"structure matrix needs at least one row and one column, header says {rows} x {cols}")
+    if len(lines) - 1 != rows:
         raise TableFormatError(f"expected {rows} matrix rows, got {len(lines) - 1}")
     entries = []
     for ln in lines[1:]:

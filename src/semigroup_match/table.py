@@ -2,14 +2,17 @@
 
 Elements are the integers 0..n-1; an optional name per element is kept for
 display only.  Every constructor funnels through MulTable, which decides
-associativity exactly (Light's test over a generating set, about n^2 checks
-per distinct generator), so no table in the rest of the package is ever
-trusted blindly.  The generating set is every element outside S^2, then
-greedily the unreached element with the largest |aS| + |Sa| whose row and
-column minima (its R- and L-class, when it is regular) no generator has
-yet, or failing that the unreached one with the largest |aS| + |Sa|:
-6 generators for T_5, whose rank is 3, and max(k, l) for a k x l
-rectangular band.
+associativity exactly, so no table in the rest of the package is ever
+trusted blindly.  It runs Light's test, (xg)y = x(gy), on the row/column
+quotient of the table: x over one element per distinct row, y over one
+per distinct column and g over a set G with one element per (row, column)
+class, |R| * |G| * |C| checks in all.  G is every class when that is at
+most 2 n^2 checks, which makes a k x l rectangular band or a left-zero
+band cost n^2 and a null semigroup 1.  Otherwise G is a generating set:
+every element outside S^2, then greedily the unreached element with the
+largest |aS| + |Sa| whose row and column minima (its R- and L-class, when
+it is regular) no generator has yet, or failing that the unreached one
+with the largest |aS| + |Sa|: 6 generators for T_5, whose rank is 3.
 
 parse_table reads the rows of a table file with np.fromstring; any row that
 reader might take differently from str.split and int() sends the whole table
@@ -166,40 +169,98 @@ def _generators(product: np.ndarray) -> np.ndarray:
             new = [candidates[fallback]]
 
 
-def _distinct_generators(product: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """The first of gens with each (row, column) pair, in the order of gens.
+def _first_equal(lines: np.ndarray) -> np.ndarray:
+    """first[i]: the least j whose row of lines equals row i.
 
-    When g and h share their row and their column, (xg)y = x(gy) and
-    (xh)y = x(hy) are the same condition, so they pass or fail together.
+    Each row is one opaque item of a void view, so a stable argsort puts
+    equal rows next to each other, the least index first, and one gather in
+    that order finds the runs.  When every row differs (always in a monoid:
+    the identity's column tells any two rows apart) first is arange and
+    nothing more is built.
     """
-    pairs = np.concatenate([product[gens], product[:, gens].T], axis=1)
-    first = {}
-    for g, pair in zip(gens.tolist(), pairs):
-        first.setdefault(pair.tobytes(), g)
-    return np.array(list(first.values()), dtype=np.intp)
+    n = lines.shape[0]
+    keys = lines.view(np.dtype((np.void, lines.dtype.itemsize * lines.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    new[1:] = keys[1:] != keys[:-1]
+    if new.all():
+        return np.arange(n)
+    first = np.empty(n, dtype=np.intp)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
+
+
+def _transposed(product: np.ndarray) -> np.ndarray:
+    """product.T in C order, copied a block of 256 rows at a time.
+
+    A block's strided reads stay in cache; one strided copy of the whole
+    transpose is several times slower.
+    """
+    out = np.empty(product.shape[::-1], dtype=product.dtype)
+    for start in range(0, product.shape[0], 256):
+        out[:, start:start + 256] = product[start:start + 256].T
+    return out
+
+
+def _light_sets(product: np.ndarray):
+    """xs, gens, ys: product is associative exactly when (xg)y = x(gy) on them.
+
+    xs is the least element of each distinct row and ys the least of each
+    distinct column: when x and x' share their row, xg = x'g and
+    x(gy) = x'(gy), so (x, g, y) and (x', g, y) are the same condition, and
+    equal columns work the same way for y.  For the same reason g needs one
+    element per (row, column) class.  gens is the least element of every
+    class when that costs at most 2 n^2 cells, no more than _ideal_profile
+    scatters; otherwise it is _generators, the first of each class in its
+    order.
+    """
+    n = product.shape[0]
+    ident = np.arange(n)
+    row_first = _first_equal(product)
+    col_first = _first_equal(_transposed(product))
+    xs = np.flatnonzero(row_first == ident)
+    ys = np.flatnonzero(col_first == ident)
+    if len(xs) == n or len(ys) == n:
+        # every element is alone in its (row, column) class
+        pair, classes = None, ident
+    else:
+        pair = row_first * n + col_first
+        _, classes = np.unique(pair, return_index=True)
+    if len(xs) * len(classes) * len(ys) <= 2 * n * n:
+        return xs, np.sort(classes), ys
+    gens = _generators(product)
+    if pair is not None:
+        _, keep = np.unique(pair[gens], return_index=True)
+        gens = gens[np.sort(keep)]
+    return xs, gens, ys
 
 
 def _associativity_witness(product: np.ndarray):
     """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None.
 
     Light's test: the g with (xg)y = x(gy) for all x, y are closed under the
-    product, so checking a generating set decides associativity, one
-    generator per distinct (row, column) pair.  Only a table that fails it
-    pays the full sweep, which finds the first triple.
+    product, so checking a generating set decides associativity, on the
+    row/column quotient of _light_sets: |xs| * |gens| * |ys| cells.  Only a
+    table that fails it pays the full sweep, which finds the first triple.
     """
     n = product.shape[0]
     compact = _narrow(product)
-    gens = _distinct_generators(compact, _generators(compact))
-    xg = compact[:, gens]             # xg[x, k] = x*g_k
-    gy = compact[gens]                # gy[k, y] = g_k*y
-    g_step = max(1, _ASSOC_CHUNK_CELLS // (n * n))
-    x_step = max(1, _ASSOC_CHUNK_CELLS // (g_step * n))
+    xs, gens, ys = _light_sets(compact)
+    # a table with no repeated row (or column) is read in place
+    x_rows = compact if len(xs) == n else compact[xs]        # x_rows[i, b] = xs[i]*b
+    y_cols = compact if len(ys) == n else compact[:, ys]     # y_cols[a, j] = a*ys[j]
+    xg = x_rows[:, gens]              # xg[i, k] = xs[i]*g_k
+    gy = y_cols[gens]                 # gy[k, j] = g_k*ys[j]
+    g_step = max(1, _ASSOC_CHUNK_CELLS // (len(xs) * len(ys)))
+    x_step = max(1, _ASSOC_CHUNK_CELLS // (g_step * len(ys)))
     # np.take lays x(gy) out in C order like (xg)y; fancy indexing would
     # not, and comparing mismatched layouts is several times slower
     for k in range(0, len(gens), g_step):
-        for x in range(0, n, x_step):
-            left = compact[xg[x:x + x_step, k:k + g_step]]                  # (xg)y
-            right = np.take(compact[x:x + x_step], gy[k:k + g_step], axis=1)   # x(gy)
+        for x in range(0, len(xs), x_step):
+            left = y_cols[xg[x:x + x_step, k:k + g_step]]                  # (xg)y
+            right = np.take(x_rows[x:x + x_step], gy[k:k + g_step], axis=1)  # x(gy)
             if not np.array_equal(left, right):
                 return _full_witness(compact)
     return None
@@ -213,7 +274,8 @@ class MulTable:
     verified at construction;
     a non-associative table raises NotAssociativeError with its
     lexicographically first bad triple.  The product is stored as a
-    read-only C-ordered intp copy, whatever the input's layout, and
+    read-only C-ordered intp array, whatever the input's layout: a copy,
+    unless the input already is such an array and owns its data, and
     instances are immutable afterwards.  Structure derived from the table
     (Green classes, inverse sets) is cached on the instance through
     `derived`.
@@ -236,7 +298,12 @@ class MulTable:
         if int(arr.min()) < 0 or int(arr.max()) >= n:
             a, b = (int(x) for x in np.argwhere((arr < 0) | (arr >= n))[0])
             raise EntryRangeError(f"entry product[{a}][{b}] = {int(arr[a, b])} outside [0, {n})")
-        arr = np.array(arr, dtype=np.intp, order="C")
+        flags = arr.flags
+        # a read-only intp array that owns its data, as parse_table builds,
+        # is kept; anything else is copied, so no caller's array is frozen
+        if not (arr.dtype == np.intp and flags.c_contiguous and flags.owndata
+                and not flags.writeable):
+            arr = np.array(arr, dtype=np.intp, order="C")
         witness = _associativity_witness(arr)
         if witness is not None:
             raise NotAssociativeError(witness)
@@ -368,6 +435,13 @@ def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
     value outside [0, n)) is read again, whole, by the per-row int() loop,
     so the accepted tables and every error message are those of the loop.
     """
+    # the lines of text are freed before MulTable verifies the rows
+    names, product = _read_table(text, max_size)
+    return MulTable(product, names)
+
+
+def _read_table(text: str, max_size: int):
+    """The display names, or None, and the rows of a table file; see parse_table."""
     names = None
     data = []
     for raw in text.splitlines():
@@ -398,7 +472,10 @@ def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
     product = _rows_by_numpy(data[1:], n)
     if product is None:
         product = _rows_by_loop(data[1:], n)
-    return MulTable(product, names)
+    else:
+        # MulTable keeps a read-only intp array instead of copying it
+        product.setflags(write=False)
+    return names, product
 
 
 def render_table(table: MulTable) -> str:
@@ -497,8 +574,10 @@ def full_transformation(n: int, max_rank: int = DEFAULT_RANK_CAP) -> MulTable:
     # narrowest dtype that holds every index
     dtype = np.min_scalar_type(size - 1)
     maps = np.array(list(itertools.product(range(n), repeat=n)), dtype=dtype)
-    composed = maps[np.arange(size)[None, :, None], maps[:, None, :]]   # [i, j, x] = x f_i g_j
-    prod = composed @ (n ** np.arange(n - 1, -1, -1)).astype(dtype)
+    # [i, j, x] = x f_i g_j, read as a base-n numeral; the size x size x n
+    # temporary is freed before MulTable checks the product
+    prod = maps[np.arange(size)[None, :, None], maps[:, None, :]] @ (
+        n ** np.arange(n - 1, -1, -1)).astype(dtype)
     names = ["".join(str(v) for v in f) for f in maps.tolist()]
     return MulTable(prod, names)
 

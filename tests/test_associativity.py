@@ -1,8 +1,9 @@
 """Light's associativity test against the full n^3 sweep.
 
-MulTable decides associativity by checking a generating set and runs the
-full sweep only when that check fails, so every NotAssociativeError must
-carry the same lexicographically first bad triple as the sweep.
+MulTable decides associativity by checking a generating set on the
+row/column quotient of the table and runs the full sweep only when that
+check fails, so every NotAssociativeError must carry the same
+lexicographically first bad triple as the sweep.
 """
 
 from __future__ import annotations
@@ -15,23 +16,55 @@ from hypothesis import strategies as st
 from semigroup_match import (
     MulTable,
     NotAssociativeError,
+    direct_product,
     full_transformation,
+    green_classes,
     rectangular_band,
 )
 from semigroup_match import table as table_mod
+from semigroup_match.factors import principal_factor
 from semigroup_match.table import (
     _associativity_witness,
-    _distinct_generators,
+    _first_equal,
     _full_witness,
     _generators,
     _ideal_profile,
+    _light_sets,
 )
 
-from corpus import full_corpus, left_zero, null_semigroup
+from corpus import (
+    adjoin_zero,
+    block_band,
+    cyclic,
+    full_corpus,
+    left_zero,
+    null_semigroup,
+    right_zero,
+)
 
 CORPUS = full_corpus()
 SMALL = [(name, t) for name, t in CORPUS if t.n <= 12]
 TINY = [(name, t) for name, t in SMALL if t.n <= 6]
+
+
+def _band_factor():
+    """Principal factor of the 2 x 3 band's D-class in the band with a zero."""
+    s = adjoin_zero(rectangular_band(2, 3))
+    (d,) = [d for d, members in enumerate(green_classes(s).d_classes) if len(members) == 6]
+    return principal_factor(s, d).table
+
+
+# tables whose rows or columns repeat, so Light's test runs on a quotient
+QUOTIENT = [
+    ("left_zero5", left_zero(5)),
+    ("right_zero5", right_zero(5)),
+    ("null5", null_semigroup(5)),
+    ("rect23", rectangular_band(2, 3)),
+    ("rect32", rectangular_band(3, 2)),
+    ("rect22_x_c2", direct_product(rectangular_band(2, 2), cyclic(2))),
+    ("block_band_12_21", block_band([(1, 2), (2, 1)])),
+    ("rect23_zero_factor", _band_factor()),
+]
 
 
 def _mutations(product):
@@ -75,7 +108,7 @@ def test_corpus_tables_agree_with_the_sweep(name, table):
     _check_generators(table.product)
 
 
-@pytest.mark.parametrize("name,table", SMALL, ids=[name for name, _ in SMALL])
+@pytest.mark.parametrize("name,table", SMALL + QUOTIENT, ids=[name for name, _ in SMALL + QUOTIENT])
 def test_every_one_entry_mutation_gets_the_sweep_witness(name, table):
     for q in _mutations(table.product):
         witness = _full_witness(q)
@@ -88,11 +121,14 @@ def test_every_one_entry_mutation_gets_the_sweep_witness(name, table):
             assert exc.value.witness == witness
 
 
-@pytest.mark.parametrize("cells", [1, 17, 40])
+@pytest.mark.parametrize("cells", [1, 3, 17, 40])
 def test_small_chunks_cross_boundaries(monkeypatch, cells):
-    # 1 and 17 split the x-rows; 40 batches up to 2 generators per step
+    # 1 and 17 split the x-rows; 40 batches up to 2 generators per step.
+    # The quotient tables check |xs| x |gens| x |ys| cells: 3 splits the
+    # 3 x 6 x 2 check of the 3 x 2 band one x and one generator at a time,
+    # and the 5 x 5 x 1 check of left_zero5 into x-blocks of 3 and 2
     monkeypatch.setattr(table_mod, "_ASSOC_CHUNK_CELLS", cells)
-    for _, table in TINY:
+    for _, table in TINY + QUOTIENT[:5]:
         assert _associativity_witness(table.product) is None
         for q in _mutations(table.product):
             assert _associativity_witness(q) == _full_witness(q)
@@ -109,6 +145,25 @@ def random_tables(draw):
 def test_random_tables_get_the_sweep_witness(product):
     assert _associativity_witness(product) == _full_witness(product)
     _check_generators(product)
+
+
+@st.composite
+def tables_with_repeats(draw):
+    """A random table with some rows, then some columns, copied onto others."""
+    product = draw(random_tables())
+    n = product.shape[0]
+    moves = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)
+    for src, dst in draw(moves):
+        product[dst] = product[src]
+    for src, dst in draw(moves):
+        product[:, dst] = product[:, src]
+    return product
+
+
+@given(tables_with_repeats())
+def test_repeated_rows_and_columns_get_the_sweep_witness(product):
+    assert _associativity_witness(product) == _full_witness(product)
+    _check_light_sets(product)
 
 
 @pytest.mark.parametrize("n", [2, 64])
@@ -164,33 +219,53 @@ def test_full_transformation_gets_few_generators():
     _check_generators(product)
 
 
-def _checked_generators(monkeypatch, product) -> list:
-    """The generators _associativity_witness checks on product."""
-    checked = []
+def _check_light_sets(product):
+    """_light_sets against its definition, read off Python lists."""
+    n = product.shape[0]
+    rows = [tuple(product[a].tolist()) for a in range(n)]
+    cols = [tuple(product[:, a].tolist()) for a in range(n)]
+    want_xs = [a for a in range(n) if rows[a] not in rows[:a]]
+    want_ys = [a for a in range(n) if cols[a] not in cols[:a]]
+    pairs = list(zip(rows, cols))
+    classes = [a for a in range(n) if pairs[a] not in pairs[:a]]
+    xs, gens, ys = _light_sets(product)
+    assert xs.tolist() == want_xs
+    assert ys.tolist() == want_ys
+    if len(want_xs) * len(classes) * len(want_ys) <= 2 * n * n:
+        assert gens.tolist() == classes
+    else:
+        # the first generator of each (row, column) class, in generator order
+        order = _generators(product).tolist()
+        assert gens.tolist() == [g for k, g in enumerate(order)
+                                 if pairs[g] not in [pairs[h] for h in order[:k]]]
 
-    def recording(compact, gens):
-        kept = _distinct_generators(compact, gens)
-        checked.append(kept.tolist())
-        return kept
 
-    monkeypatch.setattr(table_mod, "_distinct_generators", recording)
-    assert _associativity_witness(product) is None
-    (gens,) = checked
-    return gens
+def test_first_equal_matches_the_definition():
+    for _, table in SMALL + QUOTIENT:
+        for lines in (table.product, np.ascontiguousarray(table.product.T)):
+            rows = [lines[a].tolist() for a in range(table.n)]
+            assert _first_equal(lines).tolist() == [rows.index(r) for r in rows]
 
 
-def test_one_generator_per_distinct_row_and_column(monkeypatch):
-    # every generator of the null semigroup has an all-zero row and column;
-    # the left-zero band's rows are constant at the generator, so all differ
-    assert _checked_generators(monkeypatch, null_semigroup(64).product) == [1]
-    assert _checked_generators(monkeypatch, left_zero(64).product) == list(range(64))
+def test_one_class_per_distinct_row_and_column():
+    # the null semigroup has one row, one column and so one class; the
+    # left-zero band's rows are constant at the element, so all differ,
+    # and every column is the identity map
+    xs, gens, ys = _light_sets(null_semigroup(64).product)
+    assert (xs.tolist(), gens.tolist(), ys.tolist()) == ([0], [0], [0])
+    xs, gens, ys = _light_sets(left_zero(64).product)
+    assert (xs.tolist(), gens.tolist(), ys.tolist()) == (list(range(64)), list(range(64)), [0])
 
 
-@pytest.mark.parametrize("name,table", CORPUS, ids=[name for name, _ in CORPUS])
-def test_distinct_generators_keep_first_of_each_pair(name, table):
-    p = table.product
-    gens = _generators(p).tolist()
-    kept = _distinct_generators(p, np.array(gens, dtype=np.intp)).tolist()
-    pairs = [(p[g].tolist(), p[:, g].tolist()) for g in gens]
-    want = [g for k, g in enumerate(gens) if pairs[k] not in pairs[:k]]
-    assert kept == want
+@pytest.mark.parametrize("name,table", CORPUS + QUOTIENT, ids=[name for name, _ in CORPUS + QUOTIENT])
+def test_light_sets_match_the_definition(name, table):
+    _check_light_sets(table.product)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 64), (64, 1), (8, 8), (4, 16), (13, 5)])
+def test_rectangular_band_checks_n_squared_cells(rows, cols):
+    # k rows, l columns and every element its own class: k * n * l = n^2
+    n = rows * cols
+    product = _relabelled(rectangular_band(rows, cols).product, 0)
+    xs, gens, ys = _light_sets(product)
+    assert (len(xs), len(gens), len(ys)) == (rows, n, cols)

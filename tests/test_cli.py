@@ -505,6 +505,15 @@ class TestGen:
         assert code == 2
         assert "all false" in err
 
+    @pytest.mark.parametrize("text,shape", [("2 0\n0\n0\n", "2 x 0"), ("0 2\n", "0 x 2")])
+    def test_empty_matrix_header(self, tmp_path, capsys, text, shape):
+        mat = tmp_path / "empty.mat"
+        mat.write_text(text, encoding="utf-8")
+        code, _, err = run(["gen", "rees", mat, tmp_path / "x.tbl"], capsys)
+        assert code == 2
+        assert f"error: structure matrix needs at least one row and one column, header says {shape}" in err
+        assert "matrix rows" not in err
+
     def test_bad_rect_args(self, tmp_path, capsys):
         code, _, err = run(["gen", "rect", 0, 3, tmp_path / "x.tbl"], capsys)
         assert code == 2

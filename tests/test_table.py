@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,42 @@ class TestMulTable:
         t = MulTable(given)
         assert t.product.flags.c_contiguous
         assert t == MulTable(np.ascontiguousarray(given))
+
+    def test_keeps_an_owned_read_only_intp_array(self):
+        given = np.array(t_n(3).product)
+        given.setflags(write=False)
+        assert MulTable(given).product is given
+
+    def test_copies_a_writeable_array(self):
+        given = np.array(t_n(3).product)
+        t = MulTable(given)
+        assert t.product is not given
+        assert given.flags.writeable
+        given[0, 0] = 1
+        assert np.array_equal(t.product, t_n(3).product)
+
+    def test_copies_a_read_only_view(self):
+        # whatever owns the data could still write to it
+        base = np.array(t_n(3).product)
+        view = base.view()
+        view.setflags(write=False)
+        t = MulTable(view)
+        assert t.product is not view
+        base[0, 0] = 1
+        assert np.array_equal(t.product, t_n(3).product)
+
+    def test_parse_holds_the_table_once(self):
+        # the 16 x 16 band, 256 elements: a second n x n intp copy of the
+        # parsed rows would reach the bound by itself
+        text = render_table(rectangular_band(16, 16))
+        n = 256
+        tracemalloc.start()
+        try:
+            parse_table(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
 
     def test_equality(self):
         assert cyclic(3) == cyclic(3)
