@@ -30,9 +30,7 @@ from .factors import (
 from .green import (
     EggBox,
     GreenStructure,
-    OmegaData,
     green_classes,
-    omega_data,
 )
 from .matching import (
     DEFAULT_BRUTE_CAP,

@@ -15,6 +15,7 @@ gen refuses a table above the size cap before building it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -190,22 +191,6 @@ def _matching_verdict(table: MulTable) -> dict:
     }
 
 
-def _flags_dict(flags) -> dict:
-    return {
-        "regular": flags.regular,
-        "orthodox": flags.orthodox,
-        "inverse": flags.inverse,
-        "band": flags.band,
-        "rectangular_band": flags.rectangular_band,
-        "completely_regular": flags.completely_regular,
-        "completely_simple": flags.completely_simple,
-        "combinatorial": flags.combinatorial,
-        "group": flags.group,
-        "self_inverse": flags.self_inverse,
-        "has_zero": flags.has_zero,
-    }
-
-
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     table = _load(args.file, args.cap)
@@ -216,7 +201,7 @@ def cmd_analyze(args) -> int:
         "input": str(args.file),
         "elements": table.n,
         "names": list(table.names) if table.names is not None else None,
-        "classification": _flags_dict(flags),
+        "classification": dataclasses.asdict(flags),
         "green_summary": {
             "r_classes": len(g.r_classes),
             "l_classes": len(g.l_classes),
@@ -405,6 +390,16 @@ def _check_gen_size(what: str, size: int, cap) -> None:
         raise CapExceededError(f"{what} has {size} elements, cap is {cap}")
 
 
+def _tn_fits(n: int, cap: int) -> bool:
+    """n^n <= cap for n >= 1, multiplied up only until it passes cap."""
+    size = 1
+    for _ in range(n):
+        size *= n
+        if size > cap:
+            return False
+    return True
+
+
 def cmd_gen(args) -> int:
     if args.kind == "rect":
         if args.m >= 1 and args.n >= 1:
@@ -415,7 +410,7 @@ def cmd_gen(args) -> int:
         _check_gen_size("Rees matrix semigroup", p.rows * p.cols + 1, args.cap)
         table = rees_matrix(p)
     elif args.kind == "tn":
-        if args.cap is not None and args.n >= 1 and args.n ** args.n <= args.cap:
+        if args.cap is not None and args.n >= 1 and _tn_fits(args.n, args.cap):
             table = full_transformation(args.n, max_rank=args.n)
         else:
             table = full_transformation(args.n)

@@ -3,7 +3,9 @@
 Green's relations are read straight off the product table: the principal
 right ideal aS^1 is row a of the table together with a, and the left ideal
 S^1a is column a together with a.  D is the composite R o L.  All class ids
-follow first-seen element order so output is deterministic.
+follow first-seen element order so output is deterministic.  omega_powers
+gives the idempotent power a^omega and its predecessor a^(omega-1) of every
+element at once, as vectors over the whole table.
 """
 
 from __future__ import annotations
@@ -41,21 +43,6 @@ class GreenStructure:
     h_classes: tuple
     d_classes: tuple
     egg_boxes: tuple
-
-
-@dataclass(frozen=True)
-class OmegaData:
-    """The idempotent power a^omega and its companion a^(omega-1).
-
-    omega_minus_one is a^k for the least positive k with a^(k+1) = a^omega.
-    index and period describe the eventual cycle of the power sequence:
-    a^(index + period) = a^index with both minimal.
-    """
-
-    omega: int
-    omega_minus_one: int
-    index: int
-    period: int
 
 
 def _ids(class_min: np.ndarray) -> tuple:
@@ -132,31 +119,26 @@ def green_classes(table: MulTable) -> GreenStructure:
     )
 
 
-def omega_data(table: MulTable, a: int) -> OmegaData:
-    """Index, period, and the omega / omega-minus-one powers of a.
+@derived("omega")
+def omega_powers(table: MulTable):
+    """a^omega and a^(omega-1) for every a, as two read-only intp vectors.
 
-    a^omega is a^m for the least multiple m of the period with m >= index;
-    a^(omega-1) is a^(m-1), except for an idempotent (m = 1) where it is a
-    itself: the least positive power whose product with a gives a^omega.
+    a^omega is the first idempotent power a^m, and a^(omega-1) is a^(m-1),
+    or a itself when m = 1: the least positive power whose product with a
+    is a^omega.  One pass raises every element whose first idempotent power
+    is not found yet by one more factor of a, at most n times.
     """
-    n = table.n
     prod = table.product
-    seq = [a]
-    pos = {a: 1}
-    x = a
-    for k in range(2, n + 2):
-        x = int(prod[x, a])
-        if x in pos:
-            index = pos[x]
-            period = k - pos[x]
-            break
-        seq.append(x)
-        pos[x] = k
-    else:
-        raise RuntimeError("power sequence failed to cycle")
-    m = ((index + period - 1) // period) * period
-    omega = seq[m - 1]
-    k = max(m - 1, 1)
-    omega_minus_one = seq[k - 1]
-    return OmegaData(omega=omega, omega_minus_one=omega_minus_one, index=index, period=period)
-
+    todo = np.arange(table.n)             # elements whose a^m is not found yet
+    omega = np.empty(table.n, dtype=np.intp)
+    omega_minus_one = todo.copy()
+    prev = cur = todo                     # a^(j-1) (a itself at j = 1) and a^j
+    while todo.size:
+        idem = prod[cur, cur] == cur
+        omega[todo[idem]] = cur[idem]
+        omega_minus_one[todo[idem]] = prev[idem]
+        todo, prev = todo[~idem], cur[~idem]
+        cur = prod[prev, todo]
+    omega.setflags(write=False)
+    omega_minus_one.setflags(write=False)
+    return omega, omega_minus_one

@@ -30,7 +30,7 @@ from .factors import (
     maximal_rect_subbands,
     similarity_check,
 )
-from .green import green_classes, omega_data
+from .green import green_classes, omega_powers
 from .structure import (
     classify,
     gamma_structure,
@@ -38,7 +38,7 @@ from .structure import (
     inverse_matrix,
     orthodoxy_witness,
 )
-from .table import MulTable
+from .table import _ASSOC_CHUNK_CELLS, MulTable, _narrow, _powers, _transposed
 
 DEFAULT_BRUTE_CAP = 20
 
@@ -791,16 +791,20 @@ def _map_matches(table: MulTable, f):
 def _two_variable_check(table: MulTable, formula):
     """Evaluate f_y(x) = formula(x, y); demand y-independence plus a matching.
 
-    Returns (ok, witness) where a y-dependence witness is the pair (x, y)
-    whose value first differs from the y = 0 map.
+    formula takes a column of y values and returns the block of values
+    indexed [y, x].  Returns (ok, witness) where a y-dependence witness is
+    the first pair (x, y), in y-major order, whose value differs from the
+    y = 0 map.
     """
     n = table.n
-    base = [formula(x, 0) for x in range(n)]
-    for y in range(1, n):
-        for x in range(n):
-            if formula(x, y) != base[x]:
-                return False, (x, y)
-    return _map_matches(table, base)
+    base = formula(np.zeros((1, 1), dtype=np.intp))[0]
+    step = max(1, _ASSOC_CHUNK_CELLS // n)
+    for start in range(1, n, step):
+        bad = formula(np.arange(start, min(start + step, n))[:, None]) != base
+        if bad.any():
+            y, x = np.argwhere(bad)[0]
+            return False, (int(x), start + int(y))
+    return _map_matches(table, base.tolist())
 
 
 def formula_characterizations(table: MulTable, k=None) -> CharacterizationReport:
@@ -809,36 +813,33 @@ def formula_characterizations(table: MulTable, k=None) -> CharacterizationReport
     Each clause pairs a candidate map built from omega powers (left side)
     with an independently computed property of the semigroup (right side);
     the two sides are provably equivalent, so agree should always hold.
-    Pass k to include the clause for the identity x = x^(k+2).
+    Pass k to include the clause for the identity x = x^(k+2).  Every map
+    is evaluated on whole arrays of x and blocks of y.
     """
-    n = table.n
-    prod = table.product
+    if k is not None and k < 1:
+        raise ValueError("power identity needs k >= 1")
+    prod = _narrow(table.product)
+    cols = _transposed(prod)          # cols[y, x] = xy: a block of y reads whole rows
+    ar = np.arange(table.n)
     flags = classify(table)
-    om = [omega_data(table, a) for a in range(n)]
-    omega = [d.omega for d in om]
-    om1 = [d.omega_minus_one for d in om]
+    omega, om1 = omega_powers(table)
     v = inverse_matrix(table)
     clauses = []
 
-    left, witness = _map_matches(table, om1)
+    left, witness = _map_matches(table, om1.tolist())
     clauses.append(ClauseResult("completely_regular", left, flags.completely_regular, witness))
 
     left, witness = _two_variable_check(
-        table, lambda x, y: int(prod[om1[x], omega[int(prod[int(prod[x, y]), x])]])
-    )
+        table, lambda y: prod[om1, omega[prod[cols[y, ar], ar]]])
     clauses.append(ClauseResult("completely_simple", left, flags.completely_simple, witness))
 
     left, witness = _two_variable_check(
-        table, lambda x, y: int(prod[int(prod[omega[y], om1[x]]), omega[y]])
-    )
+        table, lambda y: prod[prod[omega[y], om1], omega[y]])
     clauses.append(ClauseResult("group", left, flags.group, witness))
 
     if k is not None:
-        if k < 1:
-            raise ValueError("power identity needs k >= 1")
-        powers = [table.power(x, k) for x in range(n)]
-        left, witness = _map_matches(table, powers)
-        right = all(table.power(x, k + 2) == x for x in range(n))
+        left, witness = _map_matches(table, _powers(prod, ar, k).tolist())
+        right = bool((_powers(prod, ar, k + 2) == ar).all())
         clauses.append(ClauseResult(f"power_identity_k{k}", left, right, witness))
 
     for name, holds in (("rectangular_band", v.all(axis=1)), ("self_inverse", v.diagonal())):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotRegularError
 from .green import _ids, _members, green_classes
-from .table import MulTable, _narrow, derived
+from .table import MulTable, _narrow, _powers, derived
 
 
 @derived("idempotents")
@@ -101,14 +101,13 @@ def gamma_structure(table: MulTable) -> InverseSets:
             if not np.array_equal(inverses, class_list[d]):
                 raise RuntimeError("inverse sets of an orthodox semigroup must partition it")
             involution.append(d)
+        inv = np.array(involution)
+        if not np.array_equal(inv[inv], np.arange(k)):
+            raise RuntimeError("V-class map is not an involution")
+        fixed = np.flatnonzero(inv[ids] == ids)      # the elements of fixed classes
+        if not np.array_equal(_powers(table.product, fixed, 3), fixed):
+            raise RuntimeError("fixed V-class contains a != a^3")
         v_involution = tuple(involution)
-        for c in range(k):
-            if v_involution[v_involution[c]] != c:
-                raise RuntimeError("V-class map is not an involution")
-            if v_involution[c] == c:
-                for a in class_list[c]:
-                    if table.power(a, 3) != a:
-                        raise RuntimeError("fixed V-class contains a != a^3")
     return InverseSets(gamma_class=gamma_class, class_list=class_list,
                        v_involution=v_involution)
 

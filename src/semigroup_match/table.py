@@ -51,6 +51,21 @@ def _narrow(product: np.ndarray) -> np.ndarray:
     return np.array(product, dtype=np.min_scalar_type(product.shape[0] - 1), order="C")
 
 
+def _powers(product: np.ndarray, xs, k: int):
+    """x^k for every x of xs (an element or an array of them), k >= 1.
+
+    Square-and-multiply: about 2 log2(k) gathers, whatever k is.
+    """
+    result = None
+    while True:
+        if k & 1:
+            result = xs if result is None else product[result, xs]
+        k >>= 1
+        if not k:
+            return result
+        xs = product[xs, xs]
+
+
 def _full_witness(product: np.ndarray):
     """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None."""
     n = product.shape[0]
@@ -328,10 +343,7 @@ class MulTable:
         """a^k for k >= 1."""
         if k < 1:
             raise ValueError("power needs k >= 1")
-        x = a
-        for _ in range(k - 1):
-            x = int(self.product[x, a])
-        return x
+        return int(_powers(self.product, a, k))
 
     def element_name(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
@@ -566,8 +578,10 @@ def full_transformation(n: int, max_rank: int = DEFAULT_RANK_CAP) -> MulTable:
     if n < 1:
         raise TableFormatError("n must be positive")
     if n > max_rank:
+        # past n = 15, n^n has 20 digits or more, and past about 1900 str() refuses it
+        count = n ** n if n <= 15 else f"{n}^{n}"
         raise CapExceededError(
-            f"T_{n} has {n ** n} elements; default rank cap is {max_rank}, raise it explicitly"
+            f"T_{n} has {count} elements; default rank cap is {max_rank}, raise it explicitly"
         )
     size = n ** n
     # maps in lexicographic order are the base-n numerals 0..size-1, in the

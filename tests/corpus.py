@@ -240,6 +240,18 @@ def full_corpus() -> list[tuple[str, MulTable]]:
     return items
 
 
+def one_entry_mutations(product):
+    """Every table that differs from product in exactly one entry."""
+    n = product.shape[0]
+    for a in range(n):
+        for b in range(n):
+            for v in range(n):
+                if v != product[a, b]:
+                    q = product.copy()
+                    q[a, b] = v
+                    yield q
+
+
 def inverses_of_set(table: MulTable, elements) -> set:
     """V(A) = union of V(a) over a in A, read off the rows of inverse_matrix."""
     rows = inverse_matrix(table)[list(elements)]

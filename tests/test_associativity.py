@@ -39,6 +39,7 @@ from corpus import (
     full_corpus,
     left_zero,
     null_semigroup,
+    one_entry_mutations,
     right_zero,
 )
 
@@ -65,18 +66,6 @@ QUOTIENT = [
     ("block_band_12_21", block_band([(1, 2), (2, 1)])),
     ("rect23_zero_factor", _band_factor()),
 ]
-
-
-def _mutations(product):
-    """Every table that differs from product in exactly one entry."""
-    n = product.shape[0]
-    for a in range(n):
-        for b in range(n):
-            for v in range(n):
-                if v != product[a, b]:
-                    q = product.copy()
-                    q[a, b] = v
-                    yield q
 
 
 def _closure(product, gens) -> set:
@@ -110,7 +99,7 @@ def test_corpus_tables_agree_with_the_sweep(name, table):
 
 @pytest.mark.parametrize("name,table", SMALL + QUOTIENT, ids=[name for name, _ in SMALL + QUOTIENT])
 def test_every_one_entry_mutation_gets_the_sweep_witness(name, table):
-    for q in _mutations(table.product):
+    for q in one_entry_mutations(table.product):
         witness = _full_witness(q)
         assert _associativity_witness(q) == witness
         if witness is None:
@@ -130,7 +119,7 @@ def test_small_chunks_cross_boundaries(monkeypatch, cells):
     monkeypatch.setattr(table_mod, "_ASSOC_CHUNK_CELLS", cells)
     for _, table in TINY + QUOTIENT[:5]:
         assert _associativity_witness(table.product) is None
-        for q in _mutations(table.product):
+        for q in one_entry_mutations(table.product):
             assert _associativity_witness(q) == _full_witness(q)
 
 

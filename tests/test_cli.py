@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -487,6 +488,16 @@ class TestGen:
         code, _, err = run(["gen", "tn", 5, tmp_path / "t5.tbl"], capsys)
         assert code == 2
         assert "raise it explicitly" in err
+
+    @pytest.mark.parametrize("argv", [["2000"], ["1000000", "--cap", "5000"]])
+    def test_tn_refuses_huge_n_fast(self, tmp_path, capsys, argv):
+        # n^n is neither printed in full nor built to compare it with the cap
+        started = time.process_time()
+        code, _, err = run(["gen", "tn", *argv[:1], tmp_path / "t.tbl", *argv[1:]], capsys)
+        assert time.process_time() - started < 1
+        assert code == 2
+        assert err.startswith("error: ") and "raise it explicitly" in err
+        assert f"has {argv[0]}^{argv[0]} elements" in err
 
     def test_product(self, tmp_path, capsys):
         a = tmp_path / "a.tbl"

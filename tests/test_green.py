@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,10 @@ from semigroup_match import (
     classify,
     green_classes,
     idempotents,
-    omega_data,
 )
+from semigroup_match.green import omega_powers
 
+from characterization_reference import omega_data
 from corpus import band7, cyclic, full_corpus, monogenic, t_n
 
 
@@ -201,53 +203,66 @@ class TestTransformationSubsemigroups:
         check_grids_partition(g)
 
 
+def _power_sequence(table, a):
+    """a, a^2, ... up to the first repeat, and the index and period of a."""
+    seq = [a]
+    seen = {a: 1}
+    while True:
+        nxt = table.mul(seq[-1], a)
+        if nxt in seen:
+            return seq, seen[nxt], len(seq) + 1 - seen[nxt]
+        seq.append(nxt)
+        seen[nxt] = len(seq)
+
+
 class TestOmega:
     def test_c6_generator(self):
-        od = omega_data(cyclic(6), 1)
-        assert od.index == 1 and od.period == 6
-        assert od.omega == 0
-        assert od.omega_minus_one == 5
+        omega, om1 = omega_powers(cyclic(6))
+        assert omega[1] == 0
+        assert om1[1] == 5
 
     def test_two_step_aperiodic(self):
         # a^2 = a^3 != a: omega is a^2 and a itself is the last pre-omega power
-        table = monogenic(2, 1)
-        od = omega_data(table, 0)
-        assert od.index == 2 and od.period == 1
-        assert od.omega == 1
-        assert od.omega_minus_one == 0
+        omega, om1 = omega_powers(monogenic(2, 1))
+        assert omega[0] == 1
+        assert om1[0] == 0
 
     def test_idempotent_element(self):
-        od = omega_data(cyclic(1), 0)
-        assert od == type(od)(omega=0, omega_minus_one=0, index=1, period=1)
+        omega, om1 = omega_powers(cyclic(1))
+        assert omega.tolist() == [0] and om1.tolist() == [0]
+
+    def test_vectors_are_read_only(self):
+        for vec in omega_powers(cyclic(3)):
+            assert vec.dtype == np.intp and not vec.flags.writeable
 
     @pytest.mark.parametrize("name,table", full_corpus())
     def test_against_power_sequence(self, name, table):
+        omega, om1 = omega_powers(table)
         for a in range(table.n):
-            seq = [a]
-            seen = {a: 1}
-            while True:
-                nxt = table.mul(seq[-1], a)
-                if nxt in seen:
-                    index = seen[nxt]
-                    period = len(seq) + 1 - index
-                    break
-                seq.append(nxt)
-                seen[nxt] = len(seq)
-            od = omega_data(table, a)
-            assert (od.index, od.period) == (index, period), name
+            seq, index, period = _power_sequence(table, a)
             # omega is the idempotent power, inside the cycle part
             m = ((index + period - 1) // period) * period
             assert m >= index
-            assert od.omega == table.power(a, m)
-            assert table.mul(od.omega, od.omega) == od.omega
-            assert table.power(a, index + period) == table.power(a, index)
+            assert omega[a] == seq[m - 1], name
+            assert table.mul(omega[a], omega[a]) == omega[a]
+            # no earlier power is idempotent
+            assert all(table.mul(x, x) != x for x in seq[:m - 1]), name
             # omega_minus_one uses the least k >= 1 with a^(k+1) = omega
             k = next(
                 k for k in range(1, m + period + 1)
-                if table.power(a, k + 1) == od.omega
+                if table.power(a, k + 1) == omega[a]
             )
-            assert od.omega_minus_one == table.power(a, k), name
-            assert table.mul(od.omega_minus_one, a) == od.omega
+            assert om1[a] == table.power(a, k), name
+            assert table.mul(om1[a], a) == omega[a]
+
+    @pytest.mark.parametrize("name,table", full_corpus())
+    def test_reference_agrees(self, name, table):
+        omega, om1 = omega_powers(table)
+        for a in range(table.n):
+            od = omega_data(table, a)
+            _, index, period = _power_sequence(table, a)
+            assert (od.index, od.period) == (index, period), name
+            assert (od.omega, od.omega_minus_one) == (omega[a], om1[a]), name
 
 
 class TestCombinatorial:

@@ -11,6 +11,8 @@ from semigroup_match import (
     HallCertificate,
     LiftFailureError,
     Matching,
+    MulTable,
+    NotAssociativeError,
     NotOrthodoxError,
     TooLargeError,
     TutteBarrier,
@@ -33,6 +35,9 @@ from semigroup_match import (
     verify_matching,
 )
 
+from semigroup_match import matching as matching_mod
+
+from characterization_reference import reference_characterizations
 from corpus import (
     T3_INVOLUTION,
     band7,
@@ -46,6 +51,7 @@ from corpus import (
     klein,
     monogenic,
     null_semigroup,
+    one_entry_mutations,
     small_corpus,
     t_n,
 )
@@ -450,6 +456,63 @@ class TestFormulaCharacterizations:
         for name, table in small_corpus():
             rep = formula_characterizations(table, k=k)
             assert rep.clause(f"power_identity_k{k}").agree, (name, k)
+
+
+def _associative_mutations():
+    """Every one-entry mutation of a small-corpus table that MulTable accepts."""
+    tables = []
+    for name, table in small_corpus():
+        for q in one_entry_mutations(table.product):
+            try:
+                tables.append((name, MulTable(q)))
+            except NotAssociativeError:
+                pass
+    return tables
+
+
+MUTATIONS = _associative_mutations()
+
+
+class TestCharacterizationsAgainstReference:
+    """The whole-array clauses equal the per-element reference, witnesses included."""
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 3])
+    @pytest.mark.parametrize("name,table", full_corpus())
+    def test_corpus(self, name, table, k):
+        rep = formula_characterizations(table, k=k)
+        assert rep == reference_characterizations(table, k=k), name
+        for c in rep.clauses:
+            assert type(c.left) is bool and type(c.right) is bool, (name, c)
+            assert c.witness is None or all(type(w) is int for w in c.witness), (name, c)
+
+    @pytest.mark.parametrize("cells", [1, 3, 17, 1 << 21])
+    def test_one_entry_mutations(self, monkeypatch, cells):
+        # small blocks of y put the first mismatch in a later block
+        monkeypatch.setattr(matching_mod, "_ASSOC_CHUNK_CELLS", cells)
+        assert len(MUTATIONS) > 30
+        for name, table in MUTATIONS:
+            for k in (None, 1, 2, 3):
+                rep = formula_characterizations(table, k=k)
+                assert rep == reference_characterizations(table, k=k), (name, k, table.product)
+
+    def test_mutations_reach_every_witness_kind(self):
+        # the mutations give y-dependence witnesses past y = 1 and past x = 0
+        pairs = [
+            c.witness
+            for _, table in MUTATIONS
+            for c in formula_characterizations(table).clauses
+            if c.witness is not None and len(c.witness) == 2
+        ]
+        assert any(y > 1 for _, y in pairs)
+        assert any(x > 0 for x, _ in pairs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 12])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 11, 10**6 - 1, 10**12, 10**12 - 1])
+    def test_power_identity_on_cyclic_groups(self, m, k):
+        # x = x^(k+2) on C_m exactly when m divides k + 1
+        clause = formula_characterizations(cyclic(m), k=k).clause(f"power_identity_k{k}")
+        holds = (k + 1) % m == 0
+        assert clause.left == holds and clause.right == holds, (m, k)
 
 
 class TestMatchingsStayInDClasses:

@@ -21,14 +21,19 @@ from semigroup_match import (
     hall_brute_force,
     idempotents,
     inverse_sets,
-    omega_data,
     orthodox_involution,
     rectangular_band,
     rees_matrix,
     verify_matching,
 )
 
+from semigroup_match.green import omega_powers
+
+from characterization_reference import omega_data
 from corpus import full_corpus, inverses_of_set, monogenic, small_corpus
+# imported here, not inside the test: importing test_green's @given tests
+# while a @given test runs fails Hypothesis's nested-given health check
+from test_green import as_sets, brute_green
 
 ORTHODOX = [(name, t) for name, t in full_corpus() if classify(t).orthodox]
 
@@ -187,9 +192,15 @@ class TestMonogenic:
     @pytest.mark.parametrize("period", [1, 2, 3, 4, 5, 6])
     def test_omega_and_matching(self, index, period):
         t = monogenic(index, period)
+        # element e is a^(e+1); a^m, the least multiple of the period past
+        # the index, is the first idempotent power
+        m = -(-index // period) * period
+        omega, om1 = omega_powers(t)
+        assert omega[0] == m - 1
+        assert om1[0] == max(m - 2, 0)
+        assert t.mul(omega[0], omega[0]) == omega[0]
         od = omega_data(t, 0)
         assert (od.index, od.period) == (index, period)
-        assert t.mul(od.omega, od.omega) == od.omega
         flags = classify(t)
         assert flags.regular == (index == 1)
         assert flags.group == (index == 1)
@@ -230,8 +241,6 @@ class TestRandomizedAgreement:
         st.integers(min_value=1, max_value=3),
     )
     def test_product_green_classes_match_ideal_oracle(self, i, p, j, q):
-        from test_green import as_sets, brute_green
-
         t = direct_product(monogenic(i, p), monogenic(j, q))
         assume(t.n <= 30)
         g = green_classes(t)

@@ -53,6 +53,17 @@ class TestMulTable:
         assert t.power(1, 6) == 0
         with pytest.raises(ValueError):
             t.power(1, 0)
+        # square-and-multiply: k need not be small
+        assert t.power(1, 10**12) == 10**12 % 6
+        assert t.power(5, 10**12 + 1) == 5 * (10**12 + 1) % 6
+
+    def test_power_matches_repeated_products(self):
+        for _, t in small_corpus():
+            for a in range(t.n):
+                x = a
+                for k in range(1, 2 * t.n + 2):
+                    assert t.power(a, k) == x
+                    x = t.mul(x, a)
 
     def test_rejects_non_square(self):
         with pytest.raises(TableFormatError):
