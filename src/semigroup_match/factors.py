@@ -136,10 +136,8 @@ def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
 
 @dataclass(frozen=True)
 class Subband:
-    """A maximal rectangular block of idempotent cells in a band with zero."""
+    """A maximal rectangular block, r_indices x l_indices, of idempotent cells."""
 
-    rep: int
-    members: tuple
     r_indices: tuple
     l_indices: tuple
     m: int
@@ -171,22 +169,21 @@ class BandDecomposition:
 def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
     """Partition the nonzero idempotent cells into maximal rectangular blocks.
 
-    Requires the cells the structure matrix marks as idempotent to be closed
-    under products (the orthodox condition at this level); otherwise
-    NotOrthodoxError carries the first offending pair in pair-index order.
-    Closure makes every connected component of marked cells a full
+    Requires the idempotent cells to be closed under products, P P^T P <= P
+    for the structure matrix P (the orthodox condition at this level);
+    otherwise NotOrthodoxError carries the first offending pair in pair-index
+    order.  Closure makes every connected component of marked cells a full
     rectangle, read off the marks of its first row, which also orders them.
     """
-    p = np.array(zband.p.entries, dtype=bool)   # p[lam, i]
-    cells = np.argwhere(p.T)                    # idempotent (i, lam), pair-index order
-    rows, cols = cells[:, 0], cells[:, 1]
+    p = np.array(zband.p.entries, dtype=bool)   # p[lam, i]: cell (i, lam) is idempotent
     # (i, lam)(k, mu) = (i, mu) when p[lam, k], and (i, mu) is idempotent when p[mu, i]
-    meets = p[np.ix_(cols, rows)]
-    bad = meets & ~meets.T
-    first = int(bad.argmax())
-    if bad.flat[first]:
-        e, f = divmod(first, len(cells))
-        raise NotOrthodoxError((int(zband.pair_index(*cells[e])), int(zband.pair_index(*cells[f]))))
+    escape = p.T @ ~p            # escape[k, i]: some idempotent (k, mu) has (i, mu) not
+    bad = p & (p @ escape)       # bad[lam, i]: (i, lam) times some idempotent escapes
+    if bad.any():
+        e = int(bad.T.argmax())  # flat indices of (i, lam) arrays are pair indices
+        i, lam = zband.coords(e)
+        hits = p.T & p[lam][:, None] & ~p[:, i]      # hits[k, mu]: (k, mu) takes (i, lam) out
+        raise NotOrthodoxError((e, int(hits.argmax())))
     subbands = []
     row_block = [-1] * zband.m
     col_block = [-1] * zband.n
@@ -199,16 +196,9 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
             row_block[k] = len(subbands)
         for lam in l_indices:
             col_block[lam] = len(subbands)
-        members = tuple(zband.pair_index(k, lam) for k in r_indices for lam in l_indices)
         subbands.append(
-            Subband(
-                rep=members[0],
-                members=members,
-                r_indices=r_indices,
-                l_indices=l_indices,
-                m=len(r_indices),
-                n=len(l_indices),
-            )
+            Subband(r_indices=r_indices, l_indices=l_indices,
+                    m=len(r_indices), n=len(l_indices))
         )
     r_order = tuple(i for s in subbands for i in s.r_indices)
     l_order = tuple(lam for s in subbands for lam in s.l_indices)
@@ -223,6 +213,23 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
         col_block=tuple(col_block),
         phi=phi,
     )
+
+
+def _partner_cells(dec: BandDecomposition):
+    """m x n arrays rows, cols: cell (i, lam) pairs with (rows[i, lam], cols[i, lam]).
+
+    For i in row block a and lam in column block b, (i, lam) is cell k of
+    block (a, b) in row-major order and pairs with cell k of block (b, a):
+    an involution on cells when the block shapes are proportional.
+    """
+    ms, ns = np.array(dec.block_sizes()).T
+    r_order, l_order = np.array(dec.r_order), np.array(dec.l_order)
+    r_start, l_start = np.cumsum(ms) - ms, np.cumsum(ns) - ns   # block offsets in the orders
+    a, b = np.array(dec.row_block), np.array(dec.col_block)
+    r_pos = np.argsort(r_order) - r_start[a]                   # place within the block
+    l_pos = np.argsort(l_order) - l_start[b]
+    r, c = np.divmod(r_pos[:, None] * ns[b] + l_pos, ns[a][:, None])
+    return r_order[r_start[b] + r], l_order[l_start[a][:, None] + c]
 
 
 @dataclass(frozen=True)

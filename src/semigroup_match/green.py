@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import MulTable, derived
+from .table import MulTable, _transposed, derived
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def green_classes(table: MulTable) -> GreenStructure:
     # indexed [b, a] so that both scatters read prod in memory order
     left = np.eye(n, dtype=bool)           # left[b, a]: b in S^1a
     left[prod, np.arange(n)[None, :]] = True
-    r_rel = right & right.T
-    l_rel = left & left.T
+    r_rel = right & _transposed(right)
+    l_rel = left & _transposed(left)
     # argmax finds the first True, so these are the least elements of the classes
     r_min = r_rel.argmax(axis=1)
     l_min = l_rel.argmax(axis=1)

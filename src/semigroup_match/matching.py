@@ -26,6 +26,7 @@ from .errors import LiftFailureError, NotOrthodoxError, TooLargeError
 from .factors import (
     PrincipalFactor,
     ZeroRectBand,
+    _partner_cells,
     egg_box_band,
     maximal_rect_subbands,
     similarity_check,
@@ -382,17 +383,6 @@ def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matchin
     return lifted
 
 
-def _swapped_cell(dec, i: int, lam: int) -> tuple:
-    """Cell (i, lam) of row block a and column block b pairs with the cell at
-    the same pair-index position among those of row block b and column block a.
-    """
-    src = dec.subbands[dec.row_block[i]]
-    dst = dec.subbands[dec.col_block[lam]]
-    k = src.r_indices.index(i) * dst.n + dst.l_indices.index(lam)
-    r, c = divmod(k, src.n)
-    return dst.r_indices[r], src.l_indices[c]
-
-
 def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
     """Structural existence test for matchings of an orthodox semigroup.
 
@@ -425,19 +415,18 @@ def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
     v = inverse_matrix(table)
     f = np.full(table.n, -1)
     for vd, box in zip(verdicts, boxes):
-        for i, row in enumerate(box.grid):
-            for lam, cell in enumerate(row):
-                i2, lam2 = _swapped_cell(vd.decomposition, i, lam)
-                image = np.array(box.grid[i2][lam2])
-                hits = v[np.ix_(cell, image)]      # hits[x, y]: y in V(x)
-                counts = hits.sum(axis=1)
-                if (counts != 1).any():
-                    x = int(np.argmax(counts != 1))
-                    raise LiftFailureError(
-                        f"element {cell[x]} has {counts[x]} inverses in the image cell, "
-                        "need exactly 1"
-                    )
-                f[list(cell)] = image[hits.argmax(axis=1)]
+        rows, cols = _partner_cells(vd.decomposition)
+        cells = np.array(box.grid).reshape(rows.size, -1)   # H-classes, all one size
+        image = cells[(rows * vd.band.n + cols).ravel()]
+        hits = v[cells[:, :, None], image[:, None, :]]   # hits[c, x, y]: image[c, y] in V(cells[c, x])
+        counts = hits.sum(axis=2)
+        if (counts != 1).any():
+            c, x = divmod(int((counts != 1).argmax()), cells.shape[1])
+            raise LiftFailureError(
+                f"element {cells[c, x]} has {counts[c, x]} inverses in the image cell, "
+                "need exactly 1"
+            )
+        f[cells] = np.take_along_axis(image, hits.argmax(axis=2), axis=1)
     f = tuple(f.tolist())
     matching = _verified(table, Matching(f=f, kind="involution", provenance="band_lift"))
     return OrthodoxDecision(exists=True, per_d_class=tuple(verdicts), matching=matching)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotRegularError
 from .green import _ids, _members, green_classes
-from .table import MulTable, _narrow, _powers, derived
+from .table import MulTable, _first_equal, _narrow, _powers, derived
 
 
 @derived("idempotents")
@@ -83,8 +83,7 @@ def gamma_structure(table: MulTable) -> InverseSets:
     if not regular.all():
         raise NotRegularError(int(regular.argmin()))
     # equal rows are one class; each element's least class-mate fixes the ids
-    _, first, row_id = np.unique(v, axis=0, return_index=True, return_inverse=True)
-    gamma_class = _ids(first[row_id.ravel()])
+    gamma_class = _ids(_first_equal(v))
     class_list = _members(gamma_class)
     k = len(class_list)
 
@@ -117,8 +116,11 @@ def orthodoxy_witness(table: MulTable):
     """First idempotent pair (e, f) with ef not idempotent, or None if orthodox.
 
     Pairs are scanned in row-major order over the idempotents ascending.
+    A band is orthodox, so when every element is idempotent nothing is read.
     """
     idems = np.array(idempotents(table), dtype=np.intp)
+    if len(idems) == table.n:
+        return None
     is_idem = np.zeros(table.n, dtype=bool)
     is_idem[idems] = True
     bad = ~is_idem[table.product[np.ix_(idems, idems)]]

@@ -496,7 +496,8 @@ def render_table(table: MulTable) -> str:
     if table.names is not None:
         lines.append("# names: " + " ".join(table.names))
     lines.append(str(table.n))
-    lines.extend(" ".join(map(str, row.tolist())) for row in table.product)
+    tokens = np.array([str(i) for i in range(table.n)], dtype=object)   # each entry's text, once
+    lines.extend(" ".join(tokens[row].tolist()) for row in table.product)
     return "\n".join(lines) + "\n"
 
 

@@ -55,8 +55,10 @@ def reference_subbands(zband) -> BandDecomposition:
         members = tuple(sorted(v[e]))
         r_indices = tuple(sorted({zband.coords(x)[0] for x in members}))
         l_indices = tuple(sorted({zband.coords(x)[1] for x in members}))
-        subbands.append(Subband(rep=members[0], members=members, r_indices=r_indices,
-                                l_indices=l_indices, m=len(r_indices), n=len(l_indices)))
+        # the block is the full rectangle r_indices x l_indices
+        assert members == tuple(zband.pair_index(i, lam) for i in r_indices for lam in l_indices)
+        subbands.append(Subband(r_indices=r_indices, l_indices=l_indices,
+                                m=len(r_indices), n=len(l_indices)))
         assigned.update(members)
     row_block = [0] * zband.m
     col_block = [0] * zband.n

@@ -122,9 +122,8 @@ class TestSubbands:
         dec = maximal_rect_subbands(band)
         assert dec.block_sizes() == ((1, 2), (1, 1))
         first, second = dec.subbands
-        assert first.rep == 1 and first.members == (1, 2)
         assert first.r_indices == (0,) and first.l_indices == (1, 2)
-        assert second.rep == 3 and second.members == (3,)
+        assert second.r_indices == (1,) and second.l_indices == (0,)
         assert dec.r_order == (0, 1)
         assert dec.l_order == (1, 2, 0)
         assert dec.row_block == (0, 1)
