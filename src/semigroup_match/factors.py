@@ -176,9 +176,14 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
     rectangle, read off the marks of its first row, which also orders them.
     """
     p = np.array(zband.p.entries, dtype=bool)   # p[lam, i]: cell (i, lam) is idempotent
-    # (i, lam)(k, mu) = (i, mu) when p[lam, k], and (i, mu) is idempotent when p[mu, i]
-    escape = p.T @ ~p            # escape[k, i]: some idempotent (k, mu) has (i, mu) not
-    bad = p & (p @ escape)       # bad[lam, i]: (i, lam) times some idempotent escapes
+    # (i, lam)(k, mu) = (i, mu) when p[lam, k], and (i, mu) is idempotent when p[mu, i];
+    # bad[lam, i]: (i, lam) times some idempotent escapes.  P P^T ~P is associated
+    # so that the square middle factor has the smaller side of P.
+    if p.shape[0] < p.shape[1]:
+        bad = p & ((p @ p.T) @ ~p)
+    else:
+        escape = p.T @ ~p        # escape[k, i]: some idempotent (k, mu) has (i, mu) not
+        bad = p & (p @ escape)
     if bad.any():
         e = int(bad.T.argmax())  # flat indices of (i, lam) arrays are pair indices
         i, lam = zband.coords(e)

@@ -116,6 +116,24 @@ class HallCertificate:
     image: tuple
 
 
+def _adjacency(v, copies: int = 1) -> list:
+    """Row a of the bool matrix v as the ascending list of its True columns.
+
+    All rows come from one np.nonzero, sliced through a memoryview (slices
+    of one big list would keep the garbage collector rescanning it); copy c
+    repeats the rows shifted by c*n.
+    """
+    n = len(v)
+    rows, cols = np.nonzero(v)
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
+    adj = []
+    for c in range(copies):
+        flat = memoryview(cols + c * n)
+        adj += [flat[s:e].tolist() for s, e in zip(starts, ends)]
+    return adj
+
+
 def _hk_bfs(n, adj, match_l, match_r, dist):
     """Layer the lefts by alternating distance; return the free-right layer depth."""
     q = deque()
@@ -218,7 +236,7 @@ def find_permutation_matching(table: MulTable):
     no inverse at all short-circuits to a singleton certificate.
     """
     n = table.n
-    adj = [np.flatnonzero(row).tolist() for row in inverse_matrix(table)]
+    adj = _adjacency(inverse_matrix(table))
     for a in range(n):
         if not adj[a]:
             return HallCertificate(violating_set=(a,), image=())
@@ -450,17 +468,27 @@ class TutteBarrier:
 def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
     """Check that barrier proves the absence of an involution matching.
 
-    The listed components must be pairwise disjoint and disjoint from X, of
-    odd size, free of elements a in V(a), closed under taking inverses except
-    into X, and more numerous than X.  The first violation is reported.
+    Elements must be integers (anything operator.index accepts).  The listed
+    components must be pairwise disjoint and disjoint from X, of odd size,
+    free of elements a in V(a), closed under taking inverses except into X,
+    and more numerous than X.  The first violation is reported; within a
+    component, elements ascending, a in V(a) before an inverse outside.
     """
     n = table.n
     v = inverse_matrix(table)
-    xs = set(barrier.elements)
-    if len(xs) != len(barrier.elements) or any(not 0 <= x < n for x in xs):
+    try:
+        elements = [operator.index(x) for x in barrier.elements]
+    except TypeError:
+        return VerifyResult(False, "barrier element not an integer", None)
+    xs = set(elements)
+    if len(xs) != len(elements) or any(not 0 <= x < n for x in xs):
         return VerifyResult(False, "barrier is not a set of elements", None)
     seen = set(xs)
     for comp in barrier.odd_components:
+        try:
+            comp = [operator.index(a) for a in comp]
+        except TypeError:
+            return VerifyResult(False, "component element not an integer", None)
         members = set(comp)
         if any(not 0 <= a < n for a in members):
             return VerifyResult(False, "component element out of range", None)
@@ -469,13 +497,17 @@ def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
         seen |= members
         if len(members) % 2 == 0:
             return VerifyResult(False, "component of even size", min(members, default=None))
+        ms = np.array(sorted(members), dtype=np.intp)
         outside = np.ones(n, dtype=bool)
-        outside[list(members | xs)] = False
-        for a in sorted(members):
-            if v[a, a]:
-                return VerifyResult(False, "component element is its own inverse", a)
-            if (v[a] & outside).any():
-                return VerifyResult(False, "component has an inverse outside the barrier", a)
+        outside[ms] = False
+        outside[elements] = False
+        loop = v[ms, ms]
+        bad = loop | (v[ms] & outside).any(axis=1)
+        if bad.any():
+            first = int(bad.argmax())
+            reason = ("component element is its own inverse" if loop[first]
+                      else "component has an inverse outside the barrier")
+            return VerifyResult(False, reason, int(ms[first]))
     if len(barrier.odd_components) <= len(xs):
         return VerifyResult(False, "no more odd components than barrier elements", None)
     return VerifyResult(True, None, None)
@@ -485,8 +517,8 @@ class _Blossom:
     """Edmonds' cardinality matching on adjacency lists.
 
     Each search grows an alternating forest breadth-first and contracts an
-    odd cycle (blossom) into its base by relabelling base[] over the
-    forest's vertices; parent[] keeps the even-length route back to a root
+    odd cycle (blossom) into its base by relabelling base[] over the merged
+    blossoms' members; parent[] keeps the even-length route back to a root
     through every contracted blossom.  nodes counts the vertices taken off
     the search queues.
     """
@@ -504,65 +536,76 @@ class _Blossom:
         forest is complete.  An edge joining two trees is an augmenting
         path too; callers grow several trees only over a maximum matching,
         where such an edge is impossible.
+
+        pos[z] is z's place in the order vertices joined the forest, and
+        members[b] lists the vertices whose base is b once b has taken in a
+        blossom (until then b is its own only member).  A contraction
+        relabels the merged blossoms' members and queues the newly outer
+        ones in forest order, as a scan of the whole forest would.
         """
         adj, match = self.adj, self.match
         size = len(adj)
         base = list(range(size))
         parent = [-1] * size
         outer = [False] * size
-        for r in roots:
+        pos = [0] * size
+        for k, r in enumerate(roots):
             outer[r] = True
+            pos[r] = k
+        joined = len(roots)
+        members = {}
         queue = deque(roots)
-        forest = list(roots)
-
-        def lca(a, b):
-            path = set()
-            while True:
-                a = base[a]
-                path.add(a)
-                if match[a] == -1:
-                    break
-                a = parent[match[a]]
-            while True:
-                b = base[b]
-                if b in path:
-                    return b
-                if match[b] == -1:
-                    raise RuntimeError("augmenting path between two trees of a maximum matching")
-                b = parent[match[b]]
-
-        def mark_path(x, b, child, bases):
-            while base[x] != b:
-                bases.add(base[x])
-                bases.add(base[match[x]])
-                parent[x] = child
-                child = match[x]
-                x = parent[match[x]]
-
+        pops = 0
         while queue:
             x = queue.popleft()
-            self.nodes += 1
+            pops += 1
             for y in adj[x]:
                 if base[x] == base[y] or match[x] == y:
                     continue
                 if outer[y]:
-                    b = lca(x, y)
+                    # b: the nearest common base on the routes of x and y to their roots
+                    a = base[x]
+                    path = {a}
+                    while match[a] != -1:
+                        a = base[parent[match[a]]]
+                        path.add(a)
+                    b = base[y]
+                    while b not in path:
+                        if match[b] == -1:
+                            raise RuntimeError(
+                                "augmenting path between two trees of a maximum matching")
+                        b = base[parent[match[b]]]
+                    # route both sides to b through the cycle, collecting its blossoms
                     bases = set()
-                    mark_path(x, b, y, bases)
-                    mark_path(y, b, x, bases)
-                    for z in forest:
-                        if base[z] in bases:
-                            base[z] = b
-                            if not outer[z]:
-                                outer[z] = True
-                                queue.append(z)
+                    for z, child in ((x, y), (y, x)):
+                        while base[z] != b:
+                            bases.add(base[z])
+                            bases.add(base[match[z]])
+                            parent[z] = child
+                            child = match[z]
+                            z = parent[child]
+                    moved = []
+                    for c in bases:
+                        moved += members.pop(c, (c,))
+                    moved.sort(key=pos.__getitem__)
+                    for z in moved:
+                        base[z] = b
+                        if not outer[z]:
+                            outer[z] = True
+                            queue.append(z)
+                    members.setdefault(b, [b]).extend(moved)
                 elif parent[y] == -1:
                     parent[y] = x
                     if match[y] == -1:
+                        self.nodes += pops
                         return y, parent, outer
-                    outer[match[y]] = True
-                    queue.append(match[y])
-                    forest += (y, match[y])
+                    m = match[y]
+                    outer[m] = True
+                    queue.append(m)
+                    pos[y] = joined
+                    pos[m] = joined + 1
+                    joined += 2
+        self.nodes += pops
         return -1, parent, outer
 
     def augment(self, end, parent):
@@ -604,22 +647,46 @@ class _Blossom:
         return [x for x in range(len(parent)) if parent[x] != -1 and not outer[x]]
 
 
-def _odd_loop_free_components(v, removed) -> tuple:
+def _doubled_adjacency(v) -> list:
+    """Two copies of the mutual-inverse graph with adjacency matrix v, vertex
+    a + c*n in copy c, each a in V(a) joined to its other copy instead of
+    itself, that edge listed first; other neighbours ascending."""
+    n = len(v)
+    adj = _adjacency(v, copies=2)
+    for a in np.flatnonzero(v.diagonal()).tolist():
+        for c in (0, 1):
+            nbrs = adj[a + c * n]
+            nbrs.remove(a + c * n)
+            nbrs.insert(0, a + (1 - c) * n)
+    return adj
+
+
+def _odd_loop_free_components(adj, removed) -> tuple:
     """Odd components of the mutual-inverse graph minus removed that hold no
-    element a in V(a), each sorted, in order of least element."""
-    seen = np.zeros(len(v), dtype=bool)
-    seen[list(removed)] = True
+    element a in V(a), each sorted, in order of least element.
+
+    adj is the doubled graph of _doubled_adjacency: copy 0 lists the
+    inverses of each a below n, and a + n exactly when a is in V(a).
+    """
+    n = len(adj) // 2
+    seen = bytearray(n)
+    for x in removed:
+        seen[x] = 1
     comps = []
-    for a in range(len(v)):
+    for a in range(n):
         if seen[a]:
             continue
-        seen[a] = True
+        seen[a] = 1
         comp = [a]
+        loop = False
         for x in comp:
-            fresh = np.flatnonzero(v[x] & ~seen)
-            seen[fresh] = True
-            comp += fresh.tolist()
-        if len(comp) % 2 == 1 and not v[comp, comp].any():
+            for y in adj[x]:
+                if y >= n:
+                    loop = True
+                elif not seen[y]:
+                    seen[y] = 1
+                    comp.append(y)
+        if len(comp) % 2 == 1 and not loop:
             comps.append(tuple(sorted(comp)))
     return tuple(comps)
 
@@ -638,22 +705,14 @@ def find_involution_matching(table: MulTable):
     copies, and X is returned as a verified TutteBarrier.
     """
     n = table.n
-    v = inverse_matrix(table)
-    adj = []
-    for c in (0, 1):
-        for a in range(n):
-            nbrs = (np.flatnonzero(v[a]) + c * n).tolist()
-            if v[a, a]:
-                nbrs.remove(a + c * n)
-                nbrs.insert(0, a + (1 - c) * n)
-            adj.append(nbrs)
+    adj = _doubled_adjacency(inverse_matrix(table))
     solver = _Blossom(adj)
     solver.maximize()
     if -1 not in solver.match:
         f = tuple(m if m < n else a for a, m in enumerate(solver.match[:n]))
         return _verified(table, Matching(f=f, kind="involution", provenance="blossom"))
     xs = tuple(x for x in solver.inner_vertices() if x < n)
-    barrier = TutteBarrier(elements=xs, odd_components=_odd_loop_free_components(v, xs),
+    barrier = TutteBarrier(elements=xs, odd_components=_odd_loop_free_components(adj, xs),
                            nodes=solver.nodes)
     check = verify_barrier(table, barrier)
     if not check.ok:

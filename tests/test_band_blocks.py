@@ -148,6 +148,21 @@ def test_closure_check_builds_no_cell_table():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("rows,cols", [(1, 4096), (4096, 1)])
+def test_closure_check_on_thin_matrices(rows, cols):
+    # P is 1 x 4096 for the left-zero band rectangular_band(4096, 1); a 4096 x 4096
+    # middle factor in P P^T ~P would take 16.8 MB
+    zband = zero_rect_band([[True] * cols] * rows)
+    tracemalloc.start()
+    try:
+        dec = maximal_rect_subbands(zband)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.block_sizes() == ((cols, rows),)
+    assert peak < 1_000_000
+
+
 def test_lift_failure_names_first_element_in_cell_order(monkeypatch):
     # C_3 x (2x2 band): one D-class, four cells of three elements, each cell its own partner
     table = direct_product(cyclic(3), rectangular_band(2, 2))

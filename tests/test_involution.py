@@ -2,7 +2,9 @@
 
 The backtracking oracle and networkx's general matching of the doubled
 graph decide existence independently; every matching must verify and every
-"no" must carry a Tutte barrier that verify_barrier accepts.
+"no" must carry a Tutte barrier that verify_barrier accepts.  The library's
+blossom also takes the same search path as the whole-forest reference in
+blossom_reference: equal matchings, A-sets, node counts and barriers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from semigroup_match import (
     decide,
     decide_orthodox_matching,
     find_involution_matching,
+    inverse_matrix,
     inverse_sets,
     rees_matrix,
     render_table,
@@ -34,8 +38,9 @@ from semigroup_match import (
     verify_matching,
 )
 from semigroup_match.cli import main
-from semigroup_match.matching import _Blossom
+from semigroup_match.matching import _Blossom, _doubled_adjacency, _odd_loop_free_components
 
+from blossom_reference import ReferenceBlossom, doubled_adjacency, odd_loop_free_components
 from corpus import T3_INVOLUTION, band7, frame_depth, full_corpus, t_n
 from involution_oracle import involution_oracle
 
@@ -88,6 +93,60 @@ def test_blossom_agrees_with_structure_on_orthodox(name, table):
         assert isinstance(res, Matching) == decide_orthodox_matching(table).exists
 
 
+def assert_same_solver_path(solver, ref) -> list:
+    """Run both solvers to a maximum matching and its A-set, which is
+    returned; the matchings, A-sets and node counts must agree."""
+    solver.maximize()
+    ref.maximize()
+    assert (solver.match, solver.nodes) == (ref.match, ref.nodes)
+    a_set = ref.inner_vertices()
+    assert solver.inner_vertices() == a_set
+    assert solver.nodes == ref.nodes
+    return a_set
+
+
+def assert_same_as_reference(table):
+    """Adjacency, search path, components and answer equal the reference's."""
+    n = table.n
+    v = inverse_matrix(table)
+    adj = _doubled_adjacency(v)
+    assert adj == doubled_adjacency(v)
+    ref = ReferenceBlossom(doubled_adjacency(v))
+    xs = tuple(x for x in assert_same_solver_path(_Blossom(adj), ref) if x < n)
+    for removed in ((), xs):
+        assert _odd_loop_free_components(adj, removed) == odd_loop_free_components(v, removed)
+    if -1 in ref.match:
+        expected = TutteBarrier(elements=xs, odd_components=odd_loop_free_components(v, xs),
+                                nodes=ref.nodes)
+    else:
+        f = tuple(m if m < n else a for a, m in enumerate(ref.match[:n]))
+        expected = Matching(f=f, kind="involution", provenance="blossom")
+    assert find_involution_matching(table) == expected
+
+
+def random_rees(seed: int, rows: int, cols: int, density: float):
+    """Rees semigroup of a seeded random structure matrix with a one in every row and column."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((rows, cols)) < density
+    p[np.arange(rows), rng.integers(cols, size=rows)] = True
+    p[rng.integers(rows, size=cols), np.arange(cols)] = True
+    return rees_matrix(BoolStructureMatrix(p.tolist()))
+
+
+@pytest.mark.parametrize("name,table", CORPUS, ids=[name for name, _ in CORPUS])
+def test_blossom_follows_reference_on_corpus(name, table):
+    assert_same_as_reference(table)
+
+
+RANDOM_REES = [(seed, 9 + seed % 4, 9 + (seed // 4) % 4, 0.2 + 0.25 * seed / 19)
+               for seed in range(20)] + [(20, 20, 20, 0.3)]
+
+
+@pytest.mark.parametrize("seed,rows,cols,density", RANDOM_REES)
+def test_blossom_follows_reference_on_random_rees(seed, rows, cols, density):
+    assert_same_as_reference(random_rees(seed, rows, cols, density))
+
+
 def test_t3_oracle_finds_the_frozen_map():
     assert involution_oracle(t_n(3)).f == T3_INVOLUTION
 
@@ -115,6 +174,12 @@ def test_blossom_agrees_with_networkx(p):
     assert isinstance(res, Matching) == networkx_exists(table)
 
 
+@settings(max_examples=150)
+@given(regular_matrices())
+def test_blossom_follows_reference_on_regular_matrices(p):
+    assert_same_as_reference(rees_matrix(p))
+
+
 @st.composite
 def random_graphs(draw):
     size = draw(st.integers(1, 14))
@@ -134,7 +199,7 @@ def test_blossom_on_general_graphs(graph):
         adj[x].append(y)
         adj[y].append(x)
     solver = _Blossom(adj)
-    solver.maximize()
+    assert_same_solver_path(solver, ReferenceBlossom(adj))
     match = solver.match
     assert all(m == -1 or (match[m] == x and m in adj[x]) for x, m in enumerate(match))
     g = nx.Graph()
@@ -194,6 +259,38 @@ class TestVerifyBarrier:
         e = next(a for a in range(table.n) if a in v[a])
         res = verify_barrier(table, TutteBarrier(elements=(), odd_components=((e,),), nodes=0))
         assert (res.ok, res.reason, res.element) == (False, "component element is its own inverse", e)
+
+    def test_barrier_element_not_an_integer(self):
+        floats = tuple(float(x) for x in self.barrier.elements)
+        for elements in ((0.5,), floats):
+            res = verify_barrier(self.table, self.tampered(elements=elements))
+            assert (res.ok, res.reason, res.element) == (
+                False, "barrier element not an integer", None)
+
+    def test_component_element_not_an_integer(self):
+        comps = self.barrier.odd_components
+        for comp in ((0.5,), tuple(float(a) for a in comps[-1])):
+            res = verify_barrier(self.table, self.tampered(odd_components=comps[:-1] + (comp,)))
+            assert (res.ok, res.reason, res.element) == (
+                False, "component element not an integer", None)
+
+    def test_numpy_integers_are_elements(self):
+        barrier = self.tampered(elements=tuple(np.int64(x) for x in self.barrier.elements),
+                                odd_components=tuple(tuple(np.intp(a) for a in comp)
+                                                     for comp in self.barrier.odd_components))
+        assert verify_barrier(self.table, barrier).ok
+
+    def test_first_failing_element_ascending(self):
+        """Elements are checked ascending, each for a in V(a) before an inverse
+        outside, whichever element breaks which rule."""
+        table = t_n(3)
+        v = inverse_matrix(table)
+        assert v[5, 5] and v[7, 7] and v[21, 21] and not v[1, 1] and not v[15, 15]
+        assert v[1, 6] and v[15, 19]
+        for comp, expected in [((1, 5, 7), ("component has an inverse outside the barrier", 1)),
+                               ((5, 15, 21), ("component element is its own inverse", 5))]:
+            res = verify_barrier(table, TutteBarrier(elements=(), odd_components=(comp,), nodes=0))
+            assert (res.ok, (res.reason, res.element)) == (False, expected)
 
 
 def test_no_global_interpreter_state(monkeypatch):
