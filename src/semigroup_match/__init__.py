@@ -68,6 +68,7 @@ from .structure import (
     idempotents,
     inverse_matrix,
     inverse_sets,
+    is_orthodox,
     orthodoxy_witness,
 )
 from .table import (

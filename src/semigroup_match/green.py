@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import MulTable, _transposed, derived
+from .table import _ASSOC_CHUNK_CELLS, MulTable, _transposed, derived
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,18 @@ def green_classes(table: MulTable) -> GreenStructure:
     """
     n = table.n
     prod = table.product
+    ar = np.arange(n)
     right = np.eye(n, dtype=bool)          # right[a, b]: b in aS^1
-    right[np.arange(n)[:, None], prod] = True
-    # indexed [b, a] so that both scatters read prod in memory order
     left = np.eye(n, dtype=bool)           # left[b, a]: b in S^1a
-    left[prod, np.arange(n)[None, :]] = True
+    # flat-index scatters are faster than 2-D fancy indexing but build their
+    # intp index, so they go a block of rows (about _ASSOC_CHUNK_CELLS bytes
+    # of index) at a time; left is indexed [b, a] so that both scatters read
+    # prod in memory order
+    step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
+    for start in range(0, n, step):
+        rows = prod[start:start + step]
+        right.ravel()[(ar[start:start + step] * n)[:, None] + rows] = True
+        left.ravel()[rows * n + ar] = True
     r_rel = right & _transposed(right)
     l_rel = left & _transposed(left)
     # argmax finds the first True, so these are the least elements of the classes

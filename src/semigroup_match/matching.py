@@ -37,6 +37,7 @@ from .structure import (
     gamma_structure,
     idempotents,
     inverse_matrix,
+    is_orthodox,
     orthodoxy_witness,
 )
 from .table import _ASSOC_CHUNK_CELLS, MulTable, _narrow, _powers, _transposed
@@ -729,16 +730,19 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
     method picks the structural ("orthodox"), bipartite ("hall") or subset
     ("brute") route; "auto" is structural on orthodox input and bipartite
     otherwise, and an involution on non-orthodox input is decided by
-    Edmonds' blossom algorithm.  cap bounds "brute".  Returns a verified
-    Matching, a HallCertificate, or a verified TutteBarrier from the blossom
-    route.  Bipartite matching must agree with the other routes.
+    Edmonds' blossom algorithm.  "auto" tells the two apart with
+    is_orthodox, which reads the inverse relation and the orthodoxy witness
+    alone, so a non-orthodox table never builds Green's relations here.
+    cap bounds "brute".  Returns a verified Matching, a HallCertificate, or
+    a verified TutteBarrier from the blossom route.  Bipartite matching
+    must agree with the other routes.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if involution and method in ("hall", "brute"):
         raise ValueError(f"involution matchings cannot use method {method}")
     if method == "auto":
-        method = "orthodox" if classify(table).orthodox else "hall"
+        method = "orthodox" if is_orthodox(table) else "hall"
     if method == "orthodox":
         decision = decide_orthodox_matching(table)
         if decision.exists:

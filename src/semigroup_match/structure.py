@@ -88,7 +88,7 @@ def gamma_structure(table: MulTable) -> InverseSets:
     k = len(class_list)
 
     v_involution = None
-    if orthodoxy_witness(table) is None:
+    if is_orthodox(table):
         ids = np.array(gamma_class)
         involution = []
         for c in range(k):
@@ -131,6 +131,16 @@ def orthodoxy_witness(table: MulTable):
     return (int(idems[e]), int(idems[f]))
 
 
+@derived("orthodox")
+def is_orthodox(table: MulTable) -> bool:
+    """S is regular (every V(a) is non-empty) and E(S) is a subsemigroup.
+
+    Reads only inverse_matrix, idempotents and orthodoxy_witness, never
+    Green's relations, so picking a matching route costs no classification.
+    """
+    return bool(inverse_matrix(table).any(axis=1).all()) and orthodoxy_witness(table) is None
+
+
 @dataclass(frozen=True)
 class ClassificationFlags:
     regular: bool
@@ -156,7 +166,6 @@ def classify(table: MulTable) -> ClassificationFlags:
     inverse_counts = inverse_matrix(table).sum(axis=1)
 
     regular = bool(inverse_counts.all())
-    ortho = regular and orthodoxy_witness(table) is None
     inverse = regular and bool((inverse_counts == 1).all())
     sq = prod[ar, ar]
     band = bool(np.array_equal(sq, ar))
@@ -174,7 +183,7 @@ def classify(table: MulTable) -> ClassificationFlags:
     has_zero = bool((prod[:, left_zeros] == left_zeros).all(axis=0).any())
     return ClassificationFlags(
         regular=regular,
-        orthodox=ortho,
+        orthodox=is_orthodox(table),
         inverse=inverse,
         band=band,
         rectangular_band=rect_band,

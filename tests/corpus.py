@@ -240,6 +240,20 @@ def full_corpus() -> list[tuple[str, MulTable]]:
     return items
 
 
+def random_rees(seed: int, rows: int, cols: int, density: float) -> MulTable:
+    """Rees semigroup of a seeded random structure matrix with a one in every row and column."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((rows, cols)) < density
+    p[np.arange(rows), rng.integers(cols, size=rows)] = True
+    p[rng.integers(rows, size=cols), np.arange(cols)] = True
+    return rees_matrix(BoolStructureMatrix(p.tolist()))
+
+
+# (seed, rows, cols, density) of random_rees fixtures: none of them is orthodox
+RANDOM_REES = [(seed, 9 + seed % 4, 9 + (seed // 4) % 4, 0.2 + 0.25 * seed / 19)
+               for seed in range(20)] + [(20, 20, 20, 0.3)]
+
+
 def one_entry_mutations(product):
     """Every table that differs from product in exactly one entry."""
     n = product.shape[0]

@@ -41,7 +41,7 @@ from semigroup_match.cli import main
 from semigroup_match.matching import _Blossom, _doubled_adjacency, _odd_loop_free_components
 
 from blossom_reference import ReferenceBlossom, doubled_adjacency, odd_loop_free_components
-from corpus import T3_INVOLUTION, band7, frame_depth, full_corpus, t_n
+from corpus import RANDOM_REES, T3_INVOLUTION, band7, frame_depth, full_corpus, random_rees, t_n
 from involution_oracle import involution_oracle
 
 CORPUS = full_corpus()
@@ -124,22 +124,9 @@ def assert_same_as_reference(table):
     assert find_involution_matching(table) == expected
 
 
-def random_rees(seed: int, rows: int, cols: int, density: float):
-    """Rees semigroup of a seeded random structure matrix with a one in every row and column."""
-    rng = np.random.default_rng(seed)
-    p = rng.random((rows, cols)) < density
-    p[np.arange(rows), rng.integers(cols, size=rows)] = True
-    p[rng.integers(rows, size=cols), np.arange(cols)] = True
-    return rees_matrix(BoolStructureMatrix(p.tolist()))
-
-
 @pytest.mark.parametrize("name,table", CORPUS, ids=[name for name, _ in CORPUS])
 def test_blossom_follows_reference_on_corpus(name, table):
     assert_same_as_reference(table)
-
-
-RANDOM_REES = [(seed, 9 + seed % 4, 9 + (seed // 4) % 4, 0.2 + 0.25 * seed / 19)
-               for seed in range(20)] + [(20, 20, 20, 0.3)]
 
 
 @pytest.mark.parametrize("seed,rows,cols,density", RANDOM_REES)

@@ -17,6 +17,7 @@ from semigroup_match import (
     TooLargeError,
     TutteBarrier,
     VerifyResult,
+    classify,
     count_permutation_matchings,
     decide,
     decide_orthodox_matching,
@@ -27,6 +28,7 @@ from semigroup_match import (
     h_quotient_band,
     hall_brute_force,
     inverse_sets,
+    is_orthodox,
     lift_band_matching,
     orthodox_involution,
     principal_factors,
@@ -39,6 +41,7 @@ from semigroup_match import matching as matching_mod
 
 from characterization_reference import reference_characterizations
 from corpus import (
+    RANDOM_REES,
     T3_INVOLUTION,
     band7,
     block_band,
@@ -52,6 +55,7 @@ from corpus import (
     monogenic,
     null_semigroup,
     one_entry_mutations,
+    random_rees,
     small_corpus,
     t_n,
 )
@@ -300,6 +304,32 @@ class TestDecide:
     def test_rejects_bad_method(self, method):
         with pytest.raises(ValueError):
             decide(cyclic(2), method=method, involution=method != "nope")
+
+
+# full_corpus() holds T_3 and T_4; the Rees semigroups are regular, not orthodox
+ROUTE_TABLES = full_corpus() + [
+    (f"rees{seed}", random_rees(seed, rows, cols, density))
+    for seed, rows, cols, density in RANDOM_REES[:20]
+]
+NON_ORTHODOX = [(name, table) for name, table in ROUTE_TABLES if not is_orthodox(table)]
+
+
+class TestRoute:
+    @pytest.mark.parametrize("name,table", ROUTE_TABLES, ids=[name for name, _ in ROUTE_TABLES])
+    def test_is_orthodox_is_the_classification_flag(self, name, table):
+        fresh = MulTable(table.product)
+        assert is_orthodox(fresh) is classify(fresh).orthodox
+        if name.startswith("rees"):
+            assert not is_orthodox(fresh)
+
+    @pytest.mark.parametrize("name,table", NON_ORTHODOX, ids=[name for name, _ in NON_ORTHODOX])
+    def test_non_orthodox_route_skips_the_classification(self, name, table):
+        # auto reads only the inverse relation and the orthodoxy witness
+        fresh = MulTable(table.product)
+        assert decide(fresh) == decide(table, method="hall")
+        assert decide(fresh, involution=True) == find_involution_matching(table)
+        assert "green" not in fresh._cache
+        assert "classify" not in fresh._cache
 
 
 class TestInvolutionSearch:
