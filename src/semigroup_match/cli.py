@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 import time
-from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .matching import (
 )
 from .structure import classify, idempotents
 from .table import (
+    DEFAULT_RANK_CAP,
     DEFAULT_SIZE_CAP,
     BoolStructureMatrix,
     MulTable,
@@ -99,16 +99,18 @@ def _certificate_json(cert: HallCertificate) -> dict:
 def _render_egg_box(band, dec) -> list:
     """Text grid of one band: H-class sizes, '*' on idempotent cells.
 
-    With a decomposition the rows and columns are reordered so each subband
-    occupies a diagonal block, and block boundaries are drawn.
+    Every H-class of a D-class has the same size (Green's lemma), so every
+    cell shows the same number.  With a decomposition the rows and columns
+    are reordered so each subband occupies a diagonal block, and block
+    boundaries are drawn.
     """
-    sizes = Counter(band.h_map.values())
+    size = len(band.h_map) // (band.m * band.n)
     r_ord = list(dec.r_order) if dec is not None else list(range(band.m))
     l_ord = list(dec.l_order) if dec is not None else list(range(band.n))
     row_groups = [s.m for s in dec.subbands] if dec is not None else [band.m]
     col_groups = [s.n for s in dec.subbands] if dec is not None else [band.n]
     cells = [
-        [f"{sizes[(i, lam)]}{'*' if band.p.entries[lam][i] else ''}" for lam in l_ord]
+        [f"{size}{'*' if band.p.entries[lam][i] else ''}" for lam in l_ord]
         for i in r_ord
     ]
     width = max(len(c) for row in cells for c in row)
@@ -410,6 +412,8 @@ def cmd_gen(args) -> int:
         _check_gen_size("Rees matrix semigroup", p.rows * p.cols + 1, args.cap)
         table = rees_matrix(p)
     elif args.kind == "tn":
+        if args.cap is not None and 1 <= args.n <= DEFAULT_RANK_CAP:
+            _check_gen_size("full transformation semigroup", args.n ** args.n, args.cap)
         if args.cap is not None and args.n >= 1 and _tn_fits(args.n, args.cap):
             table = full_transformation(args.n, max_rank=args.n)
         else:

@@ -126,8 +126,9 @@ def _generators(product: np.ndarray) -> np.ndarray:
     unreached candidate is taken.  Both scans only move forward.
 
     The reached set grows by right multiplication over Python lists of the
-    generators' columns, each (element, generator) product read once, and
-    stops as soon as every element is reached.
+    generators' columns: queue[:i] has been multiplied by every column, so
+    a new generator's column is applied to queue[:i] once, and each later
+    element by every column when the cursor reaches it.
     """
     n = product.shape[0]
     size, row_min, col_min, in_square = _ideal_profile(product)
@@ -135,40 +136,32 @@ def _generators(product: np.ndarray) -> np.ndarray:
     row_min, col_min = row_min.tolist(), col_min.tolist()
     reached = bytearray(n)
     queue = []                        # reached elements, in the order reached
-    gens, columns, done = [], [], []  # done[k]: queue[:done[k]] times gens[k] is read
+    gens, columns = [], []
     rows_taken, cols_taken = bytearray(n), bytearray(n)
     new = np.flatnonzero(~in_square).tolist()
-    tie = fallback = 0
+    i = tie = fallback = 0
     while True:
         for g in new:
+            column = product[:, g].tolist()
             gens.append(g)
-            columns.append(None)
-            done.append(0)
+            columns.append(column)
             rows_taken[row_min[g]] = cols_taken[col_min[g]] = 1
             # no product reaches an element outside S^2, and later picks are unreached
             reached[g] = 1
             queue.append(g)
-        # visit the generators in turn until none has an unread product
-        k = idle = 0
-        while len(queue) < n and idle < len(gens):
-            i = done[k]
-            if i == len(queue):
-                idle += 1
-            else:
-                idle = 0
-                if columns[k] is None:
-                    columns[k] = product[:, gens[k]].tolist()
-                column = columns[k]
-                while i < len(queue):
-                    y = column[queue[i]]
-                    i += 1
-                    if not reached[y]:
-                        reached[y] = 1
-                        queue.append(y)
-                        if len(queue) == n:
-                            break
-                done[k] = i
-            k = (k + 1) % len(gens)
+            for x in queue[:i]:
+                y = column[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    queue.append(y)
+        while i < len(queue) < n:
+            x = queue[i]
+            i += 1
+            for column in columns:
+                y = column[x]
+                if not reached[y]:
+                    reached[y] = 1
+                    queue.append(y)
         if len(queue) == n:
             return np.array(gens, dtype=np.intp)
         while tie < n:

@@ -9,9 +9,11 @@ import pytest
 from semigroup_match import (
     TableFormatError,
     cli,
+    direct_product,
     green_classes,
     idempotents,
     parse_table,
+    rectangular_band,
     render_table,
     verify_matching,
 )
@@ -400,6 +402,15 @@ class TestFactors:
         assert "similar: no" in out
         assert "D-class 1: 1 elements, band 1x1" in out
 
+    def test_band_times_group_grid(self, tmp_path, capsys):
+        # every H-class of the 2 x 3 band times C_3 holds 3 elements, an idempotent among them
+        path = tmp_path / "rect23_x_c3.tbl"
+        path.write_text(render_table(direct_product(rectangular_band(2, 3), cyclic(3))),
+                        encoding="utf-8")
+        code, out, _ = run(["factors", path], capsys)
+        assert code == 0
+        assert "D-class 0: 18 elements, band 2x3\n  3* 3* 3*\n  3* 3* 3*\n  blocks: 2x3\n" in out
+
     def test_inverse_all_singleton_blocks(self, tables, capsys):
         code, out, _ = run(["factors", tables["brandt2"]], capsys)
         assert code == 0
@@ -488,6 +499,16 @@ class TestGen:
         code, _, err = run(["gen", "tn", 5, tmp_path / "t5.tbl"], capsys)
         assert code == 2
         assert "raise it explicitly" in err
+
+    def test_tn_lowered_cap(self, tmp_path, capsys):
+        out_path = tmp_path / "t3.tbl"
+        code, _, err = run(["gen", "tn", 3, out_path, "--cap", 10], capsys)
+        assert code == 2
+        assert "error: full transformation semigroup has 27 elements, cap is 10" in err
+        assert not out_path.exists()
+        code, _, _ = run(["gen", "tn", 3, out_path, "--cap", 27], capsys)
+        assert code == 0
+        assert parse_table(out_path.read_text(encoding="utf-8")) == t_n(3)
 
     @pytest.mark.parametrize("argv", [["2000"], ["1000000", "--cap", "5000"]])
     def test_tn_refuses_huge_n_fast(self, tmp_path, capsys, argv):
