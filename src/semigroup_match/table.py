@@ -14,6 +14,17 @@ largest |aS| + |Sa| whose row and column minima (its R- and L-class, when
 it is regular) no generator has yet, or failing that the unreached one
 with the largest |aS| + |Sa|: 6 generators for T_5, whose rank is 3.
 
+A generator g with a small ideal is checked through Sg and gS instead.
+With Z the values xg, V the values gy and rep(v) one y with gy = v, the
+condition holds for g exactly when (A) every row z of Z is constant on
+each class {y : gy = v} and (B) (xg) rep(v) = x v for every x and v: about
+|Z| |C| + |R| |V| cells instead of |R| |C|.  A generator takes this route
+when (|gS| + |Sg|) * max(|R|, |C|) is at most a quarter of |R| |C|, and
+only when those generators would cost more than 2^18 direct cells.  So
+0-simple Rees and Brandt semigroups of about 150 elements and up, where
+Sg lies in L_g and 0 and gS in R_g and 0, take it; bands, left-zero
+bands, null semigroups and T_n never do.
+
 parse_table reads the rows of a table file with np.fromstring; any row that
 reader might take differently from str.split and int() sends the whole table
 through the per-row int() loop, which accepts the same tables and words
@@ -87,12 +98,13 @@ def _entries_seen(lines: np.ndarray) -> np.ndarray:
     return seen
 
 
-def _ideal_profile(product: np.ndarray):
+def _ideal_profile(product: np.ndarray, transposed: np.ndarray | None = None):
     """|aS| + |Sa| and the least elements of aS and of Sa for each a, and S^2.
 
     The entries of a block of rows, and of the matching block of columns,
     are scattered into bool blocks and counted, so nothing is sorted and no
-    n x n temporary is made.
+    n x n temporary is made.  The columns are read as rows of transposed,
+    product.T in C order, when the caller has it.
     """
     n = product.shape[0]
     # the blocks' intp scatter index takes about _ASSOC_CHUNK_CELLS bytes
@@ -104,7 +116,7 @@ def _ideal_profile(product: np.ndarray):
     for start in range(0, n, step):
         block = slice(start, start + step)
         rows = _entries_seen(product[block])
-        cols = _entries_seen(product[:, block].T)
+        cols = _entries_seen(product[:, block].T if transposed is None else transposed[block])
         size[block] = np.count_nonzero(rows, axis=1) + np.count_nonzero(cols, axis=1)
         # argmax finds the first True, the least entry
         row_min[block] = rows.argmax(axis=1)
@@ -113,7 +125,7 @@ def _ideal_profile(product: np.ndarray):
     return size, row_min, col_min, in_square
 
 
-def _generators(product: np.ndarray) -> np.ndarray:
+def _generators(product: np.ndarray, profile=None) -> np.ndarray:
     """Elements whose products, multiplied out from the left, reach every element.
 
     Every element outside S^2 is taken first.  Then, while some element is
@@ -128,10 +140,11 @@ def _generators(product: np.ndarray) -> np.ndarray:
     The reached set grows by right multiplication over Python lists of the
     generators' columns: queue[:i] has been multiplied by every column, so
     a new generator's column is applied to queue[:i] once, and each later
-    element by every column when the cursor reaches it.
+    element by every column when the cursor reaches it.  profile is
+    _ideal_profile(product), computed here when not given.
     """
     n = product.shape[0]
-    size, row_min, col_min, in_square = _ideal_profile(product)
+    size, row_min, col_min, in_square = _ideal_profile(product) if profile is None else profile
     candidates = np.argsort(-size, kind="stable").tolist()
     row_min, col_min = row_min.tolist(), col_min.tolist()
     reached = bytearray(n)
@@ -233,7 +246,7 @@ def _has_left_identity(product: np.ndarray, xs: np.ndarray) -> bool:
 
 
 def _light_sets(product: np.ndarray):
-    """xs, gens, ys: product is associative exactly when (xg)y = x(gy) on them.
+    """xs, gens, ys, bound: product is associative exactly when (xg)y = x(gy) on them.
 
     xs is the least element of each distinct row and ys the least of each
     distinct column: when x and x' share their row, xg = x'g and
@@ -241,18 +254,21 @@ def _light_sets(product: np.ndarray):
     equal columns work the same way for y.  For the same reason g needs one
     element per (row, column) class.  gens is the least element of every
     class when that costs at most 2 n^2 cells, no more than _ideal_profile
-    scatters; otherwise it is _generators, the first of each class in its
-    order.  An injective row tells every two columns apart, so when one
-    exists the columns are not compared at all.
+    scatters, and bound is None; otherwise gens is _generators, the first of
+    each class in its order, and bound[k] is |gS| + |Sg| for g = gens[k].
+    An injective row tells every two columns apart, so when one exists the
+    columns are not compared at all; otherwise _ideal_profile reads the
+    columns off the transposed copy the comparison made.
     """
     n = product.shape[0]
     ident = np.arange(n)
     row_first = _first_equal(product)
     xs = np.flatnonzero(row_first == ident)
     if _has_left_identity(product, xs):
-        col_first = ident
+        col_first, transposed = ident, None
     else:
-        col_first = _first_equal(_transposed(product))
+        transposed = _transposed(product)
+        col_first = _first_equal(transposed)
     ys = np.flatnonzero(col_first == ident)
     if len(xs) == n or len(ys) == n:
         # every element is alone in its (row, column) class
@@ -261,12 +277,105 @@ def _light_sets(product: np.ndarray):
         pair = row_first * n + col_first
         _, classes = np.unique(pair, return_index=True)
     if len(xs) * len(classes) * len(ys) <= 2 * n * n:
-        return xs, np.sort(classes), ys
-    gens = _generators(product)
+        return xs, np.sort(classes), ys, None
+    profile = _ideal_profile(product, transposed)
+    del transposed
+    gens = _generators(product, profile)
     if pair is not None:
         _, keep = np.unique(pair[gens], return_index=True)
         gens = gens[np.sort(keep)]
-    return xs, gens, ys
+    return xs, gens, ys, profile[0][gens]
+
+
+def _blocks(outer: int, inner: int, width: int):
+    """(outer, inner) slice pairs covering outer x inner items of width cells each.
+
+    Each pair covers about _ASSOC_CHUNK_CELLS cells, and every inner item
+    of an outer one when they fit; the pairs come in outer-major order.
+    """
+    o_step = max(1, _ASSOC_CHUNK_CELLS // (inner * width))
+    i_step = max(1, _ASSOC_CHUNK_CELLS // (o_step * width))
+    for o in range(0, outer, o_step):
+        for i in range(0, inner, i_step):
+            yield slice(o, o + o_step), slice(i, i + i_step)
+
+
+def _value_slots(lines: np.ndarray, n: int):
+    """values, slot, cells: the distinct entries of each row and where each entry sits among them.
+
+    values[i] lists the entries of lines[i] in ascending order, padded to
+    a common width by repeating the largest, and lines[i, j] is
+    values[i, slot[i, j]].  cells[i, j] = i n + lines[i, j] is the entry's
+    place in a row of n cells per line.  The entries are scattered into
+    those bool rows, as in _ideal_profile, so nothing is sorted: a running
+    count of the scattered cells ranks them, and the values are found by
+    searching the ranks.
+    """
+    offsets = np.arange(0, len(lines) * n, n)[:, None]
+    cells = lines + offsets
+    seen = np.zeros(len(lines) * n, dtype=bool)
+    seen[cells] = True
+    rank = np.cumsum(seen)            # rank[c]: cells seen up to c, c included
+    end = rank[n - 1::n]
+    count = end.copy()
+    count[1:] -= end[:-1]
+    before = (end - count)[:, None]
+    values = np.searchsorted(rank, before + np.minimum(np.arange(1, count.max() + 1), count[:, None]))
+    values -= offsets
+    return values, rank[cells] - before - 1, cells
+
+
+def _factored_check(compact, x_rows, y_cols, ys, gens) -> bool:
+    """Whether (xg)y = x(gy) for every x of xs, y of ys and g of gens.
+
+    x_rows and y_cols are _associativity_witness's.  Fix g, let Z be the
+    values xg, V the values gy and rep(v) one y with gy = v.  The condition
+    holds exactly when
+    (A) every row z of Z is constant on each class {y : gy = v}, and
+    (B) (xg) rep(v) = x v for every x and every v of V,
+    for then (xg)y = (xg) rep(gy) = x(gy).  Z lies in Sg and V in gS, so
+    this reads about |Z| |C| + |R| |V| cells instead of |R| |C|.  A block of
+    generators is checked at once: its Z and V come from bool-row scatters,
+    padded to a common width, and both conditions compare whole runs of
+    cells, a chunk of _ASSOC_CHUNK_CELLS cells at a time.
+    """
+    n = compact.shape[0]
+    nx, ny = x_rows.shape[0], y_cols.shape[1]
+    # each intp array of a block's scatters takes about _ASSOC_CHUNK_CELLS bytes
+    step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
+    for start in range(0, len(gens), step):
+        g = gens[start:start + step]
+        z, z_slot, _ = _value_slots(np.ascontiguousarray(x_rows[:, g].T), n)   # x_i g_k = z[k, z_slot[k, i]]
+        v, _, v_cells = _value_slots(y_cols[g], n)                             # v[k]: the values g_k y_j
+        rep = np.empty(len(g) * n, dtype=np.intp)
+        rep[v_cells] = np.arange(ny)          # g_k y_j = v: rep[k n + v] is one such j
+        same = rep[v_cells]                   # same[k, j]: the rep of y_j's class under g_k
+        v_rep = ys[rep[v + np.arange(0, len(g) * n, n)[:, None]]]
+        k = np.arange(len(g))[:, None]
+        width = z.shape[1]
+        for gb, zb in _blocks(len(g), width, ny):
+            # (A): rows[k, j, i] = z[k, i] y_j equals z[k, i] rep(g_k y_j)
+            rows = np.ascontiguousarray(y_cols[z[gb, zb]].transpose(0, 2, 1))
+            at = same[gb] + k[:rows.shape[0]] * ny
+            if not np.array_equal(rows, np.take(rows.reshape(-1, rows.shape[2]), at, axis=0)):
+                return False
+        for gb, xb in _blocks(len(g), nx, v.shape[1]):
+            # (B): left[i, k, u] = (x_i g_k) rep(v[k, u]) equals x_i v[k, u]
+            by_z = compact[z[gb, :, None], v_rep[gb, None, :]]       # z[k, i] rep(v[k, u])
+            at = (z_slot[gb, xb] + k[:by_z.shape[0]] * width).T
+            left = np.take(by_z.reshape(-1, by_z.shape[2]), at, axis=0)
+            if not np.array_equal(left, np.take(x_rows[xb], v[gb], axis=1)):
+                return False
+    return True
+
+
+# A generator goes to _factored_check when its |gS| + |Sg| bounds the cells
+# read there by a quarter of its direct |xs| |ys|, and only when the
+# generators that go would cost more than _FACTORED_MIN_CELLS direct cells:
+# below that, the few dozen numpy calls of _factored_check cost more than
+# the cells they save
+_FACTORED_RATIO = 4
+_FACTORED_MIN_CELLS = 1 << 18
 
 
 def _associativity_witness(product: np.ndarray):
@@ -276,25 +385,33 @@ def _associativity_witness(product: np.ndarray):
     product, so checking a generating set decides associativity, on the
     row/column quotient of _light_sets: |xs| * |gens| * |ys| cells.  Only a
     table that fails it pays the full sweep, which finds the first triple.
+    Where _light_sets bounds |gS| + |Sg|, the generators with small ideals
+    go to _factored_check, which reads only about |Sg| |ys| + |xs| |gS|
+    cells each; the others are checked directly.
     """
     n = product.shape[0]
     compact = _narrow(product)
-    xs, gens, ys = _light_sets(compact)
+    xs, gens, ys, bound = _light_sets(compact)
     # a table with no repeated row (or column) is read in place
     x_rows = compact if len(xs) == n else compact[xs]        # x_rows[i, b] = xs[i]*b
     y_cols = compact if len(ys) == n else compact[:, ys]     # y_cols[a, j] = a*ys[j]
+    direct = len(xs) * len(ys)
+    if bound is not None and len(gens) * direct > _FACTORED_MIN_CELLS:
+        # |Sg| |ys| + |xs| |gS| <= bound * max(|xs|, |ys|)
+        factored = _FACTORED_RATIO * bound * max(len(xs), len(ys)) <= direct
+        if factored.sum() * direct > _FACTORED_MIN_CELLS:
+            if not _factored_check(compact, x_rows, y_cols, ys, gens[factored]):
+                return _full_witness(compact)
+            gens = gens[~factored]
     xg = x_rows[:, gens]              # xg[i, k] = xs[i]*g_k
     gy = y_cols[gens]                 # gy[k, j] = g_k*ys[j]
-    g_step = max(1, _ASSOC_CHUNK_CELLS // (len(xs) * len(ys)))
-    x_step = max(1, _ASSOC_CHUNK_CELLS // (g_step * len(ys)))
     # np.take lays x(gy) out in C order like (xg)y; fancy indexing would
     # not, and comparing mismatched layouts is several times slower
-    for k in range(0, len(gens), g_step):
-        for x in range(0, len(xs), x_step):
-            left = y_cols[xg[x:x + x_step, k:k + g_step]]                  # (xg)y
-            right = np.take(x_rows[x:x + x_step], gy[k:k + g_step], axis=1)  # x(gy)
-            if not np.array_equal(left, right):
-                return _full_witness(compact)
+    for k, x in _blocks(len(gens), len(xs), len(ys)):
+        left = y_cols[xg[x, k]]                   # (xg)y
+        right = np.take(x_rows[x], gy[k], axis=1)   # x(gy)
+        if not np.array_equal(left, right):
+            return _full_witness(compact)
     return None
 
 

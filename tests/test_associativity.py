@@ -3,10 +3,15 @@
 MulTable decides associativity by checking a generating set on the
 row/column quotient of the table and runs the full sweep only when that
 check fails, so every NotAssociativeError must carry the same
-lexicographically first bad triple as the sweep.
+lexicographically first bad triple as the sweep.  Generators with small
+ideals are checked through Sg and gS (_factored_check); the tests at the
+end force that route and check it the same way.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +19,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semigroup_match import (
+    BoolStructureMatrix,
     MulTable,
     NotAssociativeError,
     direct_product,
     full_transformation,
     green_classes,
     rectangular_band,
+    rees_matrix,
 )
 from semigroup_match import table as table_mod
 from semigroup_match.factors import principal_factor
@@ -31,6 +38,7 @@ from semigroup_match.table import (
     _has_left_identity,
     _ideal_profile,
     _light_sets,
+    _transposed,
 )
 
 from associativity_reference import round_robin_generators
@@ -38,6 +46,7 @@ from corpus import (
     RANDOM_REES,
     adjoin_zero,
     block_band,
+    brandt,
     cyclic,
     full_corpus,
     left_zero,
@@ -181,11 +190,13 @@ def test_ideal_profile_matches_the_definition(monkeypatch, cells):
         p = table.product
         rows = [set(p[a].tolist()) for a in range(table.n)]
         cols = [set(p[:, a].tolist()) for a in range(table.n)]
-        size, row_min, col_min, in_square = _ideal_profile(p)
-        assert size.tolist() == [len(r) + len(c) for r, c in zip(rows, cols)]
-        assert row_min.tolist() == [min(r) for r in rows]
-        assert col_min.tolist() == [min(c) for c in cols]
-        assert np.flatnonzero(in_square).tolist() == sorted(set().union(*rows))
+        # the columns read off the product, and off its transposed copy
+        for transposed in (None, _transposed(p)):
+            size, row_min, col_min, in_square = _ideal_profile(p, transposed)
+            assert size.tolist() == [len(r) + len(c) for r, c in zip(rows, cols)]
+            assert row_min.tolist() == [min(r) for r in rows]
+            assert col_min.tolist() == [min(c) for c in cols]
+            assert np.flatnonzero(in_square).tolist() == sorted(set().union(*rows))
 
 
 def _relabelled(product, seed):
@@ -238,7 +249,7 @@ def _check_light_sets(product):
     want_ys = [a for a in range(n) if cols[a] not in cols[:a]]
     pairs = list(zip(rows, cols))
     classes = [a for a in range(n) if pairs[a] not in pairs[:a]]
-    xs, gens, ys = _light_sets(product)
+    xs, gens, ys, _ = _light_sets(product)
     assert xs.tolist() == want_xs
     assert ys.tolist() == want_ys
     if len(want_xs) * len(classes) * len(want_ys) <= 2 * n * n:
@@ -261,9 +272,9 @@ def test_one_class_per_distinct_row_and_column():
     # the null semigroup has one row, one column and so one class; the
     # left-zero band's rows are constant at the element, so all differ,
     # and every column is the identity map
-    xs, gens, ys = _light_sets(null_semigroup(64).product)
+    xs, gens, ys, _ = _light_sets(null_semigroup(64).product)
     assert (xs.tolist(), gens.tolist(), ys.tolist()) == ([0], [0], [0])
-    xs, gens, ys = _light_sets(left_zero(64).product)
+    xs, gens, ys, _ = _light_sets(left_zero(64).product)
     assert (xs.tolist(), gens.tolist(), ys.tolist()) == (list(range(64)), list(range(64)), [0])
 
 
@@ -297,5 +308,168 @@ def test_rectangular_band_checks_n_squared_cells(rows, cols):
     # k rows, l columns and every element its own class: k * n * l = n^2
     n = rows * cols
     product = _relabelled(rectangular_band(rows, cols).product, 0)
-    xs, gens, ys = _light_sets(product)
+    xs, gens, ys, _ = _light_sets(product)
     assert (len(xs), len(gens), len(ys)) == (rows, n, cols)
+
+
+# --- Light's condition through Sg and gS ------------------------------------
+
+
+@contextlib.contextmanager
+def _factored_calls(**constants):
+    """The sizes of the generator sets _factored_check is called on.
+
+    constants override table's module constants meanwhile; with
+    _FACTORED_RATIO and _FACTORED_MIN_CELLS at 0, every generator that
+    _light_sets bounds is checked through Sg and gS.
+    """
+    calls = []
+    real = table_mod._factored_check
+
+    def spy(compact, x_rows, y_cols, ys, gens):
+        calls.append(len(gens))
+        return real(compact, x_rows, y_cols, ys, gens)
+
+    with mock.patch.multiple(table_mod, _factored_check=spy, **constants):
+        yield calls
+
+
+FACTORED_EVERYWHERE = {"_FACTORED_RATIO": 0, "_FACTORED_MIN_CELLS": 0}
+
+
+def _sampled_mutations(product, count, seed):
+    """count tables that each differ from product in one seeded entry.
+
+    Every other one changes a random entry to a random value; the rest set
+    a product equal to the most frequent entry (the zero of a Rees
+    semigroup) to its left or right factor.  Several of those break only
+    condition (A) of _factored_check: with a random entry, (A) alone catches
+    about one mutation in a hundred.
+    """
+    n = product.shape[0]
+    rng = np.random.default_rng(seed)
+    collapsed = np.argwhere(product == np.bincount(product.ravel()).argmax())
+    for i in range(count):
+        q = product.copy()
+        if i % 2:
+            a, b = collapsed[rng.integers(len(collapsed))]
+            q[a, b] = a if rng.integers(2) else b
+        else:
+            a, b = rng.integers(n, size=2)
+            q[a, b] = (q[a, b] + rng.integers(1, n)) % n
+        yield q
+
+
+def _check_factored_route(q):
+    """q gets the sweep's witness with every bounded generator checked through Sg and gS."""
+    with _factored_calls(**FACTORED_EVERYWHERE) as calls:
+        assert _associativity_witness(q) == _full_witness(q)
+    return bool(calls)
+
+
+def _rees_times_group():
+    return direct_product(random_rees(3, 4, 5, 0.4), cyclic(3))
+
+
+# 12 mutations of each of the first 20 RANDOM_REES draws and 60 of a Rees
+# semigroup times C_3
+MUTATED = ([(f"rees{args[0]}", lambda a=args: random_rees(*a), 12) for args in RANDOM_REES[:20]]
+           + [("rees3_4x5_x_c3", _rees_times_group, 60)])
+
+
+@pytest.mark.parametrize("name,build,count", MUTATED, ids=[name for name, _, _ in MUTATED])
+def test_factored_route_gets_the_sweep_witness_on_mutations(name, build, count):
+    product = build().product
+    assert _check_factored_route(product)
+    for q in _sampled_mutations(product, count, seed=product.shape[0]):
+        assert _check_factored_route(q)
+
+
+# the n <= 12 corpus tables whose generators _light_sets bounds, and a
+# Rees semigroup times C_2; some of their mutations break only (A)
+BOUNDED = ([(name, t) for name, t in SMALL if _light_sets(t.product)[3] is not None]
+           + [("five_unique_x_c2", direct_product(dict(CORPUS)["five_unique"], cyclic(2)))])
+
+
+@pytest.mark.parametrize("name,table", BOUNDED, ids=[name for name, _ in BOUNDED])
+def test_every_one_entry_mutation_gets_the_sweep_witness_through_sg_and_gs(name, table):
+    taken = 0
+    for q in one_entry_mutations(table.product):
+        taken += _check_factored_route(q)
+    assert taken
+
+
+@st.composite
+def mutated_rees(draw):
+    """A random Rees semigroup, times C_k for k <= 3, with one entry changed."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    p = np.array(cells, dtype=bool).reshape(rows, cols)
+    # a one in every row and every column
+    p[np.arange(rows), np.arange(rows) % cols] = True
+    p[np.arange(cols) % rows, np.arange(cols)] = True
+    table = rees_matrix(BoolStructureMatrix(p.tolist()))
+    k = draw(st.integers(1, 3))
+    if k > 1:
+        table = direct_product(table, cyclic(k))
+    product = table.product.copy()
+    n = table.n
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if product[a, b] in product[-1] and draw(st.booleans()):
+        # a product in the kernel, the last row's values, set to a factor
+        product[a, b] = draw(st.sampled_from([a, b]))
+    else:
+        product[a, b] = (product[a, b] + draw(st.integers(1, n - 1))) % n
+    return product
+
+
+@given(mutated_rees())
+def test_random_mutated_rees_get_the_sweep_witness_through_sg_and_gs(product):
+    bounded = _light_sets(product)[3] is not None
+    assert _check_factored_route(product) == bounded
+
+
+@pytest.mark.parametrize("cells", [1, 3, 17, 40, 700])
+def test_factored_chunks_cross_boundaries(cells):
+    # 1 and 3 check one generator and one or three z (or x) at a time; 700
+    # takes two or more generators of these 13- to 73-element tables at once
+    tables = [brandt(3), random_rees(4, 3, 4, 0.5), _rees_times_group()]
+    with mock.patch.object(table_mod, "_ASSOC_CHUNK_CELLS", cells):
+        for table in tables:
+            assert _check_factored_route(table.product)
+            for q in _sampled_mutations(table.product, 20, seed=cells):
+                assert _check_factored_route(q)
+
+
+def test_natural_choice_on_mutations_of_a_large_rees_semigroup():
+    # at the module's own constants, RANDOM_REES[20] (401 elements) takes
+    # the factored route for all 20 generators
+    product = random_rees(*RANDOM_REES[20]).product
+    for q in [product, *_sampled_mutations(product, 8, seed=20)]:
+        with _factored_calls() as calls:
+            assert _associativity_witness(q) == _full_witness(q)
+        assert calls and calls[0] >= 19
+
+
+# which tables take the factored route at the module's own constants
+ROUTES = [
+    ("rees20", lambda: random_rees(*RANDOM_REES[20]), True),
+    ("brandt16", lambda: brandt(16), True),
+    ("rees7_x_c3", lambda: direct_product(random_rees(*RANDOM_REES[7]), cyclic(3)), True),
+    ("rees7", lambda: random_rees(*RANDOM_REES[7]), False),
+    ("band64x64", lambda: rectangular_band(64, 64), False),
+    ("left_zero2048", lambda: left_zero(2048), False),
+    ("null64", lambda: null_semigroup(64), False),
+    ("t4", lambda: t_n(4), False),
+]
+
+
+@pytest.mark.parametrize("name,build,factored", ROUTES, ids=[name for name, _, _ in ROUTES])
+def test_factored_route_is_taken_where_ideals_are_small(name, build, factored):
+    # bands, left-zero bands and null semigroups check every (row, column)
+    # class directly; T_n's generators have ideals too large; a 121-element
+    # Rees semigroup is below _FACTORED_MIN_CELLS
+    product = build().product
+    with _factored_calls() as calls:
+        assert _associativity_witness(product) is None
+    assert bool(calls) == factored
