@@ -52,9 +52,10 @@ from .table import (
 
 
 def _read_text(path) -> str:
-    """The file's text; bytes that are not UTF-8 are an input error."""
+    """The file's text without a leading byte-order mark; bytes that are not
+    UTF-8 are an input error, reported at their offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise TableFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

@@ -3,14 +3,16 @@
 A permutation matching is a bijection f of S with f(a) always an inverse of
 a; an involution matching additionally satisfies f(f(a)) = a.  Existence of
 a permutation matching is exactly Hall's condition for the sets V(a), which
-this module decides two independent ways: maximum bipartite matching with a
-violating-set certificate, and (for orthodox input) a structural test on the
-maximal rectangular blocks of each D-class of S's own egg box, which also
-yields an involution matching when it succeeds.  Involution matchings of
-any semigroup are decided in polynomial time by Edmonds' blossom algorithm,
-which on failure returns a Tutte barrier.  decide() is the one entry point
-that picks a route and returns a verified Matching, a HallCertificate or a
-verified TutteBarrier.
+this module decides two independent ways: Hopcroft-Karp maximum bipartite
+matching, and (for orthodox input) a structural test on the maximal
+rectangular blocks of each D-class of S's own egg box, which also yields an
+involution matching when it succeeds.  Every "no" carries a violating set A
+with |V(A)| < |A|: the elements that Hopcroft-Karp's last layering reaches
+from the unmatched ones, with V(A) read off the inverse matrix.  Involution
+matchings of any semigroup are decided in polynomial time by Edmonds'
+blossom algorithm, which on failure returns a Tutte barrier.  decide() is
+the one entry point that picks a route and returns a verified Matching, a
+HallCertificate or a verified TutteBarrier.
 """
 
 from __future__ import annotations
@@ -163,69 +165,47 @@ def _hk_bfs(n, adj, match_l, match_r, dist):
 def _hk_augment(a0, adj, dist, match_l, match_r, free_dist):
     """Augment along one shortest alternating path from the free left a0.
 
-    Explicit-stack depth-first search; each frame holds a left vertex and
-    the index of the next edge to try.
+    Depth-first on three stacks: the lefts on the path, the rights joining
+    each to the next (and, at the end, the free right), and an iterator
+    over each left's untried edges.  A left whose edges run out is marked
+    dead for the rest of the phase.
     """
-    stack = [[a0, 0]]
-    while stack:
-        a, i = stack[-1]
-        if i < len(adj[a]):
-            stack[-1][1] += 1
-            b = adj[a][i]
+    lefts = [a0]
+    rights = []
+    edges = [iter(adj[a0])]
+    while lefts:
+        d = dist[lefts[-1]] + 1
+        for b in edges[-1]:
             c = match_r[b]
             if c == -1:
-                if dist[a] + 1 != free_dist:
-                    continue
-                match_l[a] = b
-                match_r[b] = a
-                stack.pop()
-                while stack:
-                    pa, pi = stack.pop()
-                    pb = adj[pa][pi - 1]
-                    match_l[pa] = pb
-                    match_r[pb] = pa
-                return True
-            if dist[c] == dist[a] + 1:
-                stack.append([c, 0])
+                if d == free_dist:
+                    rights.append(b)
+                    for x, y in zip(lefts, rights):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+            elif dist[c] == d:
+                lefts.append(c)
+                rights.append(b)
+                edges.append(iter(adj[c]))
+                break
         else:
-            dist[a] = _INF
-            stack.pop()
+            dist[lefts.pop()] = _INF
+            edges.pop()
+            if rights:
+                rights.pop()
     return False
 
 
-def _hall_certificate(n, adj, match_l, match_r) -> HallCertificate:
-    """Read the violating set off a maximum matching that is not perfect.
+def _hall_certificate(table: MulTable, violating) -> HallCertificate:
+    """The HallCertificate of the set A of elements, V(A) read off inverse_matrix.
 
-    Alternating reachability from the free lefts: every edge out of a
-    reached left leads to a reached right, so the reached lefts A satisfy
-    V(A) = reached rights and |A| exceeds |V(A)| by the number of free
-    lefts.
+    Raises RuntimeError unless |A| > |V(A)|.
     """
-    reached_l = [False] * n
-    reached_r = [False] * n
-    q = deque()
-    for a in range(n):
-        if match_l[a] == -1:
-            reached_l[a] = True
-            q.append(a)
-    while q:
-        a = q.popleft()
-        for b in adj[a]:
-            if b == match_l[a] or reached_r[b]:
-                continue
-            reached_r[b] = True
-            c = match_r[b]
-            if c == -1:
-                raise RuntimeError("free right reachable from a free left after maximum matching")
-            if not reached_l[c]:
-                reached_l[c] = True
-                q.append(c)
-    violating = tuple(a for a in range(n) if reached_l[a])
-    image = tuple(b for b in range(n) if reached_r[b])
+    violating = tuple(violating)
+    image = tuple(np.flatnonzero(inverse_matrix(table)[list(violating)].any(axis=0)).tolist())
     if len(violating) <= len(image):
         raise RuntimeError("certificate set does not violate Hall's condition")
-    if set(image) != {b for a in violating for b in adj[a]}:
-        raise RuntimeError("certificate image differs from the inverse union")
     return HallCertificate(violating_set=violating, image=image)
 
 
@@ -234,13 +214,17 @@ def find_permutation_matching(table: MulTable):
 
     Returns a Matching when Hall's condition holds, otherwise a
     HallCertificate exhibiting a set with too few inverses.  An element with
-    no inverse at all short-circuits to a singleton certificate.
+    no inverse at all short-circuits to a singleton certificate.  Otherwise
+    the last Hopcroft-Karp layering, which finds no free right, has given a
+    finite distance to exactly the lefts that an alternating path from a
+    free left reaches: their inverses are all matched to lefts of that set,
+    so it has more members than inverses by the number of free lefts.
     """
     n = table.n
     adj = _adjacency(inverse_matrix(table))
     for a in range(n):
         if not adj[a]:
-            return HallCertificate(violating_set=(a,), image=())
+            return _hall_certificate(table, (a,))
     match_l = [-1] * n
     match_r = [-1] * n
     dist = [_INF] * n
@@ -254,7 +238,7 @@ def find_permutation_matching(table: MulTable):
     if all(b != -1 for b in match_l):
         return _verified(table, Matching(f=tuple(match_l), kind="permutation",
                                          provenance="hall_bipartite"))
-    return _hall_certificate(n, adj, match_l, match_r)
+    return _hall_certificate(table, [a for a in range(n) if dist[a] != _INF])
 
 
 def _bitmask(row) -> int:
@@ -757,9 +741,7 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
         return find_permutation_matching(table)
     res = hall_brute_force(table, max_size=DEFAULT_BRUTE_CAP if cap is None else cap)
     if not res.holds:
-        rows = inverse_matrix(table)[list(res.witness)]
-        image = tuple(np.flatnonzero(rows.any(axis=0)).tolist())
-        return HallCertificate(violating_set=res.witness, image=image)
+        return _hall_certificate(table, res.witness)
     m = find_permutation_matching(table)
     if not isinstance(m, Matching):
         raise RuntimeError("subset enumeration and bipartite matching verdicts disagree")

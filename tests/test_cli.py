@@ -574,6 +574,14 @@ class TestGen:
         assert "error: Rees matrix semigroup has 5042 elements, cap is 5000" in err
         assert not out_path.exists()
 
+    def test_matrix_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        mat = tmp_path / "bom.mat"
+        mat.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 0\n1 0\n")
+        out_path = tmp_path / "b.tbl"
+        code, _, err = run(["gen", "rees", mat, out_path], capsys)
+        assert (code, err) == (0, "")
+        assert parse_table(out_path.read_text(encoding="utf-8")) == band7()
+
     def test_non_utf8_matrix_file(self, tmp_path, capsys):
         mat = tmp_path / "bad.mat"
         mat.write_bytes(b"1 1\n\xff\n")
@@ -591,3 +599,21 @@ def test_non_utf8_table_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"error: {path}: not UTF-8 text" in err
+
+
+def test_table_file_with_a_byte_order_mark(tables, tmp_path, capsys):
+    path = tmp_path / "bom.tbl"
+    path.write_bytes(b"\xef\xbb\xbf" + tables["band7"].read_bytes())
+    assert cli._load(path, None) == band7()
+    code, out, err = run(["analyze", path, "--json"], capsys)
+    assert (code, err) == (0, "")
+    _, want, _ = run(["analyze", tables["band7"], "--json"], capsys)
+    assert out == want.replace(json.dumps(str(tables["band7"])), json.dumps(str(path)))
+
+
+def test_non_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bad.tbl"
+    path.write_bytes(b"\xef\xbb\xbf1\n0\xff\n")
+    code, _, err = run(["analyze", path], capsys)
+    assert code == 2
+    assert f"error: {path}: not UTF-8 text (invalid start byte at byte 6)" in err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from semigroup_match import (
     green_classes,
     idempotents,
 )
+from semigroup_match import green as green_mod
 from semigroup_match.green import omega_powers
 
 from characterization_reference import omega_data
@@ -201,6 +204,35 @@ class TestTransformationSubsemigroups:
         g = green_classes(table)
         check_first_seen_ids(g)
         check_grids_partition(g)
+
+
+def check_row_blocks(table, rows, name=""):
+    """green_classes of a fresh copy of table, its ideals scattered `rows`
+    rows at a time, against the one-block result and the ideal oracle."""
+    fresh = MulTable(table.product)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(green_mod, "_ASSOC_CHUNK_CELLS", 8 * table.n * rows)
+        got = green_classes(fresh)
+    want = green_classes(table)
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), (name, rows, field.name)
+    check_against_oracle(fresh, name)
+
+
+class TestRowBlocks:
+    """green_classes scatters the ideals a block of rows at a time.  At the
+    module's constant a block is smaller than the table only above 512
+    elements, so these tests shrink it to a few rows."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 17])
+    @pytest.mark.parametrize("name,table", full_corpus())
+    def test_full_corpus(self, name, table, rows):
+        check_row_blocks(table, rows, name)
+
+    @settings(max_examples=100)
+    @given(transformation_subsemigroups(), st.sampled_from((1, 3, 17)))
+    def test_transformation_subsemigroups(self, table, rows):
+        check_row_blocks(table, rows)
 
 
 def _power_sequence(table, a):

@@ -3,8 +3,11 @@ from __future__ import annotations
 import inspect
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semigroup_match import (
     ClassSizeMismatch,
@@ -21,12 +24,14 @@ from semigroup_match import (
     count_permutation_matchings,
     decide,
     decide_orthodox_matching,
+    direct_product,
     find_involution_matching,
     find_permutation_matching,
     formula_characterizations,
     green_classes,
     h_quotient_band,
     hall_brute_force,
+    inverse_matrix,
     inverse_sets,
     is_orthodox,
     lift_band_matching,
@@ -40,6 +45,7 @@ from semigroup_match import (
 from semigroup_match import matching as matching_mod
 
 from characterization_reference import reference_characterizations
+from hall_reference import reference_permutation_matching
 from corpus import (
     RANDOM_REES,
     T3_INVOLUTION,
@@ -51,6 +57,7 @@ from corpus import (
     five_unique,
     frame_depth,
     full_corpus,
+    inverses_of_set,
     klein,
     monogenic,
     null_semigroup,
@@ -150,6 +157,86 @@ class TestHopcroftKarp:
                 want |= set(v[a])
             assert set(out.image) == want, name
             assert len(out.violating_set) > len(out.image), name
+
+
+def _konig_deficiency(table):
+    """n minus the size of networkx's maximum matching of the element-inverse graph."""
+    lefts = [("a", a) for a in range(table.n)]
+    g = nx.Graph()
+    g.add_nodes_from(lefts)
+    g.add_nodes_from(("v", b) for b in range(table.n))
+    rows, cols = np.nonzero(inverse_matrix(table))
+    g.add_edges_from((("a", a), ("v", b)) for a, b in zip(rows.tolist(), cols.tolist()))
+    return table.n - len(nx.bipartite.maximum_matching(g, top_nodes=lefts)) // 2
+
+
+def check_pinned(table, name=""):
+    """find_permutation_matching equals the reference route, and a certificate
+    from the search exceeds its image by König's count of unmatched elements."""
+    out = find_permutation_matching(table)
+    assert out == reference_permutation_matching(table), name
+    if isinstance(out, HallCertificate):
+        assert set(out.image) == inverses_of_set(table, out.violating_set), name
+        regular = inverse_matrix(table).any(axis=1)
+        if regular.all():
+            assert len(out.violating_set) - len(out.image) == _konig_deficiency(table), name
+        else:
+            assert out == HallCertificate((int(regular.argmin()),), ()), name
+
+
+NON_PROPORTIONAL_BLOCKS = [[(2, 4), (3, 3)], [(3, 3), (4, 2)], [(2, 4), (4, 2)],
+                           [(2, 4), (3, 3), (4, 2)]]
+
+
+def _pin_tables():
+    tables = full_corpus() + [
+        (f"rees{seed}", random_rees(seed, rows, cols, density))
+        for seed, rows, cols, density in RANDOM_REES
+    ]
+    for blocks in NON_PROPORTIONAL_BLOCKS:
+        name = "blocks_" + "_".join(f"{m}x{k}" for m, k in blocks)
+        tables.append((name, block_band(blocks)))
+        tables.append((name + "_x_c3", direct_product(block_band(blocks), cyclic(3))))
+    return tables + [(f"null{n}", null_semigroup(n)) for n in (1, 2, 3, 5, 8)]
+
+
+PIN_TABLES = _pin_tables()
+
+
+@st.composite
+def regular_rees(draw):
+    """Rees semigroup of a random structure matrix of at most 8 x 8 with a one
+    in every row and column, times C_k for k up to 3 (k = 1: the semigroup
+    itself)."""
+    table = random_rees(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8)),
+                        draw(st.integers(1, 8)), draw(st.sampled_from((0.1, 0.25, 0.5))))
+    k = draw(st.integers(1, 3))
+    return table if k == 1 else direct_product(table, cyclic(k))
+
+
+class TestPinnedToReference:
+    """The bipartite route returns what the frame-stack reference returns."""
+
+    @pytest.mark.parametrize("name,table", PIN_TABLES, ids=[name for name, _ in PIN_TABLES])
+    def test_listed_tables(self, name, table):
+        check_pinned(table, name)
+
+    def test_listed_tables_reach_every_kind_of_answer(self):
+        outs = [find_permutation_matching(table) for _, table in PIN_TABLES]
+        certs = [c for c in outs if isinstance(c, HallCertificate)]
+        assert any(isinstance(m, Matching) for m in outs)
+        assert any(c.image == () for c in certs)
+        # certificates from the search with more than one unmatched element
+        assert any(len(c.violating_set) - len(c.image) > 1 for c in certs if c.image)
+
+    @settings(max_examples=150)
+    @given(regular_rees())
+    def test_random_rees(self, table):
+        check_pinned(table)
+
+    def test_certificate_builder_demands_a_violation(self):
+        with pytest.raises(RuntimeError, match="does not violate"):
+            matching_mod._hall_certificate(cyclic(3), (0, 1))
 
 
 class TestHallBruteForce:
@@ -294,6 +381,10 @@ class TestDecide:
     def test_routes_agree_on_existence(self, method):
         assert isinstance(decide(block_band([(2, 4), (1, 2)]), method=method), Matching)
         assert isinstance(decide(band7(), method=method), HallCertificate)
+
+    def test_brute_certificate_is_the_least_violating_subset(self):
+        assert decide(band7(), method="brute") == HallCertificate((4, 5), (0,))
+        assert decide(null_semigroup(3), method="brute") == HallCertificate((1,), ())
 
     def test_non_orthodox_involution_searches(self):
         res = decide(t_n(3), involution=True)
