@@ -760,8 +760,10 @@ def count_permutation_matchings(table: MulTable, limit=None,
 
     Always branches on an element with fewest remaining images, depth first
     on an explicit stack of partial assignments (used images, elements still
-    to place).  With a limit the count stops there and exact is False.
+    to place).  With a limit (at least 1) the count stops there, exact False.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("matching count needs a limit >= 1")
     n = table.n
     if n > max_size:
         raise TooLargeError(f"matching count over {n} elements exceeds the cap of {max_size}")

@@ -3,22 +3,22 @@
 Elements are the integers 0..n-1; an optional name per element is kept for
 display only.  Every constructor funnels through MulTable, which decides
 associativity exactly, so no table in the rest of the package is ever
-trusted blindly.  It runs Light's test, (xg)y = x(gy), on the row/column
-quotient of the table: x over one element per distinct row, y over one
-per distinct column and g over a set G with one element per (row, column)
-class, |R| * |G| * |C| checks in all.  G is every class when that is at
-most 2 n^2 checks, which makes a k x l rectangular band or a left-zero
-band cost n^2 and a null semigroup 1.  Otherwise G is a generating set:
-every element outside S^2, then greedily the unreached element with the
-largest |aS| + |Sa| whose row and column minima (its R- and L-class, when
-it is regular) no generator has yet, or failing that the unreached one
-with the largest |aS| + |Sa|: 6 generators for T_5, whose rank is 3.
+trusted blindly.  One sweep of (xg)y = x(gy), x over the least element of
+each distinct row, y of each distinct column and g of each (row, column)
+class, decides it and finds the first failing triple: n^2 cells for a
+k x l rectangular band or a left-zero band, 1 for a null semigroup.
 
-A generator g with a small ideal is checked through Sg and gS instead.
-With Z the values xg, V the values gy and rep(v) one y with gy = v, the
-condition holds for g exactly when (A) every row z of Z is constant on
-each class {y : gy = v} and (B) (xg) rep(v) = x v for every x and v: about
-|Z| |C| + |R| |V| cells instead of |R| |C|.  A generator takes this route
+Two shortcuts come first; a table that fails one is then swept.  Where
+every class costs more than 2 n^2 cells, Light's test checks g only over
+a generating set: every element outside S^2, then greedily the unreached
+element with the largest |aS| + |Sa| whose row and column minima (its R-
+and L-class, when it is regular) no generator has yet, or failing that
+the unreached one with the largest |aS| + |Sa|: 6 generators for T_5,
+whose rank is 3.  And a generator g with a small ideal is checked
+through Sg and gS.  With Z the values xg, V the values gy and rep(v) one
+y with gy = v, the condition holds for g exactly when (A) every row z of
+Z is constant on each class {y : gy = v} and (B) (xg) rep(v) = x v for
+every x and v: about |Z| |C| + |R| |V| cells instead of |R| |C|.  A generator takes this route
 when (|gS| + |Sg|) * max(|R|, |C|) is at most a quarter of |R| |C|, and
 only when those generators would cost more than 2^18 direct cells.  So
 0-simple Rees and Brandt semigroups of about 150 elements and up, where
@@ -75,20 +75,6 @@ def _powers(product: np.ndarray, xs, k: int):
         if not k:
             return result
         xs = product[xs, xs]
-
-
-def _full_witness(product: np.ndarray):
-    """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None."""
-    n = product.shape[0]
-    chunk = max(1, _ASSOC_CHUNK_CELLS // (n * n))
-    for start in range(0, n, chunk):
-        rows = product[start:start + chunk]
-        left = product[rows]          # left[a, b, c] = (a*b)*c
-        right = rows[:, product]      # right[a, b, c] = a*(b*c)
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            return (start + int(bad[0]), int(bad[1]), int(bad[2]))
-    return None
 
 
 def _entries_seen(lines: np.ndarray) -> np.ndarray:
@@ -246,16 +232,16 @@ def _has_left_identity(product: np.ndarray, xs: np.ndarray) -> bool:
 
 
 def _light_sets(product: np.ndarray):
-    """xs, gens, ys, bound: product is associative exactly when (xg)y = x(gy) on them.
+    """xs, gens, ys, bound, classes: product is associative exactly when (xg)y = x(gy) on them.
 
     xs is the least element of each distinct row and ys the least of each
     distinct column: when x and x' share their row, xg = x'g and
     x(gy) = x'(gy), so (x, g, y) and (x', g, y) are the same condition, and
     equal columns work the same way for y.  For the same reason g needs one
-    element per (row, column) class.  gens is the least element of every
-    class when that costs at most 2 n^2 cells, no more than _ideal_profile
-    scatters, and bound is None; otherwise gens is _generators, the first of
-    each class in its order, and bound[k] is |gS| + |Sg| for g = gens[k].
+    element per (row, column) class; classes is the least of each, sorted.
+    gens is classes, and bound None, when that costs at most 2 n^2 cells,
+    as many as _ideal_profile scatters; otherwise gens is _generators, the
+    first of each class in its order, and bound[k] is |gS| + |Sg| of gens[k].
     An injective row tells every two columns apart, so when one exists the
     columns are not compared at all; otherwise _ideal_profile reads the
     columns off the transposed copy the comparison made.
@@ -275,16 +261,16 @@ def _light_sets(product: np.ndarray):
         pair, classes = None, ident
     else:
         pair = row_first * n + col_first
-        _, classes = np.unique(pair, return_index=True)
+        classes = np.sort(np.unique(pair, return_index=True)[1])
     if len(xs) * len(classes) * len(ys) <= 2 * n * n:
-        return xs, np.sort(classes), ys, None
+        return xs, classes, ys, None, classes
     profile = _ideal_profile(product, transposed)
     del transposed
     gens = _generators(product, profile)
     if pair is not None:
         _, keep = np.unique(pair[gens], return_index=True)
         gens = gens[np.sort(keep)]
-    return xs, gens, ys, profile[0][gens]
+    return xs, gens, ys, profile[0][gens], classes
 
 
 def _blocks(outer: int, inner: int, width: int):
@@ -378,41 +364,53 @@ _FACTORED_RATIO = 4
 _FACTORED_MIN_CELLS = 1 << 18
 
 
+def _first_failure(x_rows, y_cols, xs, gs, ys):
+    """First (x, g, y) of xs x gs x ys, x-major, with (xg)y != x(gy), or None.
+
+    x_rows and y_cols are _associativity_witness's.  A block holds several x
+    only when it holds every g, so the first failing block holds the first.
+    """
+    if not len(gs):
+        return None
+    xg = x_rows[:, gs]                # xg[i, k] = xs[i]*g_k
+    gy = y_cols[gs]                   # gy[k, j] = g_k*ys[j]
+    # np.take lays x(gy) out in C order like (xg)y; fancy indexing would
+    # not, and comparing mismatched layouts is several times slower
+    for xb, gb in _blocks(len(xs), len(gs), len(ys)):
+        left = y_cols[xg[xb, gb]]                     # (xg)y
+        right = np.take(x_rows[xb], gy[gb], axis=1)   # x(gy)
+        if not np.array_equal(left, right):
+            i, k, j = np.argwhere(left != right)[0]
+            return int(xs[xb.start + i]), int(gs[gb.start + k]), int(ys[j])
+    return None
+
+
 def _associativity_witness(product: np.ndarray):
     """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None.
 
-    Light's test: the g with (xg)y = x(gy) for all x, y are closed under the
-    product, so checking a generating set decides associativity, on the
-    row/column quotient of _light_sets: |xs| * |gens| * |ys| cells.  Only a
-    table that fails it pays the full sweep, which finds the first triple.
-    Where _light_sets bounds |gS| + |Sg|, the generators with small ideals
-    go to _factored_check, which reads only about |Sg| |ys| + |xs| |gS|
-    cells each; the others are checked directly.
+    (ab)c = a(bc) reads a only through its row, c only through its column
+    and b through both, so that triple has a in xs, b in classes and c in
+    ys (see _light_sets), where _first_failure finds it.  Two shortcuts
+    come first: Light's test checks only gens, a generating set, and
+    _factored_check takes the generators with small ideals.
     """
     n = product.shape[0]
     compact = _narrow(product)
-    xs, gens, ys, bound = _light_sets(compact)
+    xs, gens, ys, bound, classes = _light_sets(compact)
     # a table with no repeated row (or column) is read in place
     x_rows = compact if len(xs) == n else compact[xs]        # x_rows[i, b] = xs[i]*b
     y_cols = compact if len(ys) == n else compact[:, ys]     # y_cols[a, j] = a*ys[j]
     direct = len(xs) * len(ys)
-    if bound is not None and len(gens) * direct > _FACTORED_MIN_CELLS:
+    if bound is not None:
         # |Sg| |ys| + |xs| |gS| <= bound * max(|xs|, |ys|)
         factored = _FACTORED_RATIO * bound * max(len(xs), len(ys)) <= direct
         if factored.sum() * direct > _FACTORED_MIN_CELLS:
             if not _factored_check(compact, x_rows, y_cols, ys, gens[factored]):
-                return _full_witness(compact)
+                return _first_failure(x_rows, y_cols, xs, classes, ys)
             gens = gens[~factored]
-    xg = x_rows[:, gens]              # xg[i, k] = xs[i]*g_k
-    gy = y_cols[gens]                 # gy[k, j] = g_k*ys[j]
-    # np.take lays x(gy) out in C order like (xg)y; fancy indexing would
-    # not, and comparing mismatched layouts is several times slower
-    for k, x in _blocks(len(gens), len(xs), len(ys)):
-        left = y_cols[xg[x, k]]                   # (xg)y
-        right = np.take(x_rows[x], gy[k], axis=1)   # x(gy)
-        if not np.array_equal(left, right):
-            return _full_witness(compact)
-    return None
+        if _first_failure(x_rows, y_cols, xs, gens, ys) is None:
+            return None
+    return _first_failure(x_rows, y_cols, xs, classes, ys)
 
 
 class MulTable:

@@ -1,9 +1,13 @@
-"""Reference generator search for Light's associativity test.
+"""Reference versions of the associativity check's parts.
+
+full_witness sweeps all n^3 triples for the first one that fails;
+table._associativity_witness sweeps only the row/column quotient, and
+every witness test compares the two.
 
 table._generators closes the reached set with one queue of reached
-elements and one cursor.  The version here visits the generators in
-turn, each with its own cursor into the queue, until none of them has a
-product left to read.  Both stop with the subsemigroup the generators
+elements and one cursor.  round_robin_generators visits the generators
+in turn, each with its own cursor into the queue, until none of them has
+a product left to read.  Both stop with the subsemigroup the generators
 generate, so they pick the same next generator every time and return the
 same array; tests check the library against this one.
 """
@@ -13,6 +17,23 @@ from __future__ import annotations
 import numpy as np
 
 from semigroup_match.table import _ideal_profile
+
+# scratch cells per chunk of the sweep
+_CHUNK_CELLS = 1 << 21
+
+
+def full_witness(product: np.ndarray):
+    """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None."""
+    n = product.shape[0]
+    chunk = max(1, _CHUNK_CELLS // (n * n))
+    for start in range(0, n, chunk):
+        rows = product[start:start + chunk]
+        left = product[rows]          # left[a, b, c] = (a*b)*c
+        right = rows[:, product]      # right[a, b, c] = a*(b*c)
+        if not np.array_equal(left, right):
+            bad = np.argwhere(left != right)[0]
+            return (start + int(bad[0]), int(bad[1]), int(bad[2]))
+    return None
 
 
 def round_robin_generators(product: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Light's associativity test against the full n^3 sweep.
+"""The associativity check against the n^3 sweep of associativity_reference.
 
-MulTable decides associativity by checking a generating set on the
-row/column quotient of the table and runs the full sweep only when that
-check fails, so every NotAssociativeError must carry the same
-lexicographically first bad triple as the sweep.  Generators with small
-ideals are checked through Sg and gS (_factored_check); the tests at the
-end force that route and check it the same way.
+MulTable sweeps the row/column quotient of the table, after checking a
+generating set where that is cheaper, so every NotAssociativeError must
+carry the same lexicographically first bad triple as the n^3 sweep, also
+when the first failure comes late.  Generators with small ideals are
+checked through Sg and gS (_factored_check); the tests at the end force
+that route and check it the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from semigroup_match.factors import principal_factor
 from semigroup_match.table import (
     _associativity_witness,
     _first_equal,
-    _full_witness,
     _generators,
     _has_left_identity,
     _ideal_profile,
@@ -41,7 +40,7 @@ from semigroup_match.table import (
     _transposed,
 )
 
-from associativity_reference import round_robin_generators
+from associativity_reference import full_witness, round_robin_generators
 from corpus import (
     RANDOM_REES,
     adjoin_zero,
@@ -107,14 +106,14 @@ def _check_generators(product):
 @pytest.mark.parametrize("name,table", CORPUS, ids=[name for name, _ in CORPUS])
 def test_corpus_tables_agree_with_the_sweep(name, table):
     assert _associativity_witness(table.product) is None
-    assert _full_witness(table.product) is None
+    assert full_witness(table.product) is None
     _check_generators(table.product)
 
 
 @pytest.mark.parametrize("name,table", SMALL + QUOTIENT, ids=[name for name, _ in SMALL + QUOTIENT])
 def test_every_one_entry_mutation_gets_the_sweep_witness(name, table):
     for q in one_entry_mutations(table.product):
-        witness = _full_witness(q)
+        witness = full_witness(q)
         assert _associativity_witness(q) == witness
         if witness is None:
             MulTable(q)
@@ -134,7 +133,35 @@ def test_small_chunks_cross_boundaries(monkeypatch, cells):
     for _, table in TINY + QUOTIENT[:5]:
         assert _associativity_witness(table.product) is None
         for q in one_entry_mutations(table.product):
-            assert _associativity_witness(q) == _full_witness(q)
+            assert _associativity_witness(q) == full_witness(q)
+
+
+def _near_band(k):
+    """The k x k rectangular band with product[k^2 - 1][0] = 0.
+
+    The new entry keeps the column of the old one, (k - 1) k, so only the
+    triples with ab = k^2 - 1 fail, the first of them near the end of the
+    sweep: a is the least element of the last row but one.
+    """
+    product = rectangular_band(k, k).product.copy()
+    product[-1, 0] = 0
+    return product
+
+
+@pytest.mark.parametrize("k", range(2, 33))
+def test_near_band_gets_its_late_witness(k):
+    product = _near_band(k)
+    want = ((k - 1) * k, k - 1, 0)
+    if k <= 12:
+        assert full_witness(product) == want
+    with pytest.raises(NotAssociativeError) as exc:
+        MulTable(product)
+    assert exc.value.witness == want
+    # blocks of 1, 3 and 17 x over every (row, column) class
+    _, _, ys, _, classes = _light_sets(product)
+    for per_block in (1, 3, 17):
+        with mock.patch.object(table_mod, "_ASSOC_CHUNK_CELLS", per_block * len(classes) * len(ys)):
+            assert _associativity_witness(product) == want
 
 
 @st.composite
@@ -146,7 +173,7 @@ def random_tables(draw):
 
 @given(random_tables())
 def test_random_tables_get_the_sweep_witness(product):
-    assert _associativity_witness(product) == _full_witness(product)
+    assert _associativity_witness(product) == full_witness(product)
     _check_generators(product)
 
 
@@ -165,7 +192,7 @@ def tables_with_repeats(draw):
 
 @given(tables_with_repeats())
 def test_repeated_rows_and_columns_get_the_sweep_witness(product):
-    assert _associativity_witness(product) == _full_witness(product)
+    assert _associativity_witness(product) == full_witness(product)
     _check_light_sets(product)
 
 
@@ -249,9 +276,10 @@ def _check_light_sets(product):
     want_ys = [a for a in range(n) if cols[a] not in cols[:a]]
     pairs = list(zip(rows, cols))
     classes = [a for a in range(n) if pairs[a] not in pairs[:a]]
-    xs, gens, ys, _ = _light_sets(product)
+    xs, gens, ys, _, least = _light_sets(product)
     assert xs.tolist() == want_xs
     assert ys.tolist() == want_ys
+    assert least.tolist() == classes
     if len(want_xs) * len(classes) * len(want_ys) <= 2 * n * n:
         assert gens.tolist() == classes
     else:
@@ -272,9 +300,9 @@ def test_one_class_per_distinct_row_and_column():
     # the null semigroup has one row, one column and so one class; the
     # left-zero band's rows are constant at the element, so all differ,
     # and every column is the identity map
-    xs, gens, ys, _ = _light_sets(null_semigroup(64).product)
+    xs, gens, ys, _, _ = _light_sets(null_semigroup(64).product)
     assert (xs.tolist(), gens.tolist(), ys.tolist()) == ([0], [0], [0])
-    xs, gens, ys, _ = _light_sets(left_zero(64).product)
+    xs, gens, ys, _, _ = _light_sets(left_zero(64).product)
     assert (xs.tolist(), gens.tolist(), ys.tolist()) == (list(range(64)), list(range(64)), [0])
 
 
@@ -308,7 +336,7 @@ def test_rectangular_band_checks_n_squared_cells(rows, cols):
     # k rows, l columns and every element its own class: k * n * l = n^2
     n = rows * cols
     product = _relabelled(rectangular_band(rows, cols).product, 0)
-    xs, gens, ys, _ = _light_sets(product)
+    xs, gens, ys, _, _ = _light_sets(product)
     assert (len(xs), len(gens), len(ys)) == (rows, n, cols)
 
 
@@ -363,7 +391,7 @@ def _sampled_mutations(product, count, seed):
 def _check_factored_route(q):
     """q gets the sweep's witness with every bounded generator checked through Sg and gS."""
     with _factored_calls(**FACTORED_EVERYWHERE) as calls:
-        assert _associativity_witness(q) == _full_witness(q)
+        assert _associativity_witness(q) == full_witness(q)
     return bool(calls)
 
 
@@ -447,7 +475,7 @@ def test_natural_choice_on_mutations_of_a_large_rees_semigroup():
     product = random_rees(*RANDOM_REES[20]).product
     for q in [product, *_sampled_mutations(product, 8, seed=20)]:
         with _factored_calls() as calls:
-            assert _associativity_witness(q) == _full_witness(q)
+            assert _associativity_witness(q) == full_witness(q)
         assert calls and calls[0] >= 19
 
 

@@ -491,6 +491,12 @@ class TestCounting:
         res = count_permutation_matchings(rectangular_band(2, 2), limit=10)
         assert res.count == 10 and not res.exact
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_is_refused(self, limit):
+        # the true count is 24; a limit of 0 or less used to stop at the first
+        with pytest.raises(ValueError, match="limit >= 1"):
+            count_permutation_matchings(rectangular_band(2, 2), limit=limit)
+
     def test_limit_not_reached_stays_exact(self):
         res = count_permutation_matchings(brandt(2), limit=2)
         assert res.count == 1 and res.exact
