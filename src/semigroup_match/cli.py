@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import CapExceededError, NotOrthodoxError, SemigroupError, TableFormatError
@@ -49,6 +50,44 @@ from .table import (
     rees_matrix,
     render_table,
 )
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2) for a report nested pad deep: dicts with str
+    keys, lists, str, int, bool and None; any other value, such as a float,
+    goes to json.dumps whole, which also raises its TypeError.
+
+    json.dumps falls back to its pure-Python encoder whenever indent is set,
+    which yields every item and separator on its own; here each list or
+    dict is one join of its encoded items, and a list of plain ints (a
+    matching's map) one join of their str.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sep.join(f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+        return "{\n" + inner + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = sep.join(map(str, obj))
+        else:
+            items = sep.join(_dumps(v, inner) for v in obj)
+        return "[\n" + inner + items + "\n" + pad + "]"
+    return json.dumps(obj)
 
 
 def _read_text(path) -> str:
@@ -216,7 +255,7 @@ def cmd_analyze(args) -> int:
     }
     elapsed = time.perf_counter() - started
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
         return 0
     true_flags = [k for k, val in report["classification"].items() if val]
     print(f"input: {args.file} ({table.n} elements)")
@@ -285,7 +324,7 @@ def _emit_matching_result(args, table, base, m=None, cert=None, barrier=None,
         if count is not None:
             report["count"] = count.count
             report["exact"] = count.exact
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
         return
     if count is not None:
         print(f"count = {count.count}" if count.exact else f"count >= {count.count}")
@@ -336,12 +375,12 @@ def cmd_factors(args) -> int:
     table = _load(args.file, args.cap)
     reports = _d_class_reports(table, with_grid=True)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "command": "factors",
             "input": str(args.file),
             "elements": table.n,
             "d_classes": reports,
-        }, indent=2))
+        }))
         return 0
     print(f"input: {args.file} ({table.n} elements, {len(reports)} D-classes)")
     for entry in reports:
@@ -427,12 +466,12 @@ def cmd_gen(args) -> int:
         )
     Path(args.out).write_text(render_table(table), encoding="utf-8")
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "command": "gen",
             "kind": args.kind,
             "out": str(args.out),
             "elements": table.n,
-        }, indent=2))
+        }))
     else:
         print(f"wrote {args.out}: {table.n} elements")
     return 0

@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import NotRegularError
 from .green import _ids, _members, green_classes
-from .table import MulTable, _first_equal, _narrow, _powers, derived
+from .table import MulTable, _first_equal, _narrow, _powers, _transposed, derived
 
 
 @derived("idempotents")
 def idempotents(table: MulTable) -> tuple:
     diag = table.product[np.arange(table.n), np.arange(table.n)]
-    return tuple(int(x) for x in np.flatnonzero(diag == np.arange(table.n)))
+    return tuple(np.flatnonzero(diag == np.arange(table.n)).tolist())
 
 
 @derived("inverse_matrix")
@@ -30,11 +30,14 @@ def inverse_matrix(table: MulTable) -> np.ndarray:
     """V as a read-only n x n bool array: V[a, b] holds when aba = a and bab = b.
 
     The relation is symmetric; np.flatnonzero(V[a]) is V(a) in ascending order.
+    With X[a, b] = [(ab)a = a], one gather, V is X and its transpose: bab = b
+    is X[b, a].  The blocked copy of the transpose is about as fast as the
+    gather; a strided read of X.T or of product.T is several times slower.
     """
     p = _narrow(table.product)
-    ar = np.arange(table.n, dtype=p.dtype)
-    col = ar[:, None]
-    result = (p[p, col] == col) & (p[p.T, ar] == ar)   # (ab)a == a, (ba)b == b
+    col = np.arange(table.n, dtype=p.dtype)[:, None]
+    x = p[p, col] == col
+    result = x & _transposed(x)
     result.setflags(write=False)
     return result
 

@@ -19,11 +19,10 @@ through Sg and gS.  With Z the values xg, V the values gy and rep(v) one
 y with gy = v, the condition holds for g exactly when (A) every row z of
 Z is constant on each class {y : gy = v} and (B) (xg) rep(v) = x v for
 every x and v: about |Z| |C| + |R| |V| cells instead of |R| |C|.  A generator takes this route
-when (|gS| + |Sg|) * max(|R|, |C|) is at most a quarter of |R| |C|, and
-only when those generators would cost more than 2^18 direct cells.  So
-0-simple Rees and Brandt semigroups of about 150 elements and up, where
-Sg lies in L_g and 0 and gS in R_g and 0, take it; bands, left-zero
-bands, null semigroups and T_n never do.
+when (|gS| + |Sg|) * max(|R|, |C|) is at most a quarter of |R| |C|.  So
+0-simple Rees and Brandt semigroups of about 90 elements and up, where Sg
+lies in L_g and 0 and gS in R_g and 0, take it; bands, left-zero bands,
+null semigroups and T_n never do.
 
 parse_table reads the rows of a table file with np.fromstring; any row that
 reader might take differently from str.split and int() sends the whole table
@@ -356,12 +355,8 @@ def _factored_check(compact, x_rows, y_cols, ys, gens) -> bool:
 
 
 # A generator goes to _factored_check when its |gS| + |Sg| bounds the cells
-# read there by a quarter of its direct |xs| |ys|, and only when the
-# generators that go would cost more than _FACTORED_MIN_CELLS direct cells:
-# below that, the few dozen numpy calls of _factored_check cost more than
-# the cells they save
+# read there by a quarter of its direct |xs| |ys|
 _FACTORED_RATIO = 4
-_FACTORED_MIN_CELLS = 1 << 18
 
 
 def _first_failure(x_rows, y_cols, xs, gs, ys):
@@ -404,7 +399,7 @@ def _associativity_witness(product: np.ndarray):
     if bound is not None:
         # |Sg| |ys| + |xs| |gS| <= bound * max(|xs|, |ys|)
         factored = _FACTORED_RATIO * bound * max(len(xs), len(ys)) <= direct
-        if factored.sum() * direct > _FACTORED_MIN_CELLS:
+        if factored.any():
             if not _factored_check(compact, x_rows, y_cols, ys, gens[factored]):
                 return _first_failure(x_rows, y_cols, xs, classes, ys)
             gens = gens[~factored]
@@ -460,7 +455,8 @@ class MulTable:
                 raise TableFormatError(f"expected {n} names, got {len(names)}")
             if len(set(names)) != n:
                 raise TableFormatError("element names must be distinct")
-            if any(not s or any(ch.isspace() for ch in s) for s in names):
+            # split drops an empty name and cuts one with whitespace
+            if " ".join(names).split() != list(names):
                 raise TableFormatError("element names must be non-empty and whitespace-free")
         arr.setflags(write=False)
         self.n = n

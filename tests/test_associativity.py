@@ -348,8 +348,8 @@ def _factored_calls(**constants):
     """The sizes of the generator sets _factored_check is called on.
 
     constants override table's module constants meanwhile; with
-    _FACTORED_RATIO and _FACTORED_MIN_CELLS at 0, every generator that
-    _light_sets bounds is checked through Sg and gS.
+    _FACTORED_RATIO at 0, every generator that _light_sets bounds is
+    checked through Sg and gS.
     """
     calls = []
     real = table_mod._factored_check
@@ -362,7 +362,7 @@ def _factored_calls(**constants):
         yield calls
 
 
-FACTORED_EVERYWHERE = {"_FACTORED_RATIO": 0, "_FACTORED_MIN_CELLS": 0}
+FACTORED_EVERYWHERE = {"_FACTORED_RATIO": 0}
 
 
 def _sampled_mutations(product, count, seed):
@@ -484,7 +484,7 @@ ROUTES = [
     ("rees20", lambda: random_rees(*RANDOM_REES[20]), True),
     ("brandt16", lambda: brandt(16), True),
     ("rees7_x_c3", lambda: direct_product(random_rees(*RANDOM_REES[7]), cyclic(3)), True),
-    ("rees7", lambda: random_rees(*RANDOM_REES[7]), False),
+    ("rees7", lambda: random_rees(*RANDOM_REES[7]), True),
     ("band64x64", lambda: rectangular_band(64, 64), False),
     ("left_zero2048", lambda: left_zero(2048), False),
     ("null64", lambda: null_semigroup(64), False),
@@ -495,8 +495,8 @@ ROUTES = [
 @pytest.mark.parametrize("name,build,factored", ROUTES, ids=[name for name, _, _ in ROUTES])
 def test_factored_route_is_taken_where_ideals_are_small(name, build, factored):
     # bands, left-zero bands and null semigroups check every (row, column)
-    # class directly; T_n's generators have ideals too large; a 121-element
-    # Rees semigroup is below _FACTORED_MIN_CELLS
+    # class directly; T_n's generators have ideals too large; 0-simple Rees
+    # semigroups take it from about 90 elements up
     product = build().product
     with _factored_calls() as calls:
         assert _associativity_witness(product) is None
