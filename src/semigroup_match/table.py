@@ -89,9 +89,12 @@ def _ideal_profile(product: np.ndarray, transposed: np.ndarray | None = None):
     The entries of a block of rows, and of the matching block of columns,
     are scattered into bool blocks and counted, so nothing is sorted and no
     n x n temporary is made.  The columns are read as rows of transposed,
-    product.T in C order, when the caller has it.
+    product.T in C order: the caller's copy, or _transposed(product) when
+    none is passed.
     """
     n = product.shape[0]
+    if transposed is None:
+        transposed = _transposed(product)
     # the blocks' intp scatter index takes about _ASSOC_CHUNK_CELLS bytes
     step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
     size = np.empty(n, dtype=np.intp)
@@ -101,7 +104,7 @@ def _ideal_profile(product: np.ndarray, transposed: np.ndarray | None = None):
     for start in range(0, n, step):
         block = slice(start, start + step)
         rows = _entries_seen(product[block])
-        cols = _entries_seen(product[:, block].T if transposed is None else transposed[block])
+        cols = _entries_seen(transposed[block])
         size[block] = np.count_nonzero(rows, axis=1) + np.count_nonzero(cols, axis=1)
         # argmax finds the first True, the least entry
         row_min[block] = rows.argmax(axis=1)
@@ -210,26 +213,6 @@ def _transposed(product: np.ndarray) -> np.ndarray:
     return out
 
 
-def _has_left_identity(product: np.ndarray, xs: np.ndarray) -> bool:
-    """Whether some row of product is arange, reading only the rows xs.
-
-    That is, whether some row is injective: when x -> ax is a permutation,
-    some power a^m acts as the identity, and row a^m is arange.  xs must
-    hold one element of every distinct row.  The rows that still agree with
-    arange are compared on a run of columns that starts at 16 and doubles
-    each round, so at most 2 |xs| n + 16 |xs| cells are read and usually
-    far fewer.
-    """
-    n = product.shape[0]
-    ident = np.arange(n)
-    candidates, start, step = xs, 0, 16
-    while candidates.size and start < n:
-        cols = slice(start, start + step)
-        candidates = candidates[(product[candidates, cols] == ident[cols]).all(axis=1)]
-        start, step = start + step, 2 * step
-    return bool(candidates.size)
-
-
 def _light_sets(product: np.ndarray):
     """xs, gens, ys, bound, classes: product is associative exactly when (xg)y = x(gy) on them.
 
@@ -241,19 +224,15 @@ def _light_sets(product: np.ndarray):
     gens is classes, and bound None, when that costs at most 2 n^2 cells,
     as many as _ideal_profile scatters; otherwise gens is _generators, the
     first of each class in its order, and bound[k] is |gS| + |Sg| of gens[k].
-    An injective row tells every two columns apart, so when one exists the
-    columns are not compared at all; otherwise _ideal_profile reads the
-    columns off the transposed copy the comparison made.
+    The columns are read as the rows of one _transposed copy, which both
+    _first_equal and _ideal_profile take them from.
     """
     n = product.shape[0]
     ident = np.arange(n)
     row_first = _first_equal(product)
     xs = np.flatnonzero(row_first == ident)
-    if _has_left_identity(product, xs):
-        col_first, transposed = ident, None
-    else:
-        transposed = _transposed(product)
-        col_first = _first_equal(transposed)
+    transposed = _transposed(product)
+    col_first = _first_equal(transposed)
     ys = np.flatnonzero(col_first == ident)
     if len(xs) == n or len(ys) == n:
         # every element is alone in its (row, column) class

@@ -3,8 +3,9 @@
 corpus.all_semigroups builds the complete corpus by search, not from
 fixtures, and its counts are checked against OEIS A023814.  On it the
 bipartite route must agree with the subset enumeration of Hall's
-condition, and on its one-entry mutations Light's test must find the
-n^3 sweep's witness.
+condition, the structural route with the bipartite one on orthodox input,
+and Edmonds' blossom with the backtracking oracle; on its one-entry
+mutations Light's test must find the n^3 sweep's witness.
 """
 
 from __future__ import annotations
@@ -12,11 +13,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from semigroup_match import Matching, MulTable, find_permutation_matching, hall_brute_force
+from semigroup_match import (
+    Matching,
+    MulTable,
+    TutteBarrier,
+    classify,
+    decide_orthodox_matching,
+    find_involution_matching,
+    find_permutation_matching,
+    hall_brute_force,
+    verify_barrier,
+)
 from semigroup_match.table import _associativity_witness
 
 from associativity_reference import full_witness
 from corpus import all_semigroups, one_entry_mutations
+from involution_oracle import involution_oracle
 
 TABLES = {n: all_semigroups(n) for n in range(1, 5)}
 
@@ -49,3 +61,44 @@ def test_sampled_mutations_of_order_4_get_the_sweep_witness():
         a, b = rng.integers(4, size=2)
         q[a, b] = (q[a, b] + rng.integers(1, 4)) % 4
         assert _associativity_witness(q) == full_witness(q), q.tolist()
+
+
+def test_sampled_mutations_of_order_4_monoids_get_the_sweep_witness():
+    # tables with a row equal to arange, a left identity as in every monoid,
+    # so no two columns are equal; their one-entry mutations, 3 values in
+    # each of 16 cells, are numbered table-major
+    monoids = [p for p in TABLES[4] if (p == np.arange(4)).all(axis=1).any()]
+    assert len(monoids) == 1157
+    picks = np.random.default_rng(1157).choice(len(monoids) * 48, size=5000, replace=False)
+    for k in picks.tolist():
+        t, r = divmod(k, 48)
+        (a, b), shift = divmod(r // 3, 4), r % 3 + 1
+        q = monoids[t].copy()
+        q[a, b] = (q[a, b] + shift) % 4
+        assert _associativity_witness(q) == full_witness(q), q.tolist()
+
+
+def test_structural_route_agrees_with_hopcroft_karp_on_orthodox_tables():
+    # every orthodox table of order at most 4 has a matching, so this checks
+    # the "yes" answers and their lifted matchings; the "no"s need more
+    # elements (the Rees semigroups of tests/test_acceptance.py)
+    orthodox = 0
+    for n in range(1, 5):
+        for product in TABLES[n]:
+            table = MulTable(product)
+            if classify(table).orthodox:
+                orthodox += 1
+                bipartite = isinstance(find_permutation_matching(table), Matching)
+                assert decide_orthodox_matching(table).exists == bipartite, product.tolist()
+    assert orthodox == 1001
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_blossom_agrees_with_the_oracle(n):
+    for product in TABLES[n]:
+        table = MulTable(product)
+        res = find_involution_matching(table)
+        if not isinstance(res, Matching):
+            assert isinstance(res, TutteBarrier)
+            assert verify_barrier(table, res).ok, product.tolist()
+        assert isinstance(res, Matching) == isinstance(involution_oracle(table), Matching), product.tolist()
