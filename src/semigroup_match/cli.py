@@ -144,13 +144,13 @@ def _render_egg_box(band, dec) -> list:
     are reordered so each subband occupies a diagonal block, and block
     boundaries are drawn.
     """
-    size = len(band.h_map) // (band.m * band.n)
+    size = band.cells.shape[1]
     r_ord = list(dec.r_order) if dec is not None else list(range(band.m))
     l_ord = list(dec.l_order) if dec is not None else list(range(band.n))
     row_groups = [s.m for s in dec.subbands] if dec is not None else [band.m]
     col_groups = [s.n for s in dec.subbands] if dec is not None else [band.n]
     cells = [
-        [f"{size}{'*' if band.p.entries[lam][i] else ''}" for lam in l_ord]
+        [f"{size}{'*' if band.p[lam, i] else ''}" for lam in l_ord]
         for i in r_ord
     ]
     width = max(len(c) for row in cells for c in row)

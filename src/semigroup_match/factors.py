@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotOrthodoxError, NotRegularDClassError
 from .green import EggBox, green_classes
 from .structure import idempotents
-from .table import BoolStructureMatrix, MulTable, rees_matrix
+from .table import MulTable
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,18 @@ class ZeroRectBand:
     """Rectangular band with zero: the H-quotient of a regular D-class.
 
     Cells are pairs (i, lam) with i an R-class position and lam an L-class
-    position in the D-class's egg box; h_map sends each original semigroup
-    element of the D-class to its cell.
+    position in the D-class's egg box, numbered i*n + lam.  p[lam, i] (a
+    read-only bool array) marks the cells that hold an idempotent, and row
+    i*n + lam of the read-only array cells lists the elements of H-class
+    (i, lam) ascending; every H-class of a D-class has the same size.
     """
 
-    __slots__ = ("m", "n", "p", "h_map", "_table")
+    __slots__ = ("p", "cells", "m", "n")
 
-    def __init__(self, m: int, n: int, p: BoolStructureMatrix, h_map: dict):
-        self.m = m
-        self.n = n
+    def __init__(self, p: np.ndarray, cells: np.ndarray):
         self.p = p
-        self.h_map = h_map
-        self._table = None
+        self.cells = cells
+        self.n, self.m = p.shape
 
     @property
     def zero(self) -> int:
@@ -88,30 +88,25 @@ class ZeroRectBand:
     def coords(self, idx: int) -> tuple:
         return divmod(idx, self.n)
 
-    def table(self) -> MulTable:
-        if self._table is None:
-            self._table = rees_matrix(self.p)
-        return self._table
-
     def __repr__(self):
         return f"ZeroRectBand(m={self.m}, n={self.n})"
 
 
-def egg_box_band(box: EggBox, idems, element_map=None) -> ZeroRectBand:
-    """Collapse each H-class of a regular D-class's egg box to a cell (i, lam).
+def egg_box_band(box: EggBox, table: MulTable, element_map=None) -> ZeroRectBand:
+    """Collapse each H-class of a regular D-class of table to a cell (i, lam).
 
-    The structure matrix marks the cells that hold an element of idems; h_map
-    keys are the box's elements, renamed through element_map when given.
+    A cell is marked in p when one of its elements is idempotent in table,
+    read off the table's diagonal in one gather.  cells holds the box's
+    elements, renamed through element_map when given.
     """
     m, n = len(box.r_ids), len(box.l_ids)
-    entries = [[any(x in idems for x in box.grid[i][lam]) for i in range(m)] for lam in range(n)]
-    h_map = {
-        (x if element_map is None else element_map[x]): (i, lam)
-        for i, row in enumerate(box.grid)
-        for lam, cell in enumerate(row)
-        for x in cell
-    }
-    return ZeroRectBand(m=m, n=n, p=BoolStructureMatrix(entries), h_map=h_map)
+    cells = np.array(box.grid, dtype=np.intp).reshape(m * n, -1)
+    p = (table.product.diagonal()[cells] == cells).any(axis=1).reshape(m, n).T
+    if element_map is not None:
+        cells = np.asarray(element_map, dtype=np.intp)[cells]
+    p.setflags(write=False)
+    cells.setflags(write=False)
+    return ZeroRectBand(p, cells)
 
 
 def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
@@ -122,8 +117,7 @@ def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
     Raises NotRegularDClassError when the class has no idempotent.
     """
     t = pf.table
-    idems = set(idempotents(t))
-    if not any(e != pf.zero for e in idems):
+    if all(e == pf.zero for e in idempotents(t)):
         raise NotRegularDClassError(
             f"D-class {pf.d_class} holds no idempotent; it has no band quotient"
         )
@@ -131,7 +125,7 @@ def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
     nz_d = g.d_class[0]
     if any(g.d_class[x] != nz_d for x in range(pf.zero)):
         raise RuntimeError("regular principal factor must be 0-simple")
-    return egg_box_band(g.egg_boxes[nz_d], idems, pf.element_map)
+    return egg_box_band(g.egg_boxes[nz_d], t, pf.element_map)
 
 
 @dataclass(frozen=True)
@@ -149,10 +143,9 @@ class BandDecomposition:
     """The maximal rectangular subbands of a ZeroRectBand.
 
     row_block and col_block send each R-position and L-position of the band
-    to the index of the subband whose rows/columns cover it; phi composes
-    them with h_map, giving every original D-class element its coordinate
-    pair (row subband, column subband).  r_order and l_order list positions
-    subband by subband, the order that displays the blocks diagonally.
+    to the index of the subband whose rows/columns cover it.  r_order and
+    l_order list positions subband by subband, the order that displays the
+    blocks diagonally.
     """
 
     subbands: tuple
@@ -160,7 +153,6 @@ class BandDecomposition:
     l_order: tuple
     row_block: tuple
     col_block: tuple
-    phi: dict
 
     def block_sizes(self) -> tuple:
         return tuple((s.m, s.n) for s in self.subbands)
@@ -175,7 +167,7 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
     order.  Closure makes every connected component of marked cells a full
     rectangle, read off the marks of its first row, which also orders them.
     """
-    p = np.array(zband.p.entries, dtype=bool)   # p[lam, i]: cell (i, lam) is idempotent
+    p = zband.p   # p[lam, i]: cell (i, lam) is idempotent
     # (i, lam)(k, mu) = (i, mu) when p[lam, k], and (i, mu) is idempotent when p[mu, i];
     # bad[lam, i]: (i, lam) times some idempotent escapes.  P P^T ~P is associated
     # so that the square middle factor has the smaller side of P.
@@ -207,16 +199,12 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
         )
     r_order = tuple(i for s in subbands for i in s.r_indices)
     l_order = tuple(lam for s in subbands for lam in s.l_indices)
-    phi = {
-        a: (row_block[i], col_block[lam]) for a, (i, lam) in zband.h_map.items()
-    }
     return BandDecomposition(
         subbands=tuple(subbands),
         r_order=r_order,
         l_order=l_order,
         row_block=tuple(row_block),
         col_block=tuple(col_block),
-        phi=phi,
     )
 
 

@@ -8,7 +8,8 @@ matching, and (for orthodox input) a structural test on the maximal
 rectangular blocks of each D-class of S's own egg box, which also yields an
 involution matching when it succeeds.  Every "no" carries a violating set A
 with |V(A)| < |A|: the elements that Hopcroft-Karp's last layering reaches
-from the unmatched ones, with V(A) read off the inverse matrix.  Involution
+from the unmatched ones, which the structural route reads off its blocks,
+with V(A) read off the inverse matrix.  Involution
 matchings of any semigroup are decided in polynomial time by Edmonds'
 blossom algorithm, which on failure returns a Tutte barrier.  decide() is
 the one entry point that picks a route and returns a verified Matching, a
@@ -37,12 +38,12 @@ from .green import green_classes, omega_powers
 from .structure import (
     classify,
     gamma_structure,
-    idempotents,
     inverse_matrix,
     is_orthodox,
     orthodoxy_witness,
 )
-from .table import _ASSOC_CHUNK_CELLS, MulTable, _narrow, _powers, _transposed
+from .table import (_ASSOC_CHUNK_CELLS, BoolStructureMatrix, MulTable, _narrow, _powers,
+                    _transposed, rees_matrix)
 
 DEFAULT_BRUTE_CAP = 20
 
@@ -282,16 +283,16 @@ class ClassSizeMismatch:
 
 
 def _require_orthodox(table: MulTable):
+    if is_orthodox(table):
+        return
     regular = inverse_matrix(table).any(axis=1)
     if not regular.all():
         a = int(regular.argmin())
         raise NotOrthodoxError(a, f"not orthodox: element {a} has no inverse")
-    pair = orthodoxy_witness(table)
-    if pair is not None:
-        e, f = pair
-        raise NotOrthodoxError(
-            pair, f"not orthodox: product of idempotents {e} and {f} is not idempotent"
-        )
+    e, f = pair = orthodoxy_witness(table)
+    raise NotOrthodoxError(
+        pair, f"not orthodox: product of idempotents {e} and {f} is not idempotent"
+    )
 
 
 def orthodox_involution(table: MulTable):
@@ -341,9 +342,12 @@ class DClassVerdict:
 
 @dataclass(frozen=True)
 class OrthodoxDecision:
+    """A verified involution matching when one exists, else the Hall certificate."""
+
     exists: bool
     per_d_class: tuple
     matching: Matching | None
+    certificate: HallCertificate | None = None
 
 
 def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matching: Matching) -> Matching:
@@ -351,24 +355,23 @@ def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matchin
 
     Each element has exactly one inverse inside any compatible H-cell, so a
     cell-level matching lifts by sending every element to its unique inverse
-    in the image cell.  The zero stays fixed.
+    in the image cell.  band_matching is a matching of the band's table,
+    rees_matrix over its structure matrix, whose element i*n + lam is cell
+    (i, lam).  The zero stays fixed.
     """
-    bt = band.table()
-    check = verify_matching(bt, band_matching.f)
+    check = verify_matching(rees_matrix(BoolStructureMatrix(band.p)), band_matching.f)
     if not check.ok:
         raise LiftFailureError(f"band matching invalid: {check.reason}")
     if band_matching.f[band.zero] != band.zero:
         raise LiftFailureError("band matching must fix the zero")
-    cell_members = {}
-    for x in range(factor.zero):
-        cell = band.h_map[factor.element_map[x]]
-        cell_members.setdefault(cell, []).append(x)
+    index = {a: x for x, a in enumerate(factor.element_map)}
+    members = [[index[a] for a in row] for row in band.cells.tolist()]   # factor elements per cell
+    cell_of = {x: c for c, xs in enumerate(members) for x in xs}
     v = inverse_matrix(factor.table)
     f = [-1] * (factor.zero + 1)
     f[factor.zero] = factor.zero
     for x in range(factor.zero):
-        src = band.h_map[factor.element_map[x]]
-        dst = np.array(cell_members[band.coords(band_matching.f[band.pair_index(*src)])])
+        dst = np.array(members[band_matching.f[cell_of[x]]])
         candidates = dst[v[x, dst]]
         if len(candidates) != 1:
             raise LiftFailureError(
@@ -387,7 +390,7 @@ def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matchin
 
 
 def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
-    """Structural existence test for matchings of an orthodox semigroup.
+    """Structural decision of matchings of an orthodox semigroup.
 
     Works one D-class at a time on S's own egg box, building no derived
     table: its H-classes form a rectangular band with zero whose idempotent
@@ -396,13 +399,17 @@ def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
     proportional.  Then each band cell pairs with its swapped-block partner,
     every element goes to its unique inverse in the partner H-class, and the
     assembled involution matching is verified on S.
+
+    Otherwise the certificate's set A holds, ascending, the elements of every
+    cell whose row block a and column block b (shapes m x n) have
+    m_a*n_b > m_b*n_a: exactly the elements that some maximum matching leaves
+    unmatched, the set find_permutation_matching reports (README).
     """
     _require_orthodox(table)
     boxes = green_classes(table).egg_boxes
-    idems = set(idempotents(table))
     verdicts = []
     for box in boxes:
-        band = egg_box_band(box, idems)
+        band = egg_box_band(box, table)
         dec = maximal_rect_subbands(band)
         verdicts.append(
             DClassVerdict(
@@ -412,14 +419,22 @@ def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
                 similarity=similarity_check(dec),
             )
         )
-    exists = all(vd.similarity.pairwise_similar for vd in verdicts)
-    if not exists:
-        return OrthodoxDecision(exists=False, per_d_class=tuple(verdicts), matching=None)
+    if not all(vd.similarity.pairwise_similar for vd in verdicts):
+        violating = []
+        for vd in verdicts:
+            ms, ns = np.array(vd.decomposition.block_sizes()).T
+            a = np.array(vd.decomposition.row_block)[:, None]
+            b = np.array(vd.decomposition.col_block)
+            surplus = ms[a] * ns[b] > ms[b] * ns[a]      # surplus[i, lam], cell i*n + lam
+            violating.append(vd.band.cells[surplus.ravel()].ravel())
+        cert = _hall_certificate(table, np.sort(np.concatenate(violating)).tolist())
+        return OrthodoxDecision(exists=False, per_d_class=tuple(verdicts), matching=None,
+                                certificate=cert)
     v = inverse_matrix(table)
     f = np.full(table.n, -1)
-    for vd, box in zip(verdicts, boxes):
+    for vd in verdicts:
         rows, cols = _partner_cells(vd.decomposition)
-        cells = np.array(box.grid).reshape(rows.size, -1)   # H-classes, all one size
+        cells = vd.band.cells
         image = cells[(rows * vd.band.n + cols).ravel()]
         hits = v[cells[:, :, None], image[:, None, :]]   # hits[c, x, y]: image[c, y] in V(cells[c, x])
         counts = hits.sum(axis=2)
@@ -717,9 +732,10 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
     Edmonds' blossom algorithm.  "auto" tells the two apart with
     is_orthodox, which reads the inverse relation and the orthodoxy witness
     alone, so a non-orthodox table never builds Green's relations here.
-    cap bounds "brute".  Returns a verified Matching, a HallCertificate, or
-    a verified TutteBarrier from the blossom route.  Bipartite matching
-    must agree with the other routes.
+    The structural route answers both ways alone, its "no" with the
+    certificate Hopcroft-Karp would give.  cap bounds "brute", which must
+    agree with Hopcroft-Karp.  Returns a verified Matching, a
+    HallCertificate, or a verified TutteBarrier from the blossom route.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -729,12 +745,7 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
         method = "orthodox" if is_orthodox(table) else "hall"
     if method == "orthodox":
         decision = decide_orthodox_matching(table)
-        if decision.exists:
-            return decision.matching
-        cert = find_permutation_matching(table)
-        if not isinstance(cert, HallCertificate):
-            raise RuntimeError("block similarity and bipartite matching verdicts disagree")
-        return cert
+        return decision.matching if decision.exists else decision.certificate
     if involution:
         return find_involution_matching(table)
     if method == "hall":

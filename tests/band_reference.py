@@ -5,6 +5,8 @@ the structure matrix, and the structural route pairs cells through
 factors._partner_cells.  The versions here work one pair of cells at a
 time: a |cells| x |cells| table of which products stay nonzero, and one
 block lookup per cell.  Tests check the library against them.
+block_coordinates reads each element's (row block, column block) pair off
+the band's cells.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ def meets_decomposition(zband) -> BandDecomposition:
     be idempotent, which is meets[f, e].  The first idempotent pair (e, f)
     in pair-index order that breaks this is the NotOrthodoxError witness.
     """
-    p = np.array(zband.p.entries, dtype=bool)   # p[lam, i]
+    p = zband.p                                 # p[lam, i]
     cells = np.argwhere(p.T)                    # idempotent (i, lam), pair-index order
     rows, cols = cells[:, 0], cells[:, 1]
     # (i, lam)(k, mu) = (i, mu) when p[lam, k], and (i, mu) is idempotent when p[mu, i]
@@ -51,8 +53,17 @@ def meets_decomposition(zband) -> BandDecomposition:
         l_order=tuple(lam for s in subbands for lam in s.l_indices),
         row_block=tuple(row_block),
         col_block=tuple(col_block),
-        phi={a: (row_block[i], col_block[lam]) for a, (i, lam) in zband.h_map.items()},
     )
+
+
+def block_coordinates(zband, dec: BandDecomposition) -> dict:
+    """Every element of the band's cells mapped to its (row block, column block)."""
+    coords = {}
+    for c, row in enumerate(zband.cells.tolist()):
+        i, lam = zband.coords(c)
+        for a in row:
+            coords[a] = (dec.row_block[i], dec.col_block[lam])
+    return coords
 
 
 def swapped_cell(dec: BandDecomposition, i: int, lam: int) -> tuple:

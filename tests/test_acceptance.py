@@ -37,6 +37,8 @@ from semigroup_match import (
 )
 from semigroup_match.cli import main
 
+from band_reference import block_coordinates
+
 from corpus import (
     T3_INVOLUTION,
     band7,
@@ -88,7 +90,8 @@ def test_criterion_2_blockwise_vs_bipartite_on_all_small_matrices():
 
     Every regular boolean structure matrix with both dimensions at most 3
     is turned into its combinatorial Rees semigroup; on each orthodox one
-    the block-proportionality verdict must coincide with the Hall route.
+    the block-proportionality verdict must coincide with the Hall route,
+    and on each "no" the two certificates must be equal.
     """
     def matrix_orthodox(entries, rows, cols):
         # (i,lam)(k,mu) = (i,mu) when p[lam][k]; closure of the idempotent
@@ -123,9 +126,13 @@ def test_criterion_2_blockwise_vs_bipartite_on_all_small_matrices():
             if not is_orthodox:
                 continue
             orthodox += 1
-            structural = decide_orthodox_matching(table).exists
-            bipartite = isinstance(find_permutation_matching(table), Matching)
+            decision = decide_orthodox_matching(table)
+            hall = find_permutation_matching(table)
+            structural = decision.exists
+            bipartite = isinstance(hall, Matching)
             assert structural == bipartite, entries
+            if not structural:
+                assert decision.certificate == hall, entries
             agreements += 1
             exists_count += structural
     elapsed = time.perf_counter() - started
@@ -269,7 +276,7 @@ def test_criterion_8_structure_property_suites():
             band = h_quotient_band(pf)
             dec = maximal_rect_subbands(band)
             sizes = dec.block_sizes()
-            bt = band.table()
+            bt = rees_matrix(BoolStructureMatrix(band.p))
             bv = inverse_sets(bt)
             brow = dec.row_block
             bcol = dec.col_block
@@ -277,8 +284,9 @@ def test_criterion_8_structure_property_suites():
                 i, j = brow[cell // band.n], bcol[cell % band.n]
                 if len(bv[cell]) != sizes[j][0] * sizes[i][1]:
                     violations.append((name, pf.d_class, cell, "band |V|"))
+            phi = block_coordinates(band, dec)
             for x in pf.element_map:
-                i, j = dec.phi[x]
+                i, j = phi[x]
                 if len(v[x]) != sizes[j][0] * sizes[i][1]:
                     violations.append((name, x, "|V| != m_j * n_i"))
 

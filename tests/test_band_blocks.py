@@ -40,10 +40,8 @@ from corpus import cyclic
 
 def zero_rect_band(entries) -> ZeroRectBand:
     """The band with structure matrix entries[lam][i]; cell (i, lam) holds its pair index."""
-    p = BoolStructureMatrix(entries)
-    m, n = p.cols, p.rows
-    h_map = {i * n + lam: (i, lam) for i in range(m) for lam in range(n)}
-    return ZeroRectBand(m=m, n=n, p=p, h_map=h_map)
+    p = np.array(BoolStructureMatrix(entries).entries)
+    return ZeroRectBand(p, np.arange(p.size)[:, None])
 
 
 def outcome(read_blocks, zband):

@@ -3,21 +3,26 @@
 The reference route builds each D-class's principal factor, its band
 quotient table and a V-class involution of that table, then lifts it back;
 the direct route reads everything off S.  Both must give the same bands,
-blocks and matchings.
+blocks and matchings, and the direct route's "no" builds no table and runs
+no Hopcroft-Karp.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from semigroup_match import (
     BandDecomposition,
+    BoolStructureMatrix,
     Matching,
     MulTable,
     NotOrthodoxError,
     Subband,
     classify,
+    decide,
     decide_orthodox_matching,
+    direct_product,
     egg_box_band,
     green_classes,
     h_quotient_band,
@@ -28,17 +33,18 @@ from semigroup_match import (
     orthodox_involution,
     principal_factors,
     rectangular_band,
+    rees_matrix,
 )
 from semigroup_match import factors as factors_mod
 from semigroup_match import matching as matching_mod
 from semigroup_match import table as table_mod
 
-from corpus import brandt, full_corpus
+from corpus import block_band, brandt, cyclic, full_corpus
 
 
 def reference_subbands(zband) -> BandDecomposition:
     """Blocks read from the band's own table: idempotent closure, then inverse sets."""
-    t = zband.table()
+    t = rees_matrix(BoolStructureMatrix(zband.p))
     zero = zband.zero
     idems = [e for e in idempotents(t) if e != zero]
     idem_or_zero = set(idems) | {zero}
@@ -73,7 +79,6 @@ def reference_subbands(zband) -> BandDecomposition:
         l_order=tuple(lam for s in subbands for lam in s.l_indices),
         row_block=tuple(row_block),
         col_block=tuple(col_block),
-        phi={a: (row_block[i], col_block[lam]) for a, (i, lam) in zband.h_map.items()},
     )
 
 
@@ -82,7 +87,7 @@ def reference_matching(table: MulTable) -> tuple:
     f = [-1] * table.n
     for pf in principal_factors(table):
         band = h_quotient_band(pf)
-        band_matching = orthodox_involution(band.table())
+        band_matching = orthodox_involution(rees_matrix(BoolStructureMatrix(band.p)))
         assert isinstance(band_matching, Matching)
         lifted = lift_band_matching(pf, band, band_matching)
         for x in range(pf.zero):
@@ -105,9 +110,11 @@ def test_egg_box_band_matches_principal_factor_band(name, table):
     for pf, box in zip(principal_factors(table), g.egg_boxes):
         if not idems.intersection(g.d_classes[pf.d_class]):
             continue
-        direct = egg_box_band(box, idems)
+        direct = egg_box_band(box, table)
         ref = h_quotient_band(pf)
-        assert (direct.m, direct.n, direct.p, direct.h_map) == (ref.m, ref.n, ref.p, ref.h_map), name
+        assert (direct.m, direct.n) == (ref.m, ref.n), name
+        assert np.array_equal(direct.p, ref.p), name
+        assert np.array_equal(direct.cells, ref.cells), name
         assert (_blocks_or_witness(maximal_rect_subbands, direct)
                 == _blocks_or_witness(reference_subbands, ref)), name
 
@@ -122,8 +129,14 @@ def test_direct_matching_matches_factor_lift(name, table):
     assert decision.matching.f == reference_matching(table), name
 
 
-@pytest.mark.parametrize("table", [rectangular_band(16, 16), brandt(16)], ids=["rect16x16", "b16"])
-def test_direct_route_builds_no_tables(monkeypatch, table):
+@pytest.mark.parametrize(
+    "table,exists",
+    [(rectangular_band(16, 16), True), (brandt(16), True),
+     (block_band([(2, 4), (3, 3)]), False),
+     (direct_product(block_band([(2, 4), (3, 3)]), cyclic(3)), False)],
+    ids=["rect16x16", "b16", "blocks2x4+3x3", "blocks2x4+3x3xC3"],
+)
+def test_direct_route_builds_no_tables(monkeypatch, table, exists):
     built = []
     init = MulTable.__init__
 
@@ -135,10 +148,12 @@ def test_direct_route_builds_no_tables(monkeypatch, table):
         raise AssertionError("the direct route must not call this")
 
     monkeypatch.setattr(MulTable, "__init__", counting_init)
-    for mod, name in [(factors_mod, "principal_factors"), (factors_mod, "rees_matrix"),
+    for mod, name in [(factors_mod, "principal_factors"), (matching_mod, "rees_matrix"),
                       (table_mod, "rees_matrix"), (matching_mod, "orthodox_involution"),
-                      (matching_mod, "lift_band_matching")]:
+                      (matching_mod, "lift_band_matching"),
+                      (matching_mod, "find_permutation_matching")]:
         monkeypatch.setattr(mod, name, forbidden)
     decision = decide_orthodox_matching(table)
-    assert decision.exists
+    assert decision.exists == exists
+    assert decide(table) == (decision.matching if exists else decision.certificate)
     assert built == []

@@ -14,8 +14,11 @@ from semigroup_match import (
     inverse_sets,
     maximal_rect_subbands,
     principal_factors,
+    rees_matrix,
     similarity_check,
 )
+
+from band_reference import block_coordinates
 
 from corpus import (
     band7,
@@ -69,15 +72,13 @@ class TestHQuotient:
         top = principal_factors(band7())[0]
         band = h_quotient_band(top)
         assert (band.m, band.n) == (2, 3)
-        assert band.p == BoolStructureMatrix(
-            ((False, True), (True, False), (True, False))
-        )
-        assert band.h_map == {
-            0: (0, 0), 1: (0, 1), 2: (0, 2),
-            3: (1, 0), 4: (1, 1), 5: (1, 2),
-        }
+        assert band.p.tolist() == [[False, True], [True, False], [True, False]]
+        assert not band.p.flags.writeable
+        # cell (i, lam) is row i*3 + lam
+        assert band.cells.tolist() == [[0], [1], [2], [3], [4], [5]]
+        assert not band.cells.flags.writeable
         assert band.zero == 6
-        assert band.table() is band.table()
+        assert rees_matrix(BoolStructureMatrix(band.p)) == band7()
 
     def test_pair_index_coords_round_trip(self):
         top = principal_factors(band7())[0]
@@ -99,7 +100,7 @@ class TestHQuotient:
         top = principal_factors(cyclic(6))[0]
         band = h_quotient_band(top)
         assert (band.m, band.n) == (1, 1)
-        assert band.h_map == {a: (0, 0) for a in range(6)}
+        assert band.cells.tolist() == [[0, 1, 2, 3, 4, 5]]
 
     @pytest.mark.parametrize("name,table", small_corpus())
     def test_cells_mark_idempotent_h_classes(self, name, table):
@@ -108,12 +109,11 @@ class TestHQuotient:
             if not any(x in e for x in pf.element_map):
                 continue
             band = h_quotient_band(pf)
-            cells = {}
-            for x, cell in band.h_map.items():
-                cells.setdefault(cell, []).append(x)
-            for (i, lam), xs in cells.items():
+            assert sorted(band.cells.ravel().tolist()) == list(pf.element_map), name
+            for c, xs in enumerate(band.cells.tolist()):
+                i, lam = band.coords(c)
                 has_idem = any(x in e for x in xs)
-                assert band.p.entries[lam][i] == has_idem, name
+                assert band.p[lam, i] == has_idem, name
 
 
 class TestSubbands:
@@ -132,15 +132,16 @@ class TestSubbands:
     def test_band7_phi(self):
         band = h_quotient_band(principal_factors(band7())[0])
         dec = maximal_rect_subbands(band)
-        assert dec.phi == {
+        phi = block_coordinates(band, dec)
+        assert phi == {
             0: (0, 1), 1: (0, 0), 2: (0, 0),
             3: (1, 1), 4: (1, 0), 5: (1, 0),
         }
         # the non-idempotent (2,2) sits at block coordinate (2,1) and has
         # exactly m_1 * n_2 = 1 inverse
-        assert dec.phi[4] == (1, 0)
+        assert phi[4] == (1, 0)
         sizes = dec.block_sizes()
-        i, j = dec.phi[4]
+        i, j = phi[4]
         v = inverse_sets(band7())
         assert len(v[4]) == sizes[j][0] * sizes[i][1] == 1
 
@@ -184,21 +185,22 @@ class TestDecompositionInvariants:
                 continue
             band = h_quotient_band(pf)
             # orthodoxy is inherited: idempotents of the band are closed
-            bt = band.table()
+            bt = rees_matrix(BoolStructureMatrix(band.p))
             be = set(idempotents(bt))
             assert all(bt.mul(x, y) in be for x in be for y in be), name
             dec = maximal_rect_subbands(band)
             sizes = dec.block_sizes()
             # phi covers the class; idempotents land on the diagonal
-            assert set(dec.phi) == set(pf.element_map), name
+            phi = block_coordinates(band, dec)
+            assert set(phi) == set(pf.element_map), name
             for x in pf.element_map:
-                i, j = dec.phi[x]
+                i, j = phi[x]
                 if x in e:
                     assert i == j, name
                 assert len(v[x]) == sizes[j][0] * sizes[i][1], name
             # the (i,j) blocks partition the class and invert blockwise
             blocks = {}
-            for x, ij in dec.phi.items():
+            for x, ij in phi.items():
                 blocks.setdefault(ij, set()).add(x)
             count = len(sizes)
             for i in range(count):
@@ -220,5 +222,5 @@ class TestDecompositionInvariants:
             dec = maximal_rect_subbands(band)
             for i in range(band.m):
                 for lam in range(band.n):
-                    if band.p.entries[lam][i]:
+                    if band.p[lam, i]:
                         assert dec.row_block[i] == dec.col_block[lam], name

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semigroup_match import (
+    BoolStructureMatrix,
     ClassSizeMismatch,
     HallCertificate,
     LiftFailureError,
@@ -38,6 +39,7 @@ from semigroup_match import (
     orthodox_involution,
     principal_factors,
     rectangular_band,
+    rees_matrix,
     verify_barrier,
     verify_matching,
 )
@@ -51,6 +53,7 @@ from corpus import (
     T3_INVOLUTION,
     band7,
     block_band,
+    block_diag_matrix,
     brandt,
     chain_semilattice,
     cyclic,
@@ -307,6 +310,7 @@ class TestDecideOrthodox:
         dec = decide_orthodox_matching(band7())
         assert not dec.exists
         assert dec.matching is None
+        assert dec.certificate == find_permutation_matching(band7())
         assert len(dec.per_d_class) == 2
         top = dec.per_d_class[0]
         assert not top.similarity.pairwise_similar
@@ -334,6 +338,38 @@ class TestDecideOrthodox:
             decide_orthodox_matching(t_n(3))
 
 
+def shuffled_block_rees(rng, blocks: int, side: int) -> MulTable:
+    """Rees semigroup of a block-diagonal 0/1 matrix, 1..blocks blocks with
+    1..side rows and columns each, its rows and columns shuffled."""
+    shapes = [tuple(rng.integers(1, side + 1, size=2).tolist())
+              for _ in range(rng.integers(1, blocks + 1))]
+    p = np.array(block_diag_matrix(shapes).entries)
+    p = p[rng.permutation(p.shape[0])][:, rng.permutation(p.shape[1])]
+    return rees_matrix(BoolStructureMatrix(p))
+
+
+def test_structural_certificate_is_hopcroft_karps():
+    # Hopcroft-Karp's certificate is the set of elements some maximum
+    # matching leaves unmatched; the structural route reads it off the
+    # blocks, so the two must be equal, not only both "no"
+    rng = np.random.default_rng(21)
+    noes = 0
+    for draw in range(400):
+        table = shuffled_block_rees(rng, 3, 4)
+        if draw % 4 == 1:
+            table = direct_product(table, cyclic(2 + draw % 8 // 4))
+        elif draw % 4 == 2:
+            table = direct_product(shuffled_block_rees(rng, 2, 2), shuffled_block_rees(rng, 2, 2))
+        dec = decide_orthodox_matching(table)
+        hk = find_permutation_matching(table)
+        if dec.exists:
+            assert isinstance(hk, Matching), draw
+        else:
+            assert dec.certificate == hk, draw
+            noes += 1
+    assert noes >= 240
+
+
 class TestLift:
     def test_rejects_invalid_band_matching(self):
         pf = principal_factors(band7())[0]
@@ -350,7 +386,7 @@ class TestLift:
         table = direct_product(cyclic(2), rectangular_band(1, 2))
         pf = principal_factors(table)[0]
         band = h_quotient_band(pf)
-        bm = orthodox_involution(band.table())
+        bm = orthodox_involution(rees_matrix(BoolStructureMatrix(band.p)))
         lifted = lift_band_matching(pf, band, bm)
         assert lifted.provenance == "band_lift"
         assert verify_matching(pf.table, lifted.f).ok
