@@ -46,9 +46,15 @@ def principal_factor(table: MulTable, d: int) -> PrincipalFactor:
     members = green_classes(table).d_classes[d]
     k = len(members)
     index_of = np.full(table.n, k, dtype=np.intp)   # position in the class, the zero outside it
-    index_of[list(members)] = np.arange(k)
+    ids = np.array(members, dtype=np.intp)
+    index_of[ids] = np.arange(k)
     fprod = np.full((k + 1, k + 1), k, dtype=np.intp)
-    fprod[:k, :k] = index_of[table.product[np.ix_(members, members)]]
+    # 256 rows at a time, so no second k x k array is made, and MulTable
+    # keeps the read-only result instead of copying it
+    inner = fprod[:k, :k]
+    for start in range(0, k, 256):
+        inner[start:start + 256] = index_of[table.product[ids[start:start + 256, None], ids]]
+    fprod.setflags(write=False)
     member_names = [table.element_name(a) for a in members]
     names = member_names + [_fresh_zero_name(set(member_names))]
     return PrincipalFactor(

@@ -8,7 +8,17 @@ each distinct row, y of each distinct column and g of each (row, column)
 class, decides it and finds the first failing triple: n^2 cells for a
 k x l rectangular band or a left-zero band, 1 for a null semigroup.
 
-Two shortcuts come first; a table that fails one is then swept.  Where
+Three shortcuts come first.  A table of the form M0(I, Λ; P), a Rees
+matrix semigroup over the trivial group with any 0/1 sandwich matrix P, is
+associative: (ab)c and a(bc) are both cell(i(a), λ(c)) when P[λ(a), i(b)]
+and P[λ(b), i(c)] hold, and both the zero otherwise.  _rees_form labels the
+elements by their least nonzero row and column entries and compares every
+product once with that formula; when all match, nothing is swept.  Every
+principal factor of a combinatorial regular D-class has this form, and so
+does every combinatorial 0-simple Rees semigroup: Brandt semigroups and
+rectangular bands with a zero among them.  A table without a two-sided
+zero leaves after O(n) reads.  Any other table goes on to Light's
+test, and one that fails the next two shortcuts is then swept.  Where
 every class costs more than 2 n^2 cells, Light's test checks g only over
 a generating set: every element outside S^2, then greedily the unreached
 element with the largest |aS| + |Sa| whose row and column minima (its R-
@@ -20,9 +30,9 @@ y with gy = v, the condition holds for g exactly when (A) every row z of
 Z is constant on each class {y : gy = v} and (B) (xg) rep(v) = x v for
 every x and v: about |Z| |C| + |R| |V| cells instead of |R| |C|.  A generator takes this route
 when (|gS| + |Sg|) * max(|R|, |C|) is at most a quarter of |R| |C|.  So
-0-simple Rees and Brandt semigroups of about 90 elements and up, where Sg
-lies in L_g and 0 and gS in R_g and 0, take it; bands, left-zero bands,
-null semigroups and T_n never do.
+0-simple Rees semigroups over a nontrivial group, of about 90 elements and
+up, where Sg lies in L_g and 0 and gS in R_g and 0, take it; bands,
+left-zero bands, null semigroups and T_n never do.
 
 parse_table reads the rows of a table file with np.fromstring; any row that
 reader might take differently from str.split and int() sends the whole table
@@ -359,8 +369,87 @@ def _first_failure(x_rows, y_cols, xs, gs, ys):
     return None
 
 
+def _rees_form(compact: np.ndarray) -> bool:
+    """Whether compact is M0(I, Λ; P) for a 0/1 matrix P, which proves it associative.
+
+    A zero z has 0z = z = z0, and it is the product of any elements that
+    include it, in any bracketing: the product of the elements c with
+    0c = c = c0 is the only candidate, and its row and column are read, so
+    a table without a two-sided zero costs O(n) here.  Each other element a
+    gets i(a), the least nonzero entry of its row, and λ(a), that of its
+    column, both in the cyclic order that starts after z (entries are read
+    as x - z - 1 modulo the dtype's range, so z sorts last and needs no
+    sentinel).  These labels must put exactly one element in each cell of
+    an I x Λ grid; P[λ, i] is read off one product per pair.  Then every
+    product, z's row and column included, is compared with
+    ab = cell(i(a), λ(b)) when P[λ(a), i(b)] and z otherwise, a block of
+    rows at a time.  When all match, the table is
+    M0(I, Λ; P), where (ab)c and a(bc) both equal cell(i(a), λ(c)) exactly
+    when P[λ(a), i(b)] and P[λ(b), i(c)] hold and both are z otherwise.
+    The labels are only a guess: the grid and the formula prove the form.
+    """
+    n = compact.shape[0]
+    if n < 2:
+        return False
+    ident = np.arange(n)
+    v = np.flatnonzero((compact[0] == ident) & (compact[:, 0] == ident))
+    while len(v) > 1:
+        v = np.concatenate([compact[v[:-1:2], v[1::2]], v[len(v) & ~1:]])
+    if not len(v):
+        return False
+    z = compact.dtype.type(v[0])
+    if (compact[z] != z).any() or (compact[:, z] != z).any():
+        return False
+    flip = np.invert(z)                 # x + flip = x - z - 1, wrapping
+    # rows per block as in _ideal_profile: no temporary takes more than
+    # _ASSOC_CHUNK_CELLS bytes
+    step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
+    row_min = np.empty(n, dtype=compact.dtype)
+    col_min = np.full(n, np.iinfo(compact.dtype).max, dtype=compact.dtype)
+    for start in range(0, n, step):
+        keys = compact[start:start + step] + flip
+        row_min[start:start + step] = keys.min(axis=1)
+        np.minimum(col_min, keys.min(axis=0), out=col_min)
+    others = np.flatnonzero(ident != z)
+    row_labels, i = np.unique(row_min[others], return_inverse=True)
+    col_labels, lam = np.unique(col_min[others], return_inverse=True)
+    m, k = len(row_labels), len(col_labels)
+    if m * k != n - 1:
+        return False
+    cell = np.full((m, k), z)
+    cell[i, lam] = others
+    if (cell == z).any():               # a cell left empty, so another holds two
+        return False
+    p = compact[cell[:1].T, cell[:, :1].T] != z        # p[λ, i] = cell(0, λ) cell(i, 0) != z
+    # nonzero[λ, b] = P[λ, i(b)], value[i, b] = cell(i, λ(b)); z's row reads
+    # the extra all-false row of nonzero, and its column is false throughout
+    row_i = np.zeros(n, dtype=np.intp)
+    row_i[others] = i
+    row_lam = np.full(n, k, dtype=np.intp)
+    row_lam[others] = lam
+    nonzero = np.zeros((k + 1, n), dtype=bool)
+    nonzero[:k, others] = p[:, i]
+    value = np.zeros((m, n), dtype=compact.dtype)
+    value[:, others] = cell[:, lam]
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        if not np.array_equal(compact[block], np.where(nonzero[row_lam[block]], value[row_i[block]], z)):
+            return False
+    return True
+
+
 def _associativity_witness(product: np.ndarray):
     """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None.
+
+    A table that _rees_form certifies has none; any other goes through
+    Light's test in _light_witness.
+    """
+    compact = _narrow(product)
+    return None if _rees_form(compact) else _light_witness(compact)
+
+
+def _light_witness(compact: np.ndarray):
+    """_associativity_witness on compact, a _narrow table, by Light's test.
 
     (ab)c = a(bc) reads a only through its row, c only through its column
     and b through both, so that triple has a in xs, b in classes and c in
@@ -368,8 +457,7 @@ def _associativity_witness(product: np.ndarray):
     come first: Light's test checks only gens, a generating set, and
     _factored_check takes the generators with small ideals.
     """
-    n = product.shape[0]
-    compact = _narrow(product)
+    n = compact.shape[0]
     xs, gens, ys, bound, classes = _light_sets(compact)
     # a table with no repeated row (or column) is read in place
     x_rows = compact if len(xs) == n else compact[xs]        # x_rows[i, b] = xs[i]*b
@@ -392,8 +480,9 @@ class MulTable:
 
     The input must be a square array of integer dtype (anything else raises
     TableFormatError), entries are range-checked and associativity is
-    verified at construction;
-    a non-associative table raises NotAssociativeError with its
+    verified at construction: by the Rees formula check when the table is
+    M0(I, Λ; P) over the trivial group, by Light's test otherwise; a
+    non-associative table raises NotAssociativeError with its
     lexicographically first bad triple.  The product is stored as a
     read-only C-ordered intp array, whatever the input's layout: a copy,
     unless the input already is such an array and owns its data, and

@@ -4,8 +4,13 @@ MulTable sweeps the row/column quotient of the table, after checking a
 generating set where that is cheaper, so every NotAssociativeError must
 carry the same lexicographically first bad triple as the n^3 sweep, also
 when the first failure comes late.  Generators with small ideals are
-checked through Sg and gS (_factored_check); the tests at the end force
-that route and check it the same way.
+checked through Sg and gS (_factored_check); the tests after those force
+that route and check it the same way, calling Light's test
+(_light_witness) directly, since _associativity_witness certifies the
+tables of the form M0(I, Λ; P) before it.  The tests at the end check
+that certificate, _rees_form: it holds on Rees semigroups over the
+trivial group whatever their numbering, on no other semigroup, and on no
+table with a failing triple.
 """
 
 from __future__ import annotations
@@ -30,19 +35,25 @@ from semigroup_match import (
 )
 from semigroup_match import table as table_mod
 from semigroup_match.factors import principal_factor
+from semigroup_match.structure import idempotents
 from semigroup_match.table import (
     _associativity_witness,
     _first_equal,
     _generators,
     _ideal_profile,
     _light_sets,
+    _light_witness,
+    _narrow,
+    _rees_form,
     _transposed,
 )
 
 from associativity_reference import full_witness, round_robin_generators
 from corpus import (
     RANDOM_REES,
+    adjoin_identity,
     adjoin_zero,
+    all_semigroups,
     block_band,
     brandt,
     cyclic,
@@ -368,9 +379,13 @@ def _sampled_mutations(product, count, seed):
 
 
 def _check_factored_route(q):
-    """q gets the sweep's witness with every bounded generator checked through Sg and gS."""
+    """q gets the sweep's witness from Light's test, every bounded generator checked through Sg and gS.
+
+    Light's test is called directly: _associativity_witness answers the
+    unmutated Rees tables with _rees_form and never reaches it.
+    """
     with _factored_calls(**FACTORED_EVERYWHERE) as calls:
-        assert _associativity_witness(q) == full_witness(q)
+        assert _light_witness(_narrow(q)) == full_witness(q)
     return bool(calls)
 
 
@@ -454,29 +469,225 @@ def test_natural_choice_on_mutations_of_a_large_rees_semigroup():
     product = random_rees(*RANDOM_REES[20]).product
     for q in [product, *_sampled_mutations(product, 8, seed=20)]:
         with _factored_calls() as calls:
-            assert _associativity_witness(q) == full_witness(q)
+            assert _light_witness(_narrow(q)) == full_witness(q)
         assert calls and calls[0] >= 19
 
 
-# which tables take the factored route at the module's own constants
+# which tables take the factored route in Light's test at the module's own
+# constants, and which of them _rees_form certifies first
 ROUTES = [
-    ("rees20", lambda: random_rees(*RANDOM_REES[20]), True),
-    ("brandt16", lambda: brandt(16), True),
-    ("rees7_x_c3", lambda: direct_product(random_rees(*RANDOM_REES[7]), cyclic(3)), True),
-    ("rees7", lambda: random_rees(*RANDOM_REES[7]), True),
-    ("band64x64", lambda: rectangular_band(64, 64), False),
-    ("left_zero2048", lambda: left_zero(2048), False),
-    ("null64", lambda: null_semigroup(64), False),
-    ("t4", lambda: t_n(4), False),
+    ("rees20", lambda: random_rees(*RANDOM_REES[20]), True, True),
+    ("brandt16", lambda: brandt(16), True, True),
+    ("rees7_x_c3", lambda: direct_product(random_rees(*RANDOM_REES[7]), cyclic(3)), True, False),
+    ("rees7", lambda: random_rees(*RANDOM_REES[7]), True, True),
+    ("band64x64", lambda: rectangular_band(64, 64), False, False),
+    ("left_zero2048", lambda: left_zero(2048), False, False),
+    ("null64", lambda: null_semigroup(64), False, False),
+    ("t4", lambda: t_n(4), False, False),
 ]
 
 
-@pytest.mark.parametrize("name,build,factored", ROUTES, ids=[name for name, _, _ in ROUTES])
-def test_factored_route_is_taken_where_ideals_are_small(name, build, factored):
+@pytest.mark.parametrize("name,build,factored,rees", ROUTES, ids=[name for name, _, _, _ in ROUTES])
+def test_factored_route_is_taken_where_ideals_are_small(name, build, factored, rees):
     # bands, left-zero bands and null semigroups check every (row, column)
     # class directly; T_n's generators have ideals too large; 0-simple Rees
     # semigroups take it from about 90 elements up
     product = build().product
     with _factored_calls() as calls:
-        assert _associativity_witness(product) is None
+        assert _light_witness(_narrow(product)) is None
     assert bool(calls) == factored
+
+
+@pytest.mark.parametrize("name,build,factored,rees", ROUTES, ids=[name for name, _, _, _ in ROUTES])
+def test_light_test_runs_where_the_rees_form_does_not_hold(name, build, factored, rees):
+    # Rees semigroups over the trivial group are certified before Light's
+    # test; over C_3, and for tables without a zero or with a null part, it runs
+    product = build().product
+    assert _rees_form(_narrow(product)) == rees
+    with mock.patch.object(table_mod, "_light_witness", wraps=table_mod._light_witness) as light:
+        assert _associativity_witness(product) is None
+    assert light.called != rees
+
+
+# --- The Rees certificate ---------------------------------------------------
+
+
+def _certified(product) -> bool:
+    return _rees_form(_narrow(product))
+
+
+def _placements(product):
+    """product renumbered by three rotations and two random permutations.
+
+    A rotation a -> a + s (mod n) moves the last element, a Rees
+    semigroup's zero, to s - 1: it stays last, goes first, or to the middle.
+    """
+    n = product.shape[0]
+    for shift in sorted({0, 1, n // 2}):
+        rotated = np.empty_like(product)
+        perm = (np.arange(n) + shift) % n
+        rotated[perm[:, None], perm[None, :]] = perm[product]
+        yield rotated
+    for seed in range(2):
+        yield _relabelled(product, seed)
+
+
+def _combinatorial_factors():
+    """Principal factors of the combinatorial regular D-classes of full_corpus()."""
+    factors = []
+    for name, table in CORPUS:
+        g = green_classes(table)
+        idems = set(idempotents(table))
+        for d, members in enumerate(g.d_classes):
+            if idems & set(members) and all(len(g.h_classes[g.h_class[a]]) == 1 for a in members):
+                factors.append((f"{name}_d{d}", principal_factor(table, d).table))
+    return factors
+
+
+def _rees256():
+    """A 15 x 17 Rees semigroup: 256 elements, so its narrow table is uint8."""
+    return random_rees(256, 17, 15, 0.4)
+
+
+# 0-simple Rees semigroups over the trivial group: the zero and one element
+# per cell of the grid, whatever their numbering
+REES_SHAPED = ([(f"rees{args[0]}", lambda a=args: random_rees(*a)) for args in RANDOM_REES]
+               + [(f"brandt{k}", lambda k=k: brandt(k)) for k in (1, 2, 3, 8)]
+               + [("block_band_12_21_33", lambda: block_band([(1, 2), (2, 1), (3, 3)])),
+                  ("block_band_2412", lambda: block_band([(2, 4), (1, 2)])),
+                  ("rect11_zero", lambda: adjoin_zero(rectangular_band(1, 1))),
+                  ("rect23_zero", lambda: adjoin_zero(rectangular_band(2, 3))),
+                  ("rect51_zero", lambda: adjoin_zero(rectangular_band(5, 1))),
+                  ("rees256", _rees256)]
+               + [(name, lambda t=t: t) for name, t in _combinatorial_factors()])
+
+
+@pytest.mark.parametrize("name,build", REES_SHAPED, ids=[name for name, _ in REES_SHAPED])
+def test_rees_form_certifies_rees_semigroups_with_the_zero_anywhere(name, build):
+    product = build().product
+    for relabelled in _placements(product):
+        assert _certified(relabelled)
+        with mock.patch.object(table_mod, "_light_witness") as light:
+            assert _associativity_witness(relabelled) is None
+        light.assert_not_called()
+
+
+def test_rees_form_reads_a_uint8_table_with_element_255():
+    # the zero sits at 255, then at 0, where 255 is an ordinary element: the
+    # cyclic order after the zero needs no sentinel past 255
+    product = _rees256().product
+    assert _narrow(product).dtype == np.uint8
+    placed = list(_placements(product))
+    assert [int(np.bincount(q.ravel()).argmax()) for q in placed[:2]] == [255, 0]
+    assert all(_certified(q) for q in placed)
+
+
+def test_the_combinatorial_factors_are_many():
+    # every D-class of a band, a Brandt semigroup or a block-diagonal Rees
+    # semigroup is combinatorial and regular
+    assert len(_combinatorial_factors()) >= 40
+
+
+# associative tables the certificate must leave to Light's test: no zero,
+# a null part (n - 1 elements in one cell), or an H-class of a group
+NOT_REES = [
+    ("null3", null_semigroup(3)),
+    ("null64", null_semigroup(64)),
+    ("t2", t_n(2)),
+    ("t3", t_n(3)),
+    ("t4", t_n(4)),
+    ("rees0_x_c2", direct_product(random_rees(*RANDOM_REES[0]), cyclic(2))),
+    ("brandt3_x_c3", direct_product(brandt(3), cyclic(3))),
+    ("rect23_x_c3", direct_product(rectangular_band(2, 3), cyclic(3))),
+    ("rect44", rectangular_band(4, 4)),
+    ("left_zero5", left_zero(5)),
+    ("right_zero5", right_zero(5)),
+    ("c4", cyclic(4)),
+    ("c2_zero", adjoin_zero(cyclic(2))),
+    ("chain4", dict(CORPUS)["chain4"]),
+    ("rect22_one", dict(CORPUS)["rect22_one"]),
+    ("brandt3_one", adjoin_identity(brandt(3))),
+    ("brandt3_zero", adjoin_zero(brandt(3))),
+]
+
+
+@pytest.mark.parametrize("name,table", NOT_REES, ids=[name for name, _ in NOT_REES])
+def test_rees_form_rejects_other_semigroups(name, table):
+    for relabelled in _placements(table.product):
+        assert not _certified(relabelled)
+        assert _associativity_witness(relabelled) is None
+
+
+def test_rees_form_is_sound_on_every_small_semigroup_and_mutation():
+    # every table of order at most 3, its one-entry mutations, and a seeded
+    # 5000 of the 167,616 one-entry mutations of order 4: a certified table
+    # has no failing triple
+    tables = {n: all_semigroups(n) for n in range(1, 5)}
+    small = [q for n in (1, 2, 3) for p in tables[n] for q in [p, *one_entry_mutations(p)]]
+    picks = np.random.default_rng(167616).choice(3492 * 48, size=5000, replace=False)
+    sampled = []
+    for k in picks.tolist():
+        t, r = divmod(k, 48)
+        (a, b), shift = divmod(r // 3, 4), r % 3 + 1
+        q = tables[4][t].copy()
+        q[a, b] = (q[a, b] + shift) % 4
+        sampled.append(q)
+    certified = 0
+    for q in small + sampled:
+        if _certified(q):
+            certified += 1
+            assert full_witness(q) is None, q.tolist()
+    assert len(small) == 2188 and certified
+
+
+# small Rees semigroups whose mutations come closest to the form
+REES_MUTATED = [("brandt3", brandt(3)), ("five_unique", dict(CORPUS)["five_unique"]),
+                ("band7", dict(CORPUS)["band7"]), ("rect23_zero", adjoin_zero(rectangular_band(2, 3))),
+                ("block_band_sim", dict(CORPUS)["block_band_sim"])]
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 21])
+@pytest.mark.parametrize("name,table", REES_MUTATED, ids=[name for name, _ in REES_MUTATED])
+def test_rees_form_is_sound_on_mutations_of_rees_semigroups(monkeypatch, name, table, cells):
+    # 1 and 7 cells give one row per block, the default one block
+    monkeypatch.setattr(table_mod, "_ASSOC_CHUNK_CELLS", cells)
+    for relabelled in _placements(table.product):
+        assert _certified(relabelled)
+        for q in one_entry_mutations(relabelled):
+            if _certified(q):
+                assert full_witness(q) is None, q.tolist()
+
+
+def _twin_with_a_hole(product, h, s, v):
+    """product with element h made a twin of s and every product that was h set to v.
+
+    h takes s's row and column, so the labels fill every cell of the grid
+    but h's, and s's cell holds two elements.
+    """
+    q = product.copy()
+    q[q == h] = v
+    q[h] = q[s]
+    q[:, h] = q[:, s]
+    return q
+
+
+TWINNED = [("rect22_zero", adjoin_zero(rectangular_band(2, 2))), ("brandt2", brandt(2)),
+           ("rect23_zero", adjoin_zero(rectangular_band(2, 3)))]
+
+
+@pytest.mark.parametrize("name,table", TWINNED, ids=[name for name, _ in TWINNED])
+def test_rees_form_is_sound_on_twins_with_a_hole(name, table):
+    # the grid holds n - 1 elements only when every cell holds exactly one;
+    # whatever an empty cell is read as, a hole with its products set to
+    # that value must not be certified when the table is not associative
+    n = table.n
+    failing = 0
+    for h in range(n - 1):
+        for s in range(n - 1):
+            if s != h:
+                for v in range(n):
+                    q = _twin_with_a_hole(table.product, h, s, v)
+                    witness = full_witness(q)
+                    failing += witness is not None
+                    assert not (_certified(q) and witness is not None), q.tolist()
+    assert failing

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from semigroup_match import (
@@ -13,6 +16,7 @@ from semigroup_match import (
     idempotents,
     inverse_sets,
     maximal_rect_subbands,
+    principal_factor,
     principal_factors,
     rees_matrix,
     similarity_check,
@@ -65,6 +69,23 @@ class TestPrincipalFactors:
             assert all(t.mul(a, pf.zero) == pf.zero for a in range(t.n)), name
         ids = [pf.d_class for pf in principal_factors(table)]
         assert ids == sorted(set(range(len(g.d_classes)))), name
+
+    def test_large_factor_holds_its_table_once(self):
+        # B(40): one D-class of 1600 elements, gathered in blocks of 256
+        # rows, the last one short; the factor is the table itself.  Its
+        # (k + 1) x (k + 1) intp table is kept by MulTable, not copied, and
+        # no second one is made on the way
+        table = brandt(40)
+        g = green_classes(table)
+        (d,) = [d for d, members in enumerate(g.d_classes) if len(members) == 1600]
+        tracemalloc.start()
+        try:
+            pf = principal_factor(table, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(pf.table.product, table.product)
+        assert peak < 2 * 1601 * 1601 * 8
 
 
 class TestHQuotient:
