@@ -88,9 +88,6 @@ class ZeroRectBand:
     def zero(self) -> int:
         return self.m * self.n
 
-    def pair_index(self, i: int, lam: int) -> int:
-        return i * self.n + lam
-
     def coords(self, idx: int) -> tuple:
         return divmod(idx, self.n)
 

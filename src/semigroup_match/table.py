@@ -34,17 +34,17 @@ when (|gS| + |Sg|) * max(|R|, |C|) is at most a quarter of |R| |C|.  So
 up, where Sg lies in L_g and 0 and gS in R_g and 0, take it; bands,
 left-zero bands, null semigroups and T_n never do.
 
-parse_table reads the rows of a table file with np.fromstring; any row that
-reader might take differently from str.split and int() sends the whole table
-through the per-row int() loop, which accepts the same tables and words
-every error.
+parse_table reads a table file in one byte pass per block of whole lines:
+the digit runs of a block are found by array comparisons and combined into
+the rows of the product in place.  Any text that pass might take differently
+from str.splitlines, str.split and int() sends the whole file through the
+per-row int() loop, which accepts the same tables and words every error.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 
 import numpy as np
 
@@ -602,71 +602,30 @@ def _rows_by_loop(body: list, n: int) -> list:
     return rows
 
 
-def _rows_by_numpy(body: list, n: int):
-    """The rows as an n x n intp array, or None when _rows_by_loop must read them.
+def _data_lines(lines, names):
+    """The stripped lines that are neither blank nor comments, and names after the comments.
 
-    None covers every row np.fromstring fails on or might split differently
-    from str.split, every row without n values and every value outside
-    [0, n), so an array returned here is what _rows_by_loop would read.
+    A '# names: x y z' comment replaces names.
     """
-    product = np.empty((n, n), dtype=np.intp)
-    with warnings.catch_warnings():
-        # older numpy only warns about unmatched data
-        warnings.simplefilter("error")
-        for i, line in enumerate(body):
-            # np.fromstring reads "+ 1" as one value and a lone sign as 0
-            if "+" in line or "-" in line:
-                return None
-            try:
-                row = np.fromstring(line, dtype=np.intp, sep=" ")
-            except (ValueError, DeprecationWarning):
-                return None
-            if row.size != n:
-                return None
-            product[i] = row
-    # np.fromstring clips values past the intp range instead of failing
-    if int(product.min()) < 0 or int(product.max()) >= n:
-        return None
-    return product
-
-
-def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
-    """Parse the table file format.
-
-    Lines starting with '#' are comments; a '# names: x y z' comment supplies
-    display names.  The first data line is the element count n, followed by n
-    lines of n whitespace-separated entries in [0, n).  A count above
-    max_size raises CapExceededError before any row is read.
-
-    Rows are read with np.fromstring.  A table with any row that reader
-    rejects or might read differently (a sign, a row without n values, a
-    value outside [0, n)) is read again, whole, by the per-row int() loop,
-    so the accepted tables and every error message are those of the loop.
-    """
-    # the lines of text are freed before MulTable verifies the rows
-    names, product = _read_table(text, max_size)
-    return MulTable(product, names)
-
-
-def _read_table(text: str, max_size: int):
-    """The display names, or None, and the rows of a table file; see parse_table."""
-    names = None
     data = []
-    for raw in text.splitlines():
+    for raw in lines:
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("names:"):
                 names = body[len("names:"):].split()
-            continue
-        data.append(line)
-    if not data:
+        elif line:
+            data.append(line)
+    return data, names
+
+
+def _element_count(line, max_size: int) -> int:
+    """n from the stripped first data line; line is None when the file has none."""
+    if line is None:
         raise TableFormatError("no data lines found")
-    head = data[0].split()
+    head = line.split()
     if len(head) != 1:
-        raise TableFormatError(f"first data line must be the element count, got {data[0]!r}")
+        raise TableFormatError(f"first data line must be the element count, got {line!r}")
     try:
         n = int(head[0])
     except ValueError:
@@ -675,14 +634,140 @@ def _read_table(text: str, max_size: int):
         raise TableFormatError("element count must be positive")
     if n > max_size:
         raise CapExceededError(f"table has {n} elements, cap is {max_size}")
+    return n
+
+
+def parse_table(text: str, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
+    """Parse the table file format.
+
+    Lines starting with '#' are comments; a '# names: x y z' comment supplies
+    display names, the last such line winning.  The first data line is the
+    element count n, followed by n lines of n whitespace-separated entries
+    in [0, n).  A count above max_size raises CapExceededError before any
+    row is read.
+
+    The rows are read by a byte pass over blocks of whole lines, which takes
+    ASCII digits, spaces, tabs, blank lines, comment lines and \n or \r\n
+    line ends.  Any other text (a sign, a non-ASCII character, another line
+    break, a row without n entries, a value outside [0, n)) sends the whole
+    table through the per-row int() loop, so the accepted tables and every
+    error message are those of the loop.
+    """
+    # the text's lines and blocks are freed before MulTable verifies the rows
+    names, product = _read_table(text, max_size)
+    return MulTable(product, names)
+
+
+def _read_table(text: str, max_size: int):
+    """The display names, or None, and the rows of a table file; see parse_table."""
+    read = _read_by_bytes(text, max_size)
+    return _read_by_lines(text, max_size) if read is None else read
+
+
+def _read_by_lines(text: str, max_size: int):
+    """_read_table through str.splitlines and the per-row int() loop."""
+    data, names = _data_lines(text.splitlines(), None)
+    n = _element_count(data[0] if data else None, max_size)
     if len(data) - 1 != n:
         raise TableFormatError(f"expected {n} table rows, got {len(data) - 1}")
-    product = _rows_by_numpy(data[1:], n)
-    if product is None:
-        product = _rows_by_loop(data[1:], n)
-    else:
-        # MulTable keeps a read-only intp array instead of copying it
-        product.setflags(write=False)
+    return names, _rows_by_loop(data[1:], n)
+
+
+# characters per block of the byte pass, rounded to whole lines, for each
+# 1024 elements of n
+_BLOCK_BYTES = 1 << 14
+# the longest digit run the byte pass reads, so that uint16 holds it; longer
+# runs, and so every table of more than 10^4 elements, go to the loop
+_MAX_RUN = 4
+
+
+def _read_by_bytes(text: str, max_size: int):
+    """_read_table's result, or None when _read_by_lines must read the text.
+
+    The prelude is scanned line by line up to the element count; a line
+    that str.splitlines would break anywhere but at its end returns None.
+    The body is then read in blocks of whole lines of about _BLOCK_BYTES
+    characters per 1024 elements.  A block with a '#' has its comment lines
+    taken out first.  Every byte left must be an ASCII digit, space, tab or
+    \n, or a \r before a \n, and every line must hold no entry or n of
+    them.  The digit runs end where a digit meets a non-digit; shifted
+    Horner passes, each reaching one digit further back, spell each run's
+    number at its end, and those numbers are written straight into the
+    rows of the product.  A run of more than _MAX_RUN digits, a value of n
+    or more, or a row count other than n returns None.
+    """
+    names = None
+    pos = 0
+    while True:
+        nl = text.find("\n", pos)
+        end = len(text) if nl < 0 else nl + 1
+        raw = text[pos:end]
+        pos = end
+        if len(raw.splitlines()) > 1:
+            return None
+        data, names = _data_lines([raw], names)
+        if data or pos == len(text):
+            break
+    n = _element_count(data[0] if data else None, max_size)
+    product = np.empty((n, n), dtype=np.intp)
+    flat = product.reshape(-1)
+    row = 0
+    # a row near the cap is longer than _BLOCK_BYTES alone, so the budget
+    # grows with n and each block's fixed cost is spread over a few rows
+    budget = _BLOCK_BYTES * max(1, n >> 10)
+    while pos < len(text):
+        end = text.rfind("\n", pos, pos + budget) + 1
+        if end <= pos:
+            # a line longer than the budget is a block of its own
+            end = text.find("\n", pos + budget) + 1 or len(text)
+        block = text[pos:end]
+        pos = end
+        if "#" in block:
+            kept, names = _data_lines(block.splitlines(), names)
+            block = "\n".join(kept)
+        if not block.isascii():
+            return None
+        # a line end before the first line and after the last
+        v = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
+        d = v - np.uint8(48)
+        digit = d < np.uint8(10)
+        line_ends = (v == np.uint8(10)).nonzero()[0]
+        if (np.count_nonzero(digit) + np.count_nonzero(v == np.uint8(32))
+                + np.count_nonzero(v == np.uint8(9)) + len(line_ends)
+                + np.count_nonzero(v[line_ends[1:] - 1] == np.uint8(13))) != len(v):
+            return None
+        ends = (digit[:-1] > digit[1:]).nonzero()[0]
+        before = np.searchsorted(ends, line_ends)    # entries before each line end
+        rows = np.count_nonzero(before[1:] - before[:-1] == n)
+        if rows * n != len(ends) or row + rows > n:
+            return None
+        # h[i]: the number the digits of i's run spell up to i, or its last
+        # k + 1 digits after k passes
+        digits = d.astype(np.uint16)
+        digits *= digit
+        ten = digit * np.uint8(10)
+        h = digits
+        run = digit
+        for k in range(1, _MAX_RUN + 1):
+            run = run[1:] & digit[:-k]       # run[i]: a run of k + 1 digits ends at i + k
+            if not run.any():
+                break
+            if k == _MAX_RUN:
+                return None
+            shifted = np.empty_like(digits)
+            shifted[0] = 0
+            np.multiply(h[:-1], ten[1:], out=shifted[1:])
+            shifted += digits
+            h = shifted
+        values = h[ends]
+        if rows and values.max() >= n:
+            return None
+        flat[row * n:(row + rows) * n] = values
+        row += rows
+    if row != n:
+        return None
+    # MulTable keeps a read-only intp array instead of copying it
+    product.setflags(write=False)
     return names, product
 
 

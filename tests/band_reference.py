@@ -6,7 +6,7 @@ factors._partner_cells.  The versions here work one pair of cells at a
 time: a |cells| x |cells| table of which products stay nonzero, and one
 block lookup per cell.  Tests check the library against them.
 block_coordinates reads each element's (row block, column block) pair off
-the band's cells.
+the band's cells, and pair_index numbers a cell as the band does.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from semigroup_match import BandDecomposition, NotOrthodoxError, Subband
+
+
+def pair_index(band, i: int, lam: int) -> int:
+    """The number i*n + lam of cell (i, lam), the inverse of band.coords."""
+    return i * band.n + lam
 
 
 def meets_decomposition(zband) -> BandDecomposition:
@@ -32,7 +37,8 @@ def meets_decomposition(zband) -> BandDecomposition:
     first = int(bad.argmax())
     if bad.flat[first]:
         e, f = divmod(first, len(cells))
-        raise NotOrthodoxError((int(zband.pair_index(*cells[e])), int(zband.pair_index(*cells[f]))))
+        raise NotOrthodoxError((int(pair_index(zband, *cells[e])),
+                                int(pair_index(zband, *cells[f]))))
     subbands = []
     row_block = [-1] * zband.m
     col_block = [-1] * zband.n

@@ -39,6 +39,7 @@ from semigroup_match import factors as factors_mod
 from semigroup_match import matching as matching_mod
 from semigroup_match import table as table_mod
 
+from band_reference import pair_index
 from corpus import block_band, brandt, cyclic, full_corpus
 
 
@@ -62,7 +63,7 @@ def reference_subbands(zband) -> BandDecomposition:
         r_indices = tuple(sorted({zband.coords(x)[0] for x in members}))
         l_indices = tuple(sorted({zband.coords(x)[1] for x in members}))
         # the block is the full rectangle r_indices x l_indices
-        assert members == tuple(zband.pair_index(i, lam) for i in r_indices for lam in l_indices)
+        assert members == tuple(pair_index(zband, i, lam) for i in r_indices for lam in l_indices)
         subbands.append(Subband(r_indices=r_indices, l_indices=l_indices,
                                 m=len(r_indices), n=len(l_indices)))
         assigned.update(members)
