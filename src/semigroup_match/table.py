@@ -25,14 +25,14 @@ element with the largest |aS| + |Sa| whose row and column minima (its R-
 and L-class, when it is regular) no generator has yet, or failing that
 the unreached one with the largest |aS| + |Sa|: 6 generators for T_5,
 whose rank is 3.  And a generator g with a small ideal is checked
-through Sg and gS.  With Z the values xg, V the values gy and rep(v) one
-y with gy = v, the condition holds for g exactly when (A) every row z of
-Z is constant on each class {y : gy = v} and (B) (xg) rep(v) = x v for
-every x and v: about |Z| |C| + |R| |V| cells instead of |R| |C|.  A generator takes this route
-when (|gS| + |Sg|) * max(|R|, |C|) is at most a quarter of |R| |C|.  So
-0-simple Rees semigroups over a nontrivial group, of about 90 elements and
-up, where Sg lies in L_g and 0 and gS in R_g and 0, take it; bands,
-left-zero bands, null semigroups and T_n never do.
+through Sg and gS, one at a time.  With Z the values xg, V the values gy
+and rep(v) one y with gy = v, the condition holds for g exactly when (A)
+every row z of Z is constant on each class {y : gy = v} and (B)
+(xg) rep(v) = x v for every x and v: about |Z| |C| + |R| |V| cells
+instead of |R| |C|.  g takes this route when (|gS| + |Sg|) max(|R|, |C|)
+is at most a quarter of |R| |C|: in 0-simple Rees semigroups over a
+nontrivial group, where Sg lies in L_g and 0 and gS in R_g and 0, never
+in bands or null semigroups.
 
 parse_table reads a table file in one byte pass per block of whole lines:
 the digit runs of a block are found by array comparisons and combined into
@@ -274,72 +274,35 @@ def _blocks(outer: int, inner: int, width: int):
             yield slice(o, o + o_step), slice(i, i + i_step)
 
 
-def _value_slots(lines: np.ndarray, n: int):
-    """values, slot, cells: the distinct entries of each row and where each entry sits among them.
-
-    values[i] lists the entries of lines[i] in ascending order, padded to
-    a common width by repeating the largest, and lines[i, j] is
-    values[i, slot[i, j]].  cells[i, j] = i n + lines[i, j] is the entry's
-    place in a row of n cells per line.  The entries are scattered into
-    those bool rows, as in _ideal_profile, so nothing is sorted: a running
-    count of the scattered cells ranks them, and the values are found by
-    searching the ranks.
-    """
-    offsets = np.arange(0, len(lines) * n, n)[:, None]
-    cells = lines + offsets
-    seen = np.zeros(len(lines) * n, dtype=bool)
-    seen[cells] = True
-    rank = np.cumsum(seen)            # rank[c]: cells seen up to c, c included
-    end = rank[n - 1::n]
-    count = end.copy()
-    count[1:] -= end[:-1]
-    before = (end - count)[:, None]
-    values = np.searchsorted(rank, before + np.minimum(np.arange(1, count.max() + 1), count[:, None]))
-    values -= offsets
-    return values, rank[cells] - before - 1, cells
-
-
-def _factored_check(compact, x_rows, y_cols, ys, gens) -> bool:
+def _factored_check(x_rows, y_cols, gens) -> bool:
     """Whether (xg)y = x(gy) for every x of xs, y of ys and g of gens.
 
-    x_rows and y_cols are _associativity_witness's.  Fix g, let Z be the
+    x_rows and y_cols are _light_witness's.  Fix g, let Z be the
     values xg, V the values gy and rep(v) one y with gy = v.  The condition
     holds exactly when
     (A) every row z of Z is constant on each class {y : gy = v}, and
     (B) (xg) rep(v) = x v for every x and every v of V,
     for then (xg)y = (xg) rep(gy) = x(gy).  Z lies in Sg and V in gS, so
-    this reads about |Z| |C| + |R| |V| cells instead of |R| |C|.  A block of
-    generators is checked at once: its Z and V come from bool-row scatters,
-    padded to a common width, and both conditions compare whole runs of
-    cells, a chunk of _ASSOC_CHUNK_CELLS cells at a time.
+    this reads about |Z| |C| + |R| |V| cells instead of |R| |C|.  One
+    generator is checked at a time, and one array slot of n entries finds
+    rep(v), then the place of each v in V, then that of each z in Z.
     """
-    n = compact.shape[0]
-    nx, ny = x_rows.shape[0], y_cols.shape[1]
-    # each intp array of a block's scatters takes about _ASSOC_CHUNK_CELLS bytes
-    step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
-    for start in range(0, len(gens), step):
-        g = gens[start:start + step]
-        z, z_slot, _ = _value_slots(np.ascontiguousarray(x_rows[:, g].T), n)   # x_i g_k = z[k, z_slot[k, i]]
-        v, _, v_cells = _value_slots(y_cols[g], n)                             # v[k]: the values g_k y_j
-        rep = np.empty(len(g) * n, dtype=np.intp)
-        rep[v_cells] = np.arange(ny)          # g_k y_j = v: rep[k n + v] is one such j
-        same = rep[v_cells]                   # same[k, j]: the rep of y_j's class under g_k
-        v_rep = ys[rep[v + np.arange(0, len(g) * n, n)[:, None]]]
-        k = np.arange(len(g))[:, None]
-        width = z.shape[1]
-        for gb, zb in _blocks(len(g), width, ny):
-            # (A): rows[k, j, i] = z[k, i] y_j equals z[k, i] rep(g_k y_j)
-            rows = np.ascontiguousarray(y_cols[z[gb, zb]].transpose(0, 2, 1))
-            at = same[gb] + k[:rows.shape[0]] * ny
-            if not np.array_equal(rows, np.take(rows.reshape(-1, rows.shape[2]), at, axis=0)):
-                return False
-        for gb, xb in _blocks(len(g), nx, v.shape[1]):
-            # (B): left[i, k, u] = (x_i g_k) rep(v[k, u]) equals x_i v[k, u]
-            by_z = compact[z[gb, :, None], v_rep[gb, None, :]]       # z[k, i] rep(v[k, u])
-            at = (z_slot[gb, xb] + k[:by_z.shape[0]] * width).T
-            left = np.take(by_z.reshape(-1, by_z.shape[2]), at, axis=0)
-            if not np.array_equal(left, np.take(x_rows[xb], v[gb], axis=1)):
-                return False
+    slot = np.empty(x_rows.shape[1], dtype=np.intp)
+    for g in gens.tolist():
+        xg, gy = x_rows[:, g], y_cols[g]
+        z = np.flatnonzero(np.bincount(xg))
+        v = np.flatnonzero(np.bincount(gy))
+        slot[gy] = np.arange(len(gy))         # slot[v]: the place in ys of one y with gy = v
+        zy = y_cols[z]                        # zy[s, j] = z_s y_j
+        m = np.take(zy, slot[v], axis=1)      # m[s, u] = z_s rep(v_u)
+        slot[v] = np.arange(len(v))
+        # (A): z_s y_j = z_s rep(g y_j)
+        if not np.array_equal(zy, np.take(m, slot[gy], axis=1)):
+            return False
+        slot[z] = np.arange(len(z))
+        # (B): x_i v_u = (x_i g) rep(v_u)
+        if not np.array_equal(np.take(x_rows, v, axis=1), np.take(m, slot[xg], axis=0)):
+            return False
     return True
 
 
@@ -351,7 +314,7 @@ _FACTORED_RATIO = 4
 def _first_failure(x_rows, y_cols, xs, gs, ys):
     """First (x, g, y) of xs x gs x ys, x-major, with (xg)y != x(gy), or None.
 
-    x_rows and y_cols are _associativity_witness's.  A block holds several x
+    x_rows and y_cols are _light_witness's.  A block holds several x
     only when it holds every g, so the first failing block holds the first.
     """
     if not len(gs):
@@ -466,11 +429,8 @@ def _light_witness(compact: np.ndarray):
     if bound is not None:
         # |Sg| |ys| + |xs| |gS| <= bound * max(|xs|, |ys|)
         factored = _FACTORED_RATIO * bound * max(len(xs), len(ys)) <= direct
-        if factored.any():
-            if not _factored_check(compact, x_rows, y_cols, ys, gens[factored]):
-                return _first_failure(x_rows, y_cols, xs, classes, ys)
-            gens = gens[~factored]
-        if _first_failure(x_rows, y_cols, xs, gens, ys) is None:
+        if (_factored_check(x_rows, y_cols, gens[factored])
+                and _first_failure(x_rows, y_cols, xs, gens[~factored], ys) is None):
             return None
     return _first_failure(x_rows, y_cols, xs, classes, ys)
 

@@ -6,6 +6,7 @@ exact expected values next to the construction that produced them.
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
@@ -24,6 +25,16 @@ from semigroup_match import (
 def cyclic(k: int) -> MulTable:
     """Cyclic group of order k; element i stands for g^i."""
     return MulTable([[(a + b) % k for b in range(k)] for a in range(k)])
+
+
+def symmetric3() -> MulTable:
+    """The symmetric group S_3 on the permutations of (0, 1, 2) in lexicographic order.
+
+    The product fg maps x to g(f(x)); element 0 is the identity.
+    """
+    perms = list(itertools.permutations(range(3)))
+    index = {f: a for a, f in enumerate(perms)}
+    return MulTable([[index[tuple(g[f[x]] for x in range(3))] for g in perms] for f in perms])
 
 
 def klein() -> MulTable:
@@ -238,6 +249,36 @@ def full_corpus() -> list[tuple[str, MulTable]]:
             seen.add(name)
             items.append((name, table))
     return items
+
+
+def rees_over_group(group: MulTable, p) -> MulTable:
+    """Rees matrix semigroup M0(G; I, Λ; P) over a group table, with the zero last.
+
+    p[lam][i] is an element of G, or None for the zero of G⁰.  With k = |G|,
+    element (i k + g) |Λ| + lam is (i, g, lam), and
+    (i, g, lam)(j, h, mu) = (i, g p[lam][j] h, mu) when p[lam][j] is not
+    None, the zero otherwise.
+    """
+    gp, k = group.product, group.n
+    rows, cols = len(p), len(p[0])
+    zero = cols * k * rows
+    i, g, lam = np.unravel_index(np.arange(zero), (cols, k, rows))
+    sandwich = np.array([[-1 if x is None else x for x in row] for row in p], dtype=np.intp)
+    mid = sandwich[lam[:, None], i[None, :]]           # p[lam(a)][i(b)]
+    value = gp[gp[g[:, None], np.maximum(mid, 0)], g[None, :]]
+    prod = np.full((zero + 1, zero + 1), zero, dtype=np.intp)
+    prod[:zero, :zero] = np.where(mid >= 0, (i[:, None] * k + value) * rows + lam[None, :], zero)
+    return MulTable(prod)
+
+
+def random_sandwich(seed: int, group: MulTable, rows: int, cols: int, density: float) -> list:
+    """A seeded rows x cols sandwich matrix over G⁰ with a group element in every row and column."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((rows, cols)) < density
+    p[np.arange(rows), rng.integers(cols, size=rows)] = True
+    p[rng.integers(rows, size=cols), np.arange(cols)] = True
+    values = rng.integers(group.n, size=(rows, cols))
+    return [[int(v) if keep else None for v, keep in zip(vr, pr)] for vr, pr in zip(values, p)]
 
 
 def random_rees(seed: int, rows: int, cols: int, density: float) -> MulTable:

@@ -4,13 +4,18 @@ MulTable sweeps the row/column quotient of the table, after checking a
 generating set where that is cheaper, so every NotAssociativeError must
 carry the same lexicographically first bad triple as the n^3 sweep, also
 when the first failure comes late.  Generators with small ideals are
-checked through Sg and gS (_factored_check); the tests after those force
-that route and check it the same way, calling Light's test
+checked through Sg and gS (_factored_check), one generator at a time.  A
+False from that check only sends Light's test to the full sweep, which
+finds the same witness, so the check is also compared with its
+definition, (xg)y = x(gy) for every x of xs and y of ys, for each
+generator alone and for the whole set.  The tests after those force that
+route and check it against the sweep, calling Light's test
 (_light_witness) directly, since _associativity_witness certifies the
-tables of the form M0(I, Λ; P) before it.  The tests at the end check
-that certificate, _rees_form: it holds on Rees semigroups over the
-trivial group whatever their numbering, on no other semigroup, and on no
-table with a failing triple.
+tables of the form M0(I, Λ; P) before it; Rees matrix semigroups over
+C_3, C_4 and S_3 are the completely 0-simple tables the route exists
+for.  The tests at the end check that certificate, _rees_form: it holds
+on Rees semigroups over the trivial group whatever their numbering, on
+no other semigroup, and on no table with a failing triple.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from semigroup_match.factors import principal_factor
 from semigroup_match.structure import idempotents
 from semigroup_match.table import (
     _associativity_witness,
+    _factored_check,
     _first_equal,
     _generators,
     _ideal_profile,
@@ -62,7 +68,10 @@ from corpus import (
     null_semigroup,
     one_entry_mutations,
     random_rees,
+    random_sandwich,
+    rees_over_group,
     right_zero,
+    symmetric3,
     t_n,
 )
 
@@ -335,18 +344,20 @@ def test_rectangular_band_checks_n_squared_cells(rows, cols):
 
 @contextlib.contextmanager
 def _factored_calls(**constants):
-    """The sizes of the generator sets _factored_check is called on.
+    """The sizes of the nonempty generator sets _factored_check is called on.
 
-    constants override table's module constants meanwhile; with
-    _FACTORED_RATIO at 0, every generator that _light_sets bounds is
-    checked through Sg and gS.
+    Light's test calls it whenever _light_sets bounds the generators, with
+    no generator when none has a small enough ideal.  constants override
+    table's module constants meanwhile; with _FACTORED_RATIO at 0, every
+    generator that _light_sets bounds is checked through Sg and gS.
     """
     calls = []
     real = table_mod._factored_check
 
-    def spy(compact, x_rows, y_cols, ys, gens):
-        calls.append(len(gens))
-        return real(compact, x_rows, y_cols, ys, gens)
+    def spy(x_rows, y_cols, gens):
+        if len(gens):
+            calls.append(len(gens))
+        return real(x_rows, y_cols, gens)
 
     with mock.patch.multiple(table_mod, _factored_check=spy, **constants):
         yield calls
@@ -393,10 +404,19 @@ def _rees_times_group():
     return direct_product(random_rees(3, 4, 5, 0.4), cyclic(3))
 
 
-# 12 mutations of each of the first 20 RANDOM_REES draws and 60 of a Rees
-# semigroup times C_3
+# Rees matrix semigroups over C_3, C_4 and S_3 with seeded sandwich
+# matrices over G⁰: completely 0-simple, 19 to 49 elements
+REES_OVER_GROUP = [
+    (f"rees_{name}_{rows}x{cols}", rees_over_group(group, random_sandwich(seed, group, rows, cols, 0.5)))
+    for seed, (name, group, rows, cols) in enumerate([
+        ("c3", cyclic(3), 2, 3), ("c3", cyclic(3), 4, 4), ("c4", cyclic(4), 3, 3),
+        ("s3", symmetric3(), 2, 2), ("s3", symmetric3(), 3, 2)])]
+
+# 12 mutations of each of the first 20 RANDOM_REES draws, 60 of a Rees
+# semigroup times C_3 and 20 of each Rees semigroup over a group
 MUTATED = ([(f"rees{args[0]}", lambda a=args: random_rees(*a), 12) for args in RANDOM_REES[:20]]
-           + [("rees3_4x5_x_c3", _rees_times_group, 60)])
+           + [("rees3_4x5_x_c3", _rees_times_group, 60)]
+           + [(name, lambda t=t: t, 20) for name, t in REES_OVER_GROUP])
 
 
 @pytest.mark.parametrize("name,build,count", MUTATED, ids=[name for name, _, _ in MUTATED])
@@ -453,8 +473,12 @@ def test_random_mutated_rees_get_the_sweep_witness_through_sg_and_gs(product):
 
 @pytest.mark.parametrize("cells", [1, 3, 17, 40, 700])
 def test_factored_chunks_cross_boundaries(cells):
-    # 1 and 3 check one generator and one or three z (or x) at a time; 700
-    # takes two or more generators of these 13- to 73-element tables at once
+    # _ASSOC_CHUNK_CELLS does not split _factored_check, which takes one
+    # generator at a time; it splits _ideal_profile's blocks of rows and
+    # the sweep over every class that a False from the check starts: up to
+    # 40 cells sweep one x at a time, up to 17 one class at a time, and 700
+    # takes 5 to 7 x of these 10- and 13-element tables, or 13 classes of
+    # the 63-element one, at once
     tables = [brandt(3), random_rees(4, 3, 4, 0.5), _rees_times_group()]
     with mock.patch.object(table_mod, "_ASSOC_CHUNK_CELLS", cells):
         for table in tables:
@@ -471,6 +495,48 @@ def test_natural_choice_on_mutations_of_a_large_rees_semigroup():
         with _factored_calls() as calls:
             assert _light_witness(_narrow(q)) == full_witness(q)
         assert calls and calls[0] >= 19
+
+
+def _check_factored_definition(product):
+    """_factored_check holds for a set of generators exactly when (xg)y = x(gy) for all of them.
+
+    x runs over xs and y over ys of _light_sets, and the definition is read
+    off product itself; each element is checked alone, then gens together.
+    """
+    n = product.shape[0]
+    compact = _narrow(product)
+    xs, gens, ys, _, _ = _light_sets(compact)
+    x_rows, y_cols = compact[xs], compact[:, ys]
+    holds = [np.array_equal(product[product[xs, g]][:, ys], product[xs][:, product[g, ys]])
+             for g in range(n)]
+    for g in range(n):
+        assert _factored_check(x_rows, y_cols, np.array([g])) == holds[g], g
+    assert _factored_check(x_rows, y_cols, gens) == all(holds[g] for g in gens.tolist())
+    return holds
+
+
+ORDER3 = [p for n in (1, 2, 3) for p in all_semigroups(n)]
+
+
+@st.composite
+def associative_tables(draw):
+    """The direct product of two semigroups of order at most 3, renumbered."""
+    s, t = (MulTable(draw(st.sampled_from(ORDER3))) for _ in range(2))
+    return _relabelled(direct_product(s, t).product, draw(st.integers(0, 2**32 - 1)))
+
+
+@given(st.one_of(tables_with_repeats(), associative_tables()))
+def test_factored_check_matches_the_definition_on_random_tables(product):
+    _check_factored_definition(product)
+
+
+@pytest.mark.parametrize("name,table", BOUNDED + REES_OVER_GROUP, ids=[name for name, _ in BOUNDED + REES_OVER_GROUP])
+def test_factored_check_matches_the_definition(name, table):
+    # the tables are associative; for some elements g of the mutations of
+    # every table but the groups, (A) fails and (B) holds, or the reverse
+    assert all(_check_factored_definition(table.product))
+    for q in _sampled_mutations(table.product, 20, seed=table.n):
+        _check_factored_definition(q)
 
 
 # which tables take the factored route in Light's test at the module's own
@@ -608,7 +674,7 @@ NOT_REES = [
     ("rect22_one", dict(CORPUS)["rect22_one"]),
     ("brandt3_one", adjoin_identity(brandt(3))),
     ("brandt3_zero", adjoin_zero(brandt(3))),
-]
+] + REES_OVER_GROUP
 
 
 @pytest.mark.parametrize("name,table", NOT_REES, ids=[name for name, _ in NOT_REES])
