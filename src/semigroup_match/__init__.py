@@ -38,12 +38,10 @@ from .matching import (
     CharacterizationReport,
     ClassSizeMismatch,
     ClauseResult,
-    DClassVerdict,
     HallBruteResult,
     HallCertificate,
     Matching,
     MatchingCount,
-    OrthodoxDecision,
     TutteBarrier,
     VerifyResult,
     count_permutation_matchings,

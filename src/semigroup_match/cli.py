@@ -258,7 +258,7 @@ def cmd_analyze(args) -> int:
         print(_dumps(report))
         return 0
     true_flags = [k for k, val in report["classification"].items() if val]
-    print(f"input: {args.file} ({table.n} elements)")
+    print(f"input: {args.file} ({_count_noun(table.n)})")
     print("classification: " + (", ".join(true_flags) if true_flags else "(no flags)"))
     gs = report["green_summary"]
     print(
@@ -266,7 +266,7 @@ def cmd_analyze(args) -> int:
         f"{gs['h_classes']} H-classes, {gs['d_classes']} D-classes"
     )
     for entry in report["d_class_reports"]:
-        bits = [f"D-class {entry['d_class']}: {entry['size']} elements"]
+        bits = [f"D-class {entry['d_class']}: {_count_noun(entry['size'])}"]
         bits.append("regular" if entry["regular"] else "not regular")
         if entry["band"] is not None:
             bits.append(f"band {entry['band'][0]}x{entry['band'][1]}")
@@ -382,10 +382,10 @@ def cmd_factors(args) -> int:
             "d_classes": reports,
         }))
         return 0
-    print(f"input: {args.file} ({table.n} elements, {len(reports)} D-classes)")
+    print(f"input: {args.file} ({_count_noun(table.n)}, {len(reports)} D-classes)")
     for entry in reports:
         print()
-        head = f"D-class {entry['d_class']}: {entry['size']} elements"
+        head = f"D-class {entry['d_class']}: {_count_noun(entry['size'])}"
         if entry["band"] is not None:
             head += f", band {entry['band'][0]}x{entry['band'][1]}"
         print(head)
@@ -473,7 +473,7 @@ def cmd_gen(args) -> int:
             "elements": table.n,
         }))
     else:
-        print(f"wrote {args.out}: {table.n} elements")
+        print(f"wrote {args.out}: {_count_noun(table.n)}")
     return 0
 
 

@@ -5,15 +5,15 @@ a; an involution matching additionally satisfies f(f(a)) = a.  Existence of
 a permutation matching is exactly Hall's condition for the sets V(a), which
 this module decides two independent ways: Hopcroft-Karp maximum bipartite
 matching, and (for orthodox input) a structural test on the maximal
-rectangular blocks of each D-class of S's own egg box, which also yields an
-involution matching when it succeeds.  Every "no" carries a violating set A
-with |V(A)| < |A|: the elements that Hopcroft-Karp's last layering reaches
-from the unmatched ones, which the structural route reads off its blocks,
-with V(A) read off the inverse matrix.  Involution
-matchings of any semigroup are decided in polynomial time by Edmonds'
-blossom algorithm, which on failure returns a Tutte barrier.  decide() is
-the one entry point that picks a route and returns a verified Matching, a
-HallCertificate or a verified TutteBarrier.
+rectangular blocks of each D-class of S's own egg box, whose "yes" is an
+involution matching.  Both return a verified Matching or a HallCertificate,
+whose violating set A with |V(A)| < |A| holds the elements that
+Hopcroft-Karp's last layering reaches from the unmatched ones, which the
+structural route reads off its blocks, with V(A) read off the inverse
+matrix.  Involution matchings of any semigroup are decided in polynomial
+time by Edmonds' blossom algorithm, which on failure returns a Tutte
+barrier.  decide() is the one entry point that picks a route and returns a
+verified Matching, a HallCertificate or a verified TutteBarrier.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .factors import (
     _partner_cells,
     egg_box_band,
     maximal_rect_subbands,
-    similarity_check,
 )
 from .green import green_classes, omega_powers
 from .structure import (
@@ -330,26 +329,6 @@ def orthodox_involution(table: MulTable):
                                      provenance="gamma_class_pairing"))
 
 
-@dataclass(frozen=True)
-class DClassVerdict:
-    """Block analysis of one D-class: band quotient, decomposition, similarity."""
-
-    d_class: int
-    band: ZeroRectBand
-    decomposition: object
-    similarity: object
-
-
-@dataclass(frozen=True)
-class OrthodoxDecision:
-    """A verified involution matching when one exists, else the Hall certificate."""
-
-    exists: bool
-    per_d_class: tuple
-    matching: Matching | None
-    certificate: HallCertificate | None = None
-
-
 def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matching: Matching) -> Matching:
     """Pull a matching of the H-quotient band back up to the principal factor.
 
@@ -389,53 +368,45 @@ def lift_band_matching(factor: PrincipalFactor, band: ZeroRectBand, band_matchin
     return lifted
 
 
-def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
+def decide_orthodox_matching(table: MulTable) -> Matching | HallCertificate:
     """Structural decision of matchings of an orthodox semigroup.
 
     Works one D-class at a time on S's own egg box, building no derived
     table: its H-classes form a rectangular band with zero whose idempotent
-    cells split into maximal rectangular blocks.  A permutation matching of S
-    exists exactly when, inside every D-class, the block shapes are pairwise
-    proportional.  Then each band cell pairs with its swapped-block partner,
-    every element goes to its unique inverse in the partner H-class, and the
-    assembled involution matching is verified on S.
+    cells split into maximal rectangular blocks.  A cell (i, lam) whose row
+    block a and column block b (shapes m x n) have m_a*n_b > m_b*n_a holds
+    surplus elements.  Every block has a row and a column, so the block
+    shapes of a D-class are pairwise proportional exactly when none of its
+    cells has surplus, and a permutation matching of S exists exactly when
+    no D-class has one.  Then each band cell pairs with its swapped-block
+    partner, every element goes to its unique inverse in the partner
+    H-class, and the assembled involution matching is verified on S and
+    returned.
 
-    Otherwise the certificate's set A holds, ascending, the elements of every
-    cell whose row block a and column block b (shapes m x n) have
-    m_a*n_b > m_b*n_a: exactly the elements that some maximum matching leaves
-    unmatched, the set find_permutation_matching reports (README).
+    Otherwise the HallCertificate's set A holds, ascending, the elements of
+    every surplus cell: exactly the elements that some maximum matching
+    leaves unmatched, the set find_permutation_matching reports (README).
     """
     _require_orthodox(table)
-    boxes = green_classes(table).egg_boxes
-    verdicts = []
-    for box in boxes:
+    classes = []
+    for box in green_classes(table).egg_boxes:
         band = egg_box_band(box, table)
         dec = maximal_rect_subbands(band)
-        verdicts.append(
-            DClassVerdict(
-                d_class=box.d_class,
-                band=band,
-                decomposition=dec,
-                similarity=similarity_check(dec),
-            )
-        )
-    if not all(vd.similarity.pairwise_similar for vd in verdicts):
-        violating = []
-        for vd in verdicts:
-            ms, ns = np.array(vd.decomposition.block_sizes()).T
-            a = np.array(vd.decomposition.row_block)[:, None]
-            b = np.array(vd.decomposition.col_block)
-            surplus = ms[a] * ns[b] > ms[b] * ns[a]      # surplus[i, lam], cell i*n + lam
-            violating.append(vd.band.cells[surplus.ravel()].ravel())
-        cert = _hall_certificate(table, np.sort(np.concatenate(violating)).tolist())
-        return OrthodoxDecision(exists=False, per_d_class=tuple(verdicts), matching=None,
-                                certificate=cert)
+        ms, ns = np.array(dec.block_sizes()).T
+        a = np.array(dec.row_block)[:, None]
+        b = np.array(dec.col_block)
+        surplus = ms[a] * ns[b] > ms[b] * ns[a]      # surplus[i, lam], cell i*n + lam
+        classes.append((band, dec, surplus))
+    if any(surplus.any() for _, _, surplus in classes):
+        violating = np.concatenate([band.cells[surplus.ravel()].ravel()
+                                    for band, _, surplus in classes])
+        return _hall_certificate(table, np.sort(violating).tolist())
     v = inverse_matrix(table)
     f = np.full(table.n, -1)
-    for vd in verdicts:
-        rows, cols = _partner_cells(vd.decomposition)
-        cells = vd.band.cells
-        image = cells[(rows * vd.band.n + cols).ravel()]
+    for band, dec, _ in classes:
+        rows, cols = _partner_cells(dec)
+        cells = band.cells
+        image = cells[(rows * band.n + cols).ravel()]
         hits = v[cells[:, :, None], image[:, None, :]]   # hits[c, x, y]: image[c, y] in V(cells[c, x])
         counts = hits.sum(axis=2)
         if (counts != 1).any():
@@ -445,9 +416,8 @@ def decide_orthodox_matching(table: MulTable) -> OrthodoxDecision:
                 "need exactly 1"
             )
         f[cells] = np.take_along_axis(image, hits.argmax(axis=2), axis=1)
-    f = tuple(f.tolist())
-    matching = _verified(table, Matching(f=f, kind="involution", provenance="band_lift"))
-    return OrthodoxDecision(exists=True, per_d_class=tuple(verdicts), matching=matching)
+    return _verified(table, Matching(f=tuple(f.tolist()), kind="involution",
+                                     provenance="band_lift"))
 
 
 @dataclass(frozen=True)
@@ -744,8 +714,7 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
     if method == "auto":
         method = "orthodox" if is_orthodox(table) else "hall"
     if method == "orthodox":
-        decision = decide_orthodox_matching(table)
-        return decision.matching if decision.exists else decision.certificate
+        return decide_orthodox_matching(table)
     if involution:
         return find_involution_matching(table)
     if method == "hall":

@@ -128,11 +128,11 @@ def test_criterion_2_blockwise_vs_bipartite_on_all_small_matrices():
             orthodox += 1
             decision = decide_orthodox_matching(table)
             hall = find_permutation_matching(table)
-            structural = decision.exists
+            structural = isinstance(decision, Matching)
             bipartite = isinstance(hall, Matching)
             assert structural == bipartite, entries
             if not structural:
-                assert decision.certificate == hall, entries
+                assert decision == hall, entries
             agreements += 1
             exists_count += structural
     elapsed = time.perf_counter() - started
@@ -292,9 +292,9 @@ def test_criterion_8_structure_property_suites():
 
         # assembled matchings preserve the H relation
         dec_all = decide_orthodox_matching(table)
-        if dec_all.exists:
+        if isinstance(dec_all, Matching):
             gr = green_classes(table)
-            f = dec_all.matching.f
+            f = dec_all.f
             for a in range(n):
                 for b in range(n):
                     if gr.h_class[a] == gr.h_class[b] and gr.h_class[f[a]] != gr.h_class[f[b]]:

@@ -164,7 +164,7 @@ def test_closure_check_on_thin_matrices(rows, cols):
 def test_lift_failure_names_first_element_in_cell_order(monkeypatch):
     # C_3 x (2x2 band): one D-class, four cells of three elements, each cell its own partner
     table = direct_product(cyclic(3), rectangular_band(2, 2))
-    f = decide_orthodox_matching(table).matching.f
+    f = decide_orthodox_matching(table).f
     grid = green_classes(table).egg_boxes[0].grid
     x, y = grid[0][0][1], grid[0][1][0]       # cell 0's second element, cell 1's first
     assert y < x

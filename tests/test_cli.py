@@ -400,7 +400,17 @@ class TestFactors:
         assert "1  1  | 1*" in out
         assert "blocks: 1x2, 1x1" in out
         assert "similar: no" in out
-        assert "D-class 1: 1 elements, band 1x1" in out
+        assert "D-class 1: 1 element, band 1x1" in out
+
+    def test_one_element_class_is_singular(self, tmp_path, capsys):
+        path = tmp_path / "null2.tbl"
+        path.write_text("2\n1 1\n1 1\n", encoding="utf-8")
+        code, out, _ = run(["factors", path], capsys)
+        assert code == 0
+        assert "D-class 0: 1 element\n" in out
+        code, out, _ = run(["analyze", path], capsys)
+        assert code == 0
+        assert "D-class 0: 1 element, not regular" in out
 
     def test_band_times_group_grid(self, tmp_path, capsys):
         # every H-class of the 2 x 3 band times C_3 holds 3 elements, an idempotent among them

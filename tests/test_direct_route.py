@@ -125,9 +125,9 @@ def test_direct_matching_matches_factor_lift(name, table):
     if not classify(table).orthodox:
         return
     decision = decide_orthodox_matching(table)
-    if not decision.exists:
+    if not isinstance(decision, Matching):
         return
-    assert decision.matching.f == reference_matching(table), name
+    assert decision.f == reference_matching(table), name
 
 
 @pytest.mark.parametrize(
@@ -152,9 +152,12 @@ def test_direct_route_builds_no_tables(monkeypatch, table, exists):
     for mod, name in [(factors_mod, "principal_factors"), (matching_mod, "rees_matrix"),
                       (table_mod, "rees_matrix"), (matching_mod, "orthodox_involution"),
                       (matching_mod, "lift_band_matching"),
-                      (matching_mod, "find_permutation_matching")]:
+                      (matching_mod, "find_permutation_matching"),
+                      (factors_mod, "similarity_check")]:
         monkeypatch.setattr(mod, name, forbidden)
+    # the route reads its answer off the surplus cells, not off similarity_check
+    monkeypatch.setattr(matching_mod, "similarity_check", forbidden, raising=False)
     decision = decide_orthodox_matching(table)
-    assert decision.exists == exists
-    assert decide(table) == (decision.matching if exists else decision.certificate)
+    assert isinstance(decision, Matching) == exists
+    assert decide(table) == decision
     assert built == []

@@ -26,6 +26,7 @@ from semigroup_match import (
     decide,
     decide_orthodox_matching,
     direct_product,
+    egg_box_band,
     find_involution_matching,
     find_permutation_matching,
     formula_characterizations,
@@ -36,10 +37,12 @@ from semigroup_match import (
     inverse_sets,
     is_orthodox,
     lift_band_matching,
+    maximal_rect_subbands,
     orthodox_involution,
     principal_factors,
     rectangular_band,
     rees_matrix,
+    similarity_check,
     verify_barrier,
     verify_matching,
 )
@@ -308,30 +311,30 @@ class TestOrthodoxInvolution:
 class TestDecideOrthodox:
     def test_band7_no(self):
         dec = decide_orthodox_matching(band7())
-        assert not dec.exists
-        assert dec.matching is None
-        assert dec.certificate == find_permutation_matching(band7())
-        assert len(dec.per_d_class) == 2
-        top = dec.per_d_class[0]
-        assert not top.similarity.pairwise_similar
-        assert top.similarity.witness == (0, 1)
-        assert dec.per_d_class[1].similarity.pairwise_similar
+        assert isinstance(dec, HallCertificate)
+        assert dec == find_permutation_matching(band7())
+        verdicts = [similarity_check(maximal_rect_subbands(egg_box_band(box, band7())))
+                    for box in green_classes(band7()).egg_boxes]
+        assert len(verdicts) == 2
+        assert not verdicts[0].pairwise_similar
+        assert verdicts[0].witness == (0, 1)
+        assert verdicts[1].pairwise_similar
 
     def test_completely_simple_non_combinatorial(self):
         from semigroup_match import direct_product
 
         table = direct_product(cyclic(2), rectangular_band(1, 2))
         dec = decide_orthodox_matching(table)
-        assert dec.exists
-        assert dec.matching.f == (0, 1, 2, 3)
-        assert dec.matching.kind == "involution"
-        assert dec.matching.provenance == "band_lift"
+        assert isinstance(dec, Matching)
+        assert dec.f == (0, 1, 2, 3)
+        assert dec.kind == "involution"
+        assert dec.provenance == "band_lift"
 
     def test_similar_blocks_yield_involution(self):
         table = block_band([(2, 4), (1, 2)])
         dec = decide_orthodox_matching(table)
-        assert dec.exists
-        assert verify_matching(table, dec.matching.f, require_involution=True).ok
+        assert isinstance(dec, Matching)
+        assert verify_matching(table, dec.f, require_involution=True).ok
 
     def test_rejects_non_orthodox(self):
         with pytest.raises(NotOrthodoxError):
@@ -348,26 +351,49 @@ def shuffled_block_rees(rng, blocks: int, side: int) -> MulTable:
     return rees_matrix(BoolStructureMatrix(p))
 
 
-def test_structural_certificate_is_hopcroft_karps():
-    # Hopcroft-Karp's certificate is the set of elements some maximum
-    # matching leaves unmatched; the structural route reads it off the
-    # blocks, so the two must be equal, not only both "no"
+def block_rees_draws():
+    """400 seeded orthodox tables: shuffled block Rees semigroups, some of
+    them times a cyclic group, some products of two smaller ones."""
     rng = np.random.default_rng(21)
-    noes = 0
     for draw in range(400):
         table = shuffled_block_rees(rng, 3, 4)
         if draw % 4 == 1:
             table = direct_product(table, cyclic(2 + draw % 8 // 4))
         elif draw % 4 == 2:
             table = direct_product(shuffled_block_rees(rng, 2, 2), shuffled_block_rees(rng, 2, 2))
+        yield table
+
+
+def test_structural_certificate_is_hopcroft_karps():
+    # Hopcroft-Karp's certificate is the set of elements some maximum
+    # matching leaves unmatched; the structural route reads it off the
+    # blocks, so the two must be equal, not only both "no"
+    noes = 0
+    for draw, table in enumerate(block_rees_draws()):
         dec = decide_orthodox_matching(table)
         hk = find_permutation_matching(table)
-        if dec.exists:
+        if isinstance(dec, Matching):
             assert isinstance(hk, Matching), draw
         else:
-            assert dec.certificate == hk, draw
+            assert dec == hk, draw
             noes += 1
     assert noes >= 240
+
+
+def test_structural_route_is_decide_and_similarity_check():
+    # the route returns what decide returns, unwrapped, and its surplus
+    # cells find a "no" exactly where some D-class has blocks of shapes
+    # that are not proportional; band7_sq's surplus lies in more than one
+    # D-class, and its certificate must take them all
+    tables = [t for _, t in full_corpus() if classify(t).orthodox] + list(block_rees_draws())
+    for k, table in enumerate(tables):
+        dec = decide_orthodox_matching(table)
+        assert dec == decide(table), k
+        similar = all(similarity_check(maximal_rect_subbands(egg_box_band(box, table)))
+                      .pairwise_similar for box in green_classes(table).egg_boxes)
+        assert isinstance(dec, Matching) == similar, k
+        if isinstance(dec, HallCertificate):
+            assert dec == find_permutation_matching(table), k
 
 
 class TestLift:
