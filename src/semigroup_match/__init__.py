@@ -20,6 +20,7 @@ from .factors import (
     SimilarityVerdict,
     Subband,
     ZeroRectBand,
+    d_class_band,
     egg_box_band,
     h_quotient_band,
     maximal_rect_subbands,
@@ -29,7 +30,9 @@ from .factors import (
 )
 from .green import (
     EggBox,
+    GreenArrays,
     GreenStructure,
+    green_arrays,
     green_classes,
 )
 from .matching import (

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .errors import CapExceededError, NotOrthodoxError, SemigroupError, TableFormatError
 from .factors import h_quotient_band, maximal_rect_subbands, principal_factor, similarity_check
-from .green import green_classes
+from .green import green_arrays
 from .matching import (
     DEFAULT_BRUTE_CAP,
     METHODS,
@@ -111,8 +111,11 @@ def render_matching(table: MulTable, m: Matching) -> str:
     return "\n".join(lines)
 
 
-def _count_noun(k: int) -> str:
-    return "1 element" if k == 1 else f"{k} elements"
+def _count_noun(k: int, noun: str) -> str:
+    """k with the noun, plural unless k is 1: "1 D-class", "3 D-classes"."""
+    if k == 1:
+        return f"1 {noun}"
+    return f"{k} {noun}{'es' if noun.endswith('s') else 's'}"
 
 
 def render_certificate(table: MulTable, cert: HallCertificate) -> str:
@@ -120,8 +123,8 @@ def render_certificate(table: MulTable, cert: HallCertificate) -> str:
     b_names = " ".join(table.element_name(b) for b in cert.image)
     return (
         "no permutation matching: Hall's condition fails\n"
-        f"A ({_count_noun(len(cert.violating_set))}): {a_names}\n"
-        f"V(A) ({_count_noun(len(cert.image))}): {b_names if cert.image else '(empty)'}"
+        f"A ({_count_noun(len(cert.violating_set), 'element')}): {a_names}\n"
+        f"V(A) ({_count_noun(len(cert.image), 'element')}): {b_names if cert.image else '(empty)'}"
     )
 
 
@@ -175,14 +178,15 @@ def _render_egg_box(band, dec) -> list:
 
 
 def _d_class_reports(table: MulTable, with_grid: bool = False) -> list:
-    g = green_classes(table)
-    idem = set(idempotents(table))
+    g = green_arrays(table)
+    sizes = (g.d_start[1:] - g.d_start[:-1]).tolist()
+    regular = set(g.d_class[list(idempotents(table))].tolist())   # D-classes holding an idempotent
     reports = []
-    for d, members in enumerate(g.d_classes):
+    for d in range(g.d_count):
         entry = {
             "d_class": d,
-            "size": len(members),
-            "regular": any(a in idem for a in members),
+            "size": sizes[d],
+            "regular": d in regular,
             "band": None,
             "subbands": None,
             "similar": None,
@@ -237,7 +241,7 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     table = _load(args.file, args.cap)
     flags = classify(table)
-    g = green_classes(table)
+    g = green_arrays(table)
     report = {
         "command": "analyze",
         "input": str(args.file),
@@ -245,10 +249,10 @@ def cmd_analyze(args) -> int:
         "names": list(table.names) if table.names is not None else None,
         "classification": dataclasses.asdict(flags),
         "green_summary": {
-            "r_classes": len(g.r_classes),
-            "l_classes": len(g.l_classes),
-            "h_classes": len(g.h_classes),
-            "d_classes": len(g.d_classes),
+            "r_classes": g.r_count,
+            "l_classes": g.l_count,
+            "h_classes": g.h_count,
+            "d_classes": g.d_count,
         },
         "d_class_reports": _d_class_reports(table),
         "matching_verdict": _matching_verdict(table),
@@ -258,15 +262,14 @@ def cmd_analyze(args) -> int:
         print(_dumps(report))
         return 0
     true_flags = [k for k, val in report["classification"].items() if val]
-    print(f"input: {args.file} ({_count_noun(table.n)})")
+    print(f"input: {args.file} ({_count_noun(table.n, 'element')})")
     print("classification: " + (", ".join(true_flags) if true_flags else "(no flags)"))
     gs = report["green_summary"]
-    print(
-        f"green: {gs['r_classes']} R-classes, {gs['l_classes']} L-classes, "
-        f"{gs['h_classes']} H-classes, {gs['d_classes']} D-classes"
-    )
+    print("green: " + ", ".join(
+        _count_noun(gs[f"{x.lower()}_classes"], f"{x}-class") for x in "RLHD"
+    ))
     for entry in report["d_class_reports"]:
-        bits = [f"D-class {entry['d_class']}: {_count_noun(entry['size'])}"]
+        bits = [f"D-class {entry['d_class']}: {_count_noun(entry['size'], 'element')}"]
         bits.append("regular" if entry["regular"] else "not regular")
         if entry["band"] is not None:
             bits.append(f"band {entry['band'][0]}x{entry['band'][1]}")
@@ -299,7 +302,7 @@ def render_barrier(table: MulTable, barrier: TutteBarrier) -> str:
     )
     return (
         "no involution matching: Tutte barrier\n"
-        f"X ({_count_noun(len(barrier.elements))}): {x_names if x_names else '(empty)'}\n"
+        f"X ({_count_noun(len(barrier.elements), 'element')}): {x_names if x_names else '(empty)'}\n"
         f"odd components without a in V(a) ({len(barrier.odd_components)}): {comps}\n"
         f"search: {barrier.nodes} nodes"
     )
@@ -382,10 +385,11 @@ def cmd_factors(args) -> int:
             "d_classes": reports,
         }))
         return 0
-    print(f"input: {args.file} ({_count_noun(table.n)}, {len(reports)} D-classes)")
+    counts = f"{_count_noun(table.n, 'element')}, {_count_noun(len(reports), 'D-class')}"
+    print(f"input: {args.file} ({counts})")
     for entry in reports:
         print()
-        head = f"D-class {entry['d_class']}: {_count_noun(entry['size'])}"
+        head = f"D-class {entry['d_class']}: {_count_noun(entry['size'], 'element')}"
         if entry["band"] is not None:
             head += f", band {entry['band'][0]}x{entry['band'][1]}"
         print(head)
@@ -473,7 +477,7 @@ def cmd_gen(args) -> int:
             "elements": table.n,
         }))
     else:
-        print(f"wrote {args.out}: {_count_noun(table.n)}")
+        print(f"wrote {args.out}: {_count_noun(table.n, 'element')}")
     return 0
 
 

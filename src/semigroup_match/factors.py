@@ -3,9 +3,10 @@
 Collapsing each H-class of a regular D-class to a point gives a rectangular
 band with zero whose idempotent cells split into maximal rectangular blocks;
 the block sizes decide whether a permutation matching can exist.
-egg_box_band reads the band off an egg box of S; h_quotient_band reads the
-same band off a principal factor (the class plus a fresh zero absorbing every
-product that escapes the class), for reports and cross-checks.
+d_class_band reads the band off S's Green arrays and egg_box_band off an
+egg box of S; h_quotient_band reads the same band off a principal factor
+(the class plus a fresh zero absorbing every product that escapes the
+class), for reports and cross-checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthodoxError, NotRegularDClassError
-from .green import EggBox, green_classes
+from .green import EggBox, green_arrays
 from .structure import idempotents
 from .table import MulTable
 
@@ -43,10 +44,9 @@ def _fresh_zero_name(taken) -> str:
 
 def principal_factor(table: MulTable, d: int) -> PrincipalFactor:
     """D-class d with a fresh zero that absorbs every product leaving the class."""
-    members = green_classes(table).d_classes[d]
-    k = len(members)
+    ids = green_arrays(table).members(d)
+    k = len(ids)
     index_of = np.full(table.n, k, dtype=np.intp)   # position in the class, the zero outside it
-    ids = np.array(members, dtype=np.intp)
     index_of[ids] = np.arange(k)
     fprod = np.full((k + 1, k + 1), k, dtype=np.intp)
     # 256 rows at a time, so no second k x k array is made, and MulTable
@@ -55,6 +55,7 @@ def principal_factor(table: MulTable, d: int) -> PrincipalFactor:
     for start in range(0, k, 256):
         inner[start:start + 256] = index_of[table.product[ids[start:start + 256, None], ids]]
     fprod.setflags(write=False)
+    members = ids.tolist()
     member_names = [table.element_name(a) for a in members]
     names = member_names + [_fresh_zero_name(set(member_names))]
     return PrincipalFactor(
@@ -64,7 +65,7 @@ def principal_factor(table: MulTable, d: int) -> PrincipalFactor:
 
 def principal_factors(table: MulTable) -> tuple:
     """Principal factor of every D-class, in D-class id order."""
-    return tuple(principal_factor(table, d) for d in range(len(green_classes(table).d_classes)))
+    return tuple(principal_factor(table, d) for d in range(green_arrays(table).d_count))
 
 
 class ZeroRectBand:
@@ -103,7 +104,17 @@ def egg_box_band(box: EggBox, table: MulTable, element_map=None) -> ZeroRectBand
     elements, renamed through element_map when given.
     """
     m, n = len(box.r_ids), len(box.l_ids)
-    cells = np.array(box.grid, dtype=np.intp).reshape(m * n, -1)
+    return _cells_band(np.array(box.grid, dtype=np.intp).reshape(m * n, -1), m, n,
+                       table, element_map)
+
+
+def d_class_band(table: MulTable, d: int, element_map=None) -> ZeroRectBand:
+    """egg_box_band of D-class d's egg box, read off green_arrays(table)."""
+    g = green_arrays(table)
+    return _cells_band(g.cells(d), int(g.rows[d]), int(g.cols[d]), table, element_map)
+
+
+def _cells_band(cells, m: int, n: int, table: MulTable, element_map) -> ZeroRectBand:
     p = (table.product.diagonal()[cells] == cells).any(axis=1).reshape(m, n).T
     if element_map is not None:
         cells = np.asarray(element_map, dtype=np.intp)[cells]
@@ -124,11 +135,10 @@ def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
         raise NotRegularDClassError(
             f"D-class {pf.d_class} holds no idempotent; it has no band quotient"
         )
-    g = green_classes(t)
-    nz_d = g.d_class[0]
-    if any(g.d_class[x] != nz_d for x in range(pf.zero)):
+    d_class = green_arrays(t).d_class
+    if (d_class[:pf.zero] != d_class[0]).any():
         raise RuntimeError("regular principal factor must be 0-simple")
-    return egg_box_band(g.egg_boxes[nz_d], t, pf.element_map)
+    return d_class_band(t, int(d_class[0]), pf.element_map)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Green's relations are read straight off the product table: the principal
 right ideal aS^1 is row a of the table together with a, and the left ideal
 S^1a is column a together with a.  D is the composite R o L.  All class ids
-follow first-seen element order so output is deterministic.  omega_powers
+follow first-seen element order so output is deterministic.  green_arrays
+holds the relations as arrays, which the command line reads;
+green_classes is their tuple view for library callers.  omega_powers
 gives the idempotent power a^omega and its predecessor a^(omega-1) of every
 element at once, as vectors over the whole table.
 """
@@ -45,32 +47,74 @@ class GreenStructure:
     egg_boxes: tuple
 
 
-def _ids(class_min: np.ndarray) -> tuple:
+@dataclass(frozen=True, eq=False)
+class GreenArrays:
+    """Green's relations of a table as read-only intp arrays.
+
+    r_class, l_class, h_class and d_class give each element's class id, in
+    first-seen element order as in GreenStructure; r_count ... d_count are
+    the numbers of classes.  order lists the elements by D-class, then
+    R-class, then L-class, then ascending, so D-class d is the run
+    order[d_start[d]:d_start[d + 1]]: its egg box read row by row, rows[d]
+    R-classes by cols[d] L-classes, every H-class of it of one size
+    (Green's lemma) and ascending.
+    """
+
+    r_class: np.ndarray
+    l_class: np.ndarray
+    h_class: np.ndarray
+    d_class: np.ndarray
+    r_count: int
+    l_count: int
+    h_count: int
+    d_count: int
+    order: np.ndarray
+    d_start: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def members(self, d: int) -> np.ndarray:
+        """The elements of D-class d, ascending."""
+        return np.sort(self.order[self.d_start[d]:self.d_start[d + 1]])
+
+    def cells(self, d: int) -> np.ndarray:
+        """D-class d's egg box as a read-only view of order, one H-class a row.
+
+        Row i * cols[d] + lam lists H-class (i, lam) ascending, for the i-th
+        R-class and lam-th L-class of the class in id order.
+        """
+        run = self.order[self.d_start[d]:self.d_start[d + 1]]
+        return run.reshape(int(self.rows[d] * self.cols[d]), -1)
+
+
+def _ids(class_min: np.ndarray) -> np.ndarray:
     """Class ids in first-seen element order, given each element's least class-mate.
 
-    A class is first seen at its least element, so first-seen order is the
-    order of the minima, which is their rank in np.unique.
+    A class is first seen at its least element, so numbering the minima in
+    element order, a cumsum over their marks, numbers the classes.
     """
-    return tuple(np.unique(class_min, return_inverse=True)[1].tolist())
+    return (np.cumsum(class_min == np.arange(len(class_min))) - 1)[class_min]
 
 
-def _members(labels) -> tuple:
-    k = max(labels) + 1
-    buckets = [[] for _ in range(k)]
-    for x, c in enumerate(labels):
-        buckets[c].append(x)
-    return tuple(tuple(b) for b in buckets)
+def _members(labels: np.ndarray) -> tuple:
+    """The members of each class, ascending, given class ids 0..k-1."""
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return tuple(tuple(order[start:end]) for start, end in zip([0] + ends, ends))
 
 
-@derived("green")
-def green_classes(table: MulTable) -> GreenStructure:
-    """Compute all of Green's relations for the table (cached on the table).
+@derived("green_arrays")
+def green_arrays(table: MulTable) -> GreenArrays:
+    """Compute all of Green's relations for the table as arrays (cached on the table).
 
     b lies in aS^1 exactly when b is a or an entry of row a of the table,
     and in S^1a exactly when b is a or an entry of column a.  So a R b iff
     each is in the other's row, a L b likewise with columns, and H = R meet
     L.  R and L commute, so D = R o L: the least element of a's D-class is
-    the least L-class minimum over a's R-class.
+    the least L-class minimum over a's R-class.  Within a D-class the R- and
+    L-ids rise in first-seen order, so one sort by (D, R, L) lays out every
+    egg box; its rows and columns are counted on the least element of each
+    R- and L-class.
     """
     n = table.n
     prod = table.product
@@ -98,30 +142,63 @@ def green_classes(table: MulTable) -> GreenStructure:
     l_class = _ids(l_min)
     h_class = _ids(h_min)
     d_class = _ids(d_min[r_min])
-
-    d_members = _members(d_class)
-    egg_boxes = []
-    for d, members in enumerate(d_members):
-        r_ids = tuple(dict.fromkeys(r_class[x] for x in members))
-        l_ids = tuple(dict.fromkeys(l_class[x] for x in members))
-        cells = {}
-        for x in members:
-            cells.setdefault((r_class[x], l_class[x]), []).append(x)
-        grid = tuple(
-            tuple(tuple(cells.get((r, l), ())) for l in l_ids) for r in r_ids
-        )
-        egg_boxes.append(EggBox(d, r_ids, l_ids, grid))
-
-    return GreenStructure(
-        n=n,
+    d_count = int(d_class.max()) + 1
+    order = np.lexsort((l_class, r_class, d_class))
+    d_start = np.zeros(d_count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(d_class), out=d_start[1:])
+    rows = np.bincount(d_class[r_min == ar], minlength=d_count)
+    cols = np.bincount(d_class[l_min == ar], minlength=d_count)
+    for a in (r_class, l_class, h_class, d_class, order, d_start, rows, cols):
+        a.setflags(write=False)
+    return GreenArrays(
         r_class=r_class,
         l_class=l_class,
         h_class=h_class,
         d_class=d_class,
-        r_classes=_members(r_class),
-        l_classes=_members(l_class),
-        h_classes=_members(h_class),
-        d_classes=d_members,
+        r_count=int(r_class.max()) + 1,
+        l_count=int(l_class.max()) + 1,
+        h_count=int(h_class.max()) + 1,
+        d_count=d_count,
+        order=order,
+        d_start=d_start,
+        rows=rows,
+        cols=cols,
+    )
+
+
+@derived("green")
+def green_classes(table: MulTable) -> GreenStructure:
+    """Green's relations as tuples: the view of green_arrays for library callers.
+
+    Cached on the table.  Each egg box is D-class d's run of the sorted
+    order, cut into H-classes and rows.
+    """
+    g = green_arrays(table)
+    r_class = g.r_class.tolist()
+    l_class = g.l_class.tolist()
+    order = g.order.tolist()
+    starts = g.d_start.tolist()
+    egg_boxes = []
+    for d, (m, k) in enumerate(zip(g.rows.tolist(), g.cols.tolist())):
+        run = order[starts[d]:starts[d + 1]]
+        h = len(run) // (m * k)
+        cells = [tuple(run[c:c + h]) for c in range(0, len(run), h)]
+        egg_boxes.append(EggBox(
+            d_class=d,
+            r_ids=tuple(r_class[x] for x in run[::k * h]),
+            l_ids=tuple(l_class[x] for x in run[:k * h:h]),
+            grid=tuple(tuple(cells[i:i + k]) for i in range(0, m * k, k)),
+        ))
+    return GreenStructure(
+        n=table.n,
+        r_class=tuple(r_class),
+        l_class=tuple(l_class),
+        h_class=tuple(g.h_class.tolist()),
+        d_class=tuple(g.d_class.tolist()),
+        r_classes=_members(g.r_class),
+        l_classes=_members(g.l_class),
+        h_classes=_members(g.h_class),
+        d_classes=_members(g.d_class),
         egg_boxes=tuple(egg_boxes),
     )
 

@@ -30,10 +30,10 @@ from .factors import (
     PrincipalFactor,
     ZeroRectBand,
     _partner_cells,
-    egg_box_band,
+    d_class_band,
     maximal_rect_subbands,
 )
-from .green import green_classes, omega_powers
+from .green import green_arrays, omega_powers
 from .structure import (
     classify,
     gamma_structure,
@@ -389,8 +389,8 @@ def decide_orthodox_matching(table: MulTable) -> Matching | HallCertificate:
     """
     _require_orthodox(table)
     classes = []
-    for box in green_classes(table).egg_boxes:
-        band = egg_box_band(box, table)
+    for d in range(green_arrays(table).d_count):
+        band = d_class_band(table, d)
         dec = maximal_rect_subbands(band)
         ms, ns = np.array(dec.block_sizes()).T
         a = np.array(dec.row_block)[:, None]

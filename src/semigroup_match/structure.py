@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRegularError
-from .green import _ids, _members, green_classes
+from .green import _ids, _members, green_arrays
 from .table import MulTable, _first_equal, _narrow, _powers, _transposed, derived
 
 
@@ -86,13 +86,13 @@ def gamma_structure(table: MulTable) -> InverseSets:
     if not regular.all():
         raise NotRegularError(int(regular.argmin()))
     # equal rows are one class; each element's least class-mate fixes the ids
-    gamma_class = _ids(_first_equal(v))
-    class_list = _members(gamma_class)
+    ids = _ids(_first_equal(v))
+    gamma_class = tuple(ids.tolist())
+    class_list = _members(ids)
     k = len(class_list)
 
     v_involution = None
     if is_orthodox(table):
-        ids = np.array(gamma_class)
         involution = []
         for c in range(k):
             inverses = np.flatnonzero(v[class_list[c][0]])
@@ -165,7 +165,7 @@ def classify(table: MulTable) -> ClassificationFlags:
     n = table.n
     prod = table.product
     ar = np.arange(n)
-    g = green_classes(table)
+    g = green_arrays(table)
     inverse_counts = inverse_matrix(table).sum(axis=1)
 
     regular = bool(inverse_counts.all())
@@ -175,11 +175,10 @@ def classify(table: MulTable) -> ClassificationFlags:
     # aba = a for all a, b: every b is an inverse of every a
     rect_band = band and bool((inverse_counts == n).all())
     # completely regular: a lies in a subgroup, i.e. a H a^2
-    h_class = np.asarray(g.h_class)
-    completely_regular = bool(np.array_equal(h_class[sq], h_class))
-    completely_simple = completely_regular and len(g.d_classes) == 1
-    combinatorial = len(g.h_classes) == n
-    group = len(g.h_classes) == 1
+    completely_regular = bool(np.array_equal(g.h_class[sq], g.h_class))
+    completely_simple = completely_regular and g.d_count == 1
+    combinatorial = g.h_count == n
+    group = g.h_count == 1
     self_inverse = bool(np.array_equal(prod[sq, ar], ar))
     # a zero is a left zero (row z all z) whose column is all z too
     left_zeros = np.flatnonzero((prod == ar[:, None]).all(axis=1))
@@ -226,7 +225,7 @@ def find_inverse_square(table: MulTable):
     if not v.any(axis=1).all():
         return None
     idem_set = set(idempotents(table))
-    g_rel = green_classes(table)
+    g_rel = green_arrays(table)
     prod = table.product
     for e in sorted(idem_set):
         for a in np.flatnonzero(v[e]).tolist():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import jsonschema
@@ -468,6 +469,46 @@ class TestFactors:
             assert entry["regular"] == (entry["d_class"] in regular)
             if not entry["regular"]:
                 assert entry["note"] == "no idempotent: not a regular D-class"
+
+
+def test_one_element_table_counts_are_singular(tmp_path, capsys):
+    path = tmp_path / "one.tbl"
+    path.write_text("1\n0\n", encoding="utf-8")
+    code, out, _ = run(["analyze", path], capsys)
+    assert code == 0
+    assert f"input: {path} (1 element)\n" in out
+    assert "green: 1 R-class, 1 L-class, 1 H-class, 1 D-class\n" in out
+    assert "D-class 0: 1 element, regular" in out
+    code, out, _ = run(["factors", path], capsys)
+    assert code == 0
+    assert out.startswith(f"input: {path} (1 element, 1 D-class)\n")
+    code, out, _ = run(["analyze", path, "--json"], capsys)
+    assert json.loads(out)["green_summary"] == {
+        "r_classes": 1, "l_classes": 1, "h_classes": 1, "d_classes": 1,
+    }
+
+
+@pytest.mark.parametrize("table", [band7(), brandt(4), t_n(3), null_semigroup(6)],
+                         ids=["band7", "B4", "t3", "null6"])
+def test_no_command_builds_the_green_tuples(monkeypatch, tmp_path, capsys, table):
+    """The commands read Green's relations as arrays: with green_classes
+    raising at every binding in the package, their reports are unchanged."""
+    path = tmp_path / "s.tbl"
+    path.write_text(render_table(table), encoding="utf-8")
+    commands = [["analyze", path, "--json"], ["matching", path, "--json"],
+                ["factors", path, "--json"]]
+    want = [run(argv, capsys) for argv in commands]
+
+    def refuse(table):
+        raise AssertionError("green_classes called on a command's path")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "semigroup_match" or name.startswith("semigroup_match.")) \
+                and hasattr(module, "green_classes"):
+            monkeypatch.setattr(module, "green_classes", refuse)
+    for argv, (code, out, err) in zip(commands, want):
+        assert run(argv, capsys) == (code, out, err), argv
+        assert code in (0, 1), argv
 
 
 def test_main_builds_its_parser_once():

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from semigroup_match import (
     MulTable,
     classify,
+    d_class_band,
+    egg_box_band,
+    green_arrays,
     green_classes,
     idempotents,
 )
@@ -303,3 +306,31 @@ class TestCombinatorial:
         assert not classify(cyclic(6)).combinatorial
         assert classify(monogenic(3, 1)).combinatorial
         assert not classify(t_n(3)).combinatorial
+
+
+class TestArrays:
+    def test_cached_and_read_only(self):
+        table = band7()
+        g = green_arrays(table)
+        assert table._cache["green_arrays"] is g
+        assert green_arrays(table) is g
+        for a in (g.r_class, g.l_class, g.h_class, g.d_class, g.order, g.d_start,
+                  g.rows, g.cols, g.cells(0)):
+            assert not a.flags.writeable
+
+    def test_band7_layout(self):
+        g = green_arrays(band7())
+        assert (g.r_count, g.l_count, g.h_count, g.d_count) == (3, 4, 7, 2)
+        assert g.order.tolist() == list(range(7))
+        assert g.d_start.tolist() == [0, 6, 7]
+        assert (g.rows.tolist(), g.cols.tolist()) == ([2, 1], [3, 1])
+        assert g.cells(0).tolist() == [[0], [1], [2], [3], [4], [5]]
+
+    @pytest.mark.parametrize("name,table", full_corpus())
+    def test_d_class_band_is_the_egg_box_band(self, name, table):
+        for box in green_classes(table).egg_boxes:
+            want = egg_box_band(box, table)
+            got = d_class_band(table, box.d_class)
+            assert np.array_equal(got.p, want.p), name
+            assert np.array_equal(got.cells, want.cells), name
+            assert not got.p.flags.writeable and not got.cells.flags.writeable, name

@@ -4,8 +4,10 @@ corpus.all_semigroups builds the complete corpus by search, not from
 fixtures, and its counts are checked against OEIS A023814.  On it the
 bipartite route must agree with the subset enumeration of Hall's
 condition, the structural route with the bipartite one on orthodox input,
-and Edmonds' blossom with the backtracking oracle; on its one-entry
-mutations Light's test must find the n^3 sweep's witness.
+Edmonds' blossom with the backtracking oracle, Green's relations with the
+ideal oracle and the formula characterizations with their one-pair-at-a-time
+reference; on its one-entry mutations Light's test must find the n^3
+sweep's witness.
 """
 
 from __future__ import annotations
@@ -21,14 +23,19 @@ from semigroup_match import (
     decide_orthodox_matching,
     find_involution_matching,
     find_permutation_matching,
+    formula_characterizations,
+    green_arrays,
+    green_classes,
     hall_brute_force,
     verify_barrier,
 )
 from semigroup_match.table import _associativity_witness
 
 from associativity_reference import full_witness
+from characterization_reference import reference_characterizations
 from corpus import all_semigroups, one_entry_mutations
 from involution_oracle import involution_oracle
+from test_green import brute_green
 
 TABLES = {n: all_semigroups(n) for n in range(1, 5)}
 
@@ -102,3 +109,46 @@ def test_blossom_agrees_with_the_oracle(n):
             assert isinstance(res, TutteBarrier)
             assert verify_barrier(table, res).ok, product.tolist()
         assert isinstance(res, Matching) == isinstance(involution_oracle(table), Matching), product.tolist()
+
+
+def _partition(labels) -> set:
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(labels.max() + 1)}
+
+
+def test_green_arrays_and_tuples_agree_with_the_ideal_oracle():
+    for n in range(1, 5):
+        for product in TABLES[n]:
+            table = MulTable(product)
+            g, tuples = green_arrays(table), green_classes(table)
+            r, l, h, d = brute_green(table)
+            assert [_partition(g.r_class), _partition(g.l_class),
+                    _partition(g.h_class), _partition(g.d_class)] == [r, l, h, d], product.tolist()
+            assert (g.r_count, g.l_count, g.h_count, g.d_count) == tuple(map(len, (r, l, h, d)))
+            assert [{frozenset(c) for c in classes} for classes in
+                    (tuples.r_classes, tuples.l_classes, tuples.h_classes, tuples.d_classes)
+                    ] == [r, l, h, d], product.tolist()
+            assert (tuples.r_class, tuples.l_class, tuples.h_class, tuples.d_class) == tuple(
+                tuple(ids.tolist()) for ids in (g.r_class, g.l_class, g.h_class, g.d_class))
+            for box in tuples.egg_boxes:
+                m, k = len(box.r_ids), len(box.l_ids)
+                assert (g.rows[box.d_class], g.cols[box.d_class]) == (m, k)
+                assert np.array_equal(g.cells(box.d_class),
+                                      np.array(box.grid).reshape(m * k, -1)), product.tolist()
+                assert g.members(box.d_class).tolist() == list(tuples.d_classes[box.d_class])
+
+            # the flags classify reads off Green's relations, from the oracle's partitions
+            h_of = {a: c for c in h for a in c}
+            square = table.product.diagonal().tolist()
+            completely_regular = all(square[a] in h_of[a] for a in range(n))
+            flags = classify(table)
+            assert (flags.completely_regular, flags.completely_simple, flags.combinatorial,
+                    flags.group) == (completely_regular, completely_regular and len(d) == 1,
+                                     len(h) == n, len(h) == 1), product.tolist()
+
+
+def test_formula_characterizations_agree_with_the_reference():
+    for n in range(1, 5):
+        for product in TABLES[n]:
+            table = MulTable(product)
+            assert formula_characterizations(table) == reference_characterizations(table), \
+                product.tolist()
