@@ -2,9 +2,11 @@
 
 Green's relations are read straight off the product table: the principal
 right ideal aS^1 is row a of the table together with a, and the left ideal
-S^1a is column a together with a.  D is the composite R o L.  All class ids
-follow first-seen element order so output is deterministic.  green_arrays
-holds the relations as arrays, which the command line reads;
+S^1a is column a together with a.  A table whose associativity check found
+it to be M0(I, Λ; P) over the trivial group has them read off the grid and
+P of that certificate instead, in O(n).  D is the composite R o L.  All
+class ids follow first-seen element order so output is deterministic.
+green_arrays holds the relations as arrays, which the command line reads;
 green_classes is their tuple view for library callers.  omega_powers
 gives the idempotent power a^omega and its predecessor a^(omega-1) of every
 element at once, as vectors over the whole table.
@@ -103,18 +105,13 @@ def _members(labels: np.ndarray) -> tuple:
     return tuple(tuple(order[start:end]) for start, end in zip([0] + ends, ends))
 
 
-@derived("green_arrays")
-def green_arrays(table: MulTable) -> GreenArrays:
-    """Compute all of Green's relations for the table as arrays (cached on the table).
+def _scatter_minima(table: MulTable):
+    """The least element of every element's R-, L- and H-class, read off the ideals.
 
     b lies in aS^1 exactly when b is a or an entry of row a of the table,
     and in S^1a exactly when b is a or an entry of column a.  So a R b iff
     each is in the other's row, a L b likewise with columns, and H = R meet
-    L.  R and L commute, so D = R o L: the least element of a's D-class is
-    the least L-class minimum over a's R-class.  Within a D-class the R- and
-    L-ids rise in first-seen order, so one sort by (D, R, L) lays out every
-    egg box; its rows and columns are counted on the least element of each
-    R- and L-class.
+    L.  Two n x n bool arrays hold the ideals.
     """
     n = table.n
     prod = table.product
@@ -133,9 +130,49 @@ def green_arrays(table: MulTable) -> GreenArrays:
     r_rel = right & _transposed(right)
     l_rel = left & _transposed(left)
     # argmax finds the first True, so these are the least elements of the classes
-    r_min = r_rel.argmax(axis=1)
-    l_min = l_rel.argmax(axis=1)
-    h_min = (r_rel & l_rel).argmax(axis=1)
+    return r_rel.argmax(axis=1), l_rel.argmax(axis=1), (r_rel & l_rel).argmax(axis=1)
+
+
+def _rees_minima(table: MulTable):
+    """_scatter_minima of a table with a ReesForm, read off its grid and P in O(n).
+
+    For a = (i, λ) other than the zero z, aS^1 is {a, z}, together with
+    {i} x Λ when row λ of P has a 1, since then a (j, μ) = (i, μ) for a j
+    with P[λ, j] and every μ.  So a R b exactly when a = b, or when i(a) =
+    i(b) and rows λ(a) and λ(b) of P both have a 1; L is the same with
+    columns, z is alone in its classes and every H-class is one element.
+    """
+    form = table.rees_form
+    cell, z = form.cell, form.zero
+    row = form.p.any(axis=1)[None, :]      # row[0, λ]: row λ of P has a 1
+    col = form.p.any(axis=0)[:, None]      # col[i, 0]: column i of P has a 1
+    # n is past every element, so a cell outside the class never is the minimum
+    r_least = np.where(row, cell, table.n).min(axis=1, keepdims=True)
+    l_least = np.where(col, cell, table.n).min(axis=0, keepdims=True)
+    r_min = np.empty(table.n, dtype=np.intp)
+    l_min = np.empty(table.n, dtype=np.intp)
+    r_min[cell] = np.where(row, r_least, cell)
+    l_min[cell] = np.where(col, l_least, cell)
+    r_min[z] = l_min[z] = z
+    return r_min, l_min, np.arange(table.n)
+
+
+@derived("green_arrays")
+def green_arrays(table: MulTable) -> GreenArrays:
+    """Compute all of Green's relations for the table as arrays (cached on the table).
+
+    The least elements of the R-, L- and H-classes come from _rees_minima
+    when the table has a ReesForm and from _scatter_minima otherwise.  R and
+    L commute, so D = R o L: the least element of a's D-class is the least
+    L-class minimum over a's R-class.  Within a D-class the R- and L-ids
+    rise in first-seen order, so one sort by (D, R, L) lays out every egg
+    box; its rows and columns are counted on the least element of each R-
+    and L-class.
+    """
+    n = table.n
+    ar = np.arange(n)
+    minima = _scatter_minima if table.rees_form is None else _rees_minima
+    r_min, l_min, h_min = minima(table)
     d_min = np.full(n, n, dtype=np.intp)
     np.minimum.at(d_min, r_min, l_min)
     r_class = _ids(r_min)

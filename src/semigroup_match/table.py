@@ -13,11 +13,12 @@ matrix semigroup over the trivial group with any 0/1 sandwich matrix P, is
 associative: (ab)c and a(bc) are both cell(i(a), λ(c)) when P[λ(a), i(b)]
 and P[λ(b), i(c)] hold, and both the zero otherwise.  _rees_form labels the
 elements by their least nonzero row and column entries and compares every
-product once with that formula; when all match, nothing is swept.  Every
-principal factor of a combinatorial regular D-class has this form, and so
-does every combinatorial 0-simple Rees semigroup: Brandt semigroups and
-rectangular bands with a zero among them.  A table without a two-sided
-zero leaves after O(n) reads.  Any other table goes on to Light's
+product once with that formula; when all match, nothing is swept, and the
+table keeps the grid and P as its rees_form, off which Green's relations
+are read.  Every principal factor of a combinatorial regular D-class has
+this form, and so does every combinatorial 0-simple Rees semigroup: Brandt
+semigroups and rectangular bands with a zero among them.  A table without
+a two-sided zero leaves after O(n) reads.  Any other table goes on to Light's
 test, and one that fails the next two shortcuts is then swept.  Where
 every class costs more than 2 n^2 cells, Light's test checks g only over
 a generating set: every element outside S^2, then greedily the unreached
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -332,8 +334,23 @@ def _first_failure(x_rows, y_cols, xs, gs, ys):
     return None
 
 
-def _rees_form(compact: np.ndarray) -> bool:
-    """Whether compact is M0(I, Λ; P) for a 0/1 matrix P, which proves it associative.
+@dataclass(frozen=True, eq=False)
+class ReesForm:
+    """A proof that a table is M0(I, Λ; P), a Rees matrix semigroup over the trivial group.
+
+    cell[i, λ] is the one element in row i and column λ of the I x Λ grid
+    (an intp array), p[λ, i] the 0/1 sandwich matrix P (a bool array) and
+    zero the two-sided zero: ab = cell(i(a), λ(b)) when p[λ(a), i(b)]
+    holds, and zero otherwise.  Both arrays are read-only.
+    """
+
+    cell: np.ndarray
+    p: np.ndarray
+    zero: int
+
+
+def _rees_form(compact: np.ndarray) -> ReesForm | None:
+    """compact's ReesForm, or None: a form found proves the table associative.
 
     A zero z has 0z = z = z0, and it is the product of any elements that
     include it, in any bracketing: the product of the elements c with
@@ -349,20 +366,21 @@ def _rees_form(compact: np.ndarray) -> bool:
     rows at a time.  When all match, the table is
     M0(I, Λ; P), where (ab)c and a(bc) both equal cell(i(a), λ(c)) exactly
     when P[λ(a), i(b)] and P[λ(b), i(c)] hold and both are z otherwise.
-    The labels are only a guess: the grid and the formula prove the form.
+    The labels are only a guess: the grid and the formula prove the form,
+    and the grid, P and z are returned as its certificate.
     """
     n = compact.shape[0]
     if n < 2:
-        return False
+        return None
     ident = np.arange(n)
     v = np.flatnonzero((compact[0] == ident) & (compact[:, 0] == ident))
     while len(v) > 1:
         v = np.concatenate([compact[v[:-1:2], v[1::2]], v[len(v) & ~1:]])
     if not len(v):
-        return False
+        return None
     z = compact.dtype.type(v[0])
     if (compact[z] != z).any() or (compact[:, z] != z).any():
-        return False
+        return None
     flip = np.invert(z)                 # x + flip = x - z - 1, wrapping
     # rows per block as in _ideal_profile: no temporary takes more than
     # _ASSOC_CHUNK_CELLS bytes
@@ -378,11 +396,11 @@ def _rees_form(compact: np.ndarray) -> bool:
     col_labels, lam = np.unique(col_min[others], return_inverse=True)
     m, k = len(row_labels), len(col_labels)
     if m * k != n - 1:
-        return False
+        return None
     cell = np.full((m, k), z)
     cell[i, lam] = others
     if (cell == z).any():               # a cell left empty, so another holds two
-        return False
+        return None
     p = compact[cell[:1].T, cell[:, :1].T] != z        # p[λ, i] = cell(0, λ) cell(i, 0) != z
     # nonzero[λ, b] = P[λ, i(b)], value[i, b] = cell(i, λ(b)); z's row reads
     # the extra all-false row of nonzero, and its column is false throughout
@@ -397,18 +415,27 @@ def _rees_form(compact: np.ndarray) -> bool:
     for start in range(0, n, step):
         block = slice(start, start + step)
         if not np.array_equal(compact[block], np.where(nonzero[row_lam[block]], value[row_i[block]], z)):
-            return False
-    return True
+            return None
+    cell = cell.astype(np.intp)
+    cell.setflags(write=False)
+    p.setflags(write=False)
+    return ReesForm(cell=cell, p=p, zero=int(z))
 
 
 def _associativity_witness(product: np.ndarray):
-    """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None.
+    """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None."""
+    return _associativity_check(product)[0]
 
-    A table that _rees_form certifies has none; any other goes through
-    Light's test in _light_witness.
+
+def _associativity_check(product: np.ndarray):
+    """_associativity_witness(product), and the ReesForm of product or None.
+
+    A table that _rees_form certifies has no failing triple; any other goes
+    through Light's test in _light_witness.
     """
     compact = _narrow(product)
-    return None if _rees_form(compact) else _light_witness(compact)
+    form = _rees_form(compact)
+    return (None if form is not None else _light_witness(compact)), form
 
 
 def _light_witness(compact: np.ndarray):
@@ -443,7 +470,9 @@ class MulTable:
     verified at construction: by the Rees formula check when the table is
     M0(I, Λ; P) over the trivial group, by Light's test otherwise; a
     non-associative table raises NotAssociativeError with its
-    lexicographically first bad triple.  The product is stored as a
+    lexicographically first bad triple.  rees_form keeps the ReesForm that
+    check proved, or None when the table is not of that form, and Green's
+    relations are read off it.  The product is stored as a
     read-only C-ordered intp array, whatever the input's layout: a copy,
     unless the input already is such an array and owns its data, and
     instances are immutable afterwards.  Structure derived from the table
@@ -451,7 +480,7 @@ class MulTable:
     `derived`.
     """
 
-    __slots__ = ("n", "product", "names", "_cache")
+    __slots__ = ("n", "product", "names", "rees_form", "_cache")
 
     def __init__(self, product, names=None):
         try:
@@ -474,7 +503,7 @@ class MulTable:
         if not (arr.dtype == np.intp and flags.c_contiguous and flags.owndata
                 and not flags.writeable):
             arr = np.array(arr, dtype=np.intp, order="C")
-        witness = _associativity_witness(arr)
+        witness, rees_form = _associativity_check(arr)
         if witness is not None:
             raise NotAssociativeError(witness)
         if names is not None:
@@ -490,6 +519,7 @@ class MulTable:
         self.n = n
         self.product = arr
         self.names = names
+        self.rees_form = rees_form
         self._cache = {}
 
     def mul(self, a: int, b: int) -> int:

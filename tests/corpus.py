@@ -352,6 +352,30 @@ def one_entry_mutations(product):
                     yield q
 
 
+def renumbered(product, seed):
+    """product with element a renamed perm[a], perm drawn from seed."""
+    perm = np.random.default_rng(seed).permutation(product.shape[0])
+    renamed = np.empty_like(product)
+    renamed[perm[:, None], perm[None, :]] = perm[product]
+    return renamed
+
+
+def placements(product):
+    """product renumbered by three rotations and two random permutations.
+
+    A rotation a -> a + s (mod n) moves the last element, a Rees
+    semigroup's zero, to s - 1: it stays last, goes first, or to the middle.
+    """
+    n = product.shape[0]
+    for shift in sorted({0, 1, n // 2}):
+        rotated = np.empty_like(product)
+        perm = (np.arange(n) + shift) % n
+        rotated[perm[:, None], perm[None, :]] = perm[product]
+        yield rotated
+    for seed in range(2):
+        yield renumbered(product, seed)
+
+
 def inverses_of_set(table: MulTable, elements) -> set:
     """V(A) = union of V(a) over a in A, read off the rows of inverse_matrix."""
     rows = inverse_matrix(table)[list(elements)]

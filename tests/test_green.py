@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +19,25 @@ from semigroup_match import (
     idempotents,
 )
 from semigroup_match import green as green_mod
-from semigroup_match.green import omega_powers
+from semigroup_match.green import _rees_minima, _scatter_minima, omega_powers
 
 from characterization_reference import omega_data
-from corpus import band7, cyclic, full_corpus, monogenic, t_n
+from corpus import (
+    RANDOM_REES,
+    adjoin_identity,
+    band7,
+    brandt,
+    cyclic,
+    full_corpus,
+    left_zero,
+    monogenic,
+    null_semigroup,
+    placements,
+    random_rees,
+    rees_over_group,
+    t_n,
+)
+from test_matching import block_rees_draws
 
 
 def brute_green(table):
@@ -334,3 +351,111 @@ class TestArrays:
             assert np.array_equal(got.p, want.p), name
             assert np.array_equal(got.cells, want.cells), name
             assert not got.p.flags.writeable and not got.cells.flags.writeable, name
+
+
+def _rees_of(p) -> MulTable:
+    """M0(I, Λ; P) of any 0/1 matrix p[λ][i], regular or not, with the zero last.
+
+    Element i |Λ| + λ is (i, λ), as in rees_matrix, which takes only
+    regular matrices.
+    """
+    p = np.array(p, dtype=bool)
+    k, m = p.shape
+    zero = m * k
+    i, lam = np.divmod(np.arange(zero), k)
+    prod = np.full((zero + 1, zero + 1), zero, dtype=np.intp)
+    prod[:zero, :zero] = np.where(p[lam[:, None], i[None, :]], i[:, None] * k + lam[None, :], zero)
+    return MulTable(prod)
+
+
+def _check_rees_form(table, name=""):
+    """The table's ReesForm describes its product, and Green's relations read
+    off it are the scatters' and the ideal oracle's."""
+    form = table.rees_form
+    cell, p, z = form.cell, form.p, form.zero
+    assert not cell.flags.writeable and not p.flags.writeable, name
+    assert sorted(cell.ravel().tolist() + [z]) == list(range(table.n)), name
+    # (i, λ)(j, μ) = (i, μ) when p[λ, j], and z otherwise
+    want = np.where(p[None, :, :, None], cell[:, None, None, :], z)      # [i, λ, j, μ]
+    assert np.array_equal(table.product[cell[:, :, None, None], cell[None, None, :, :]], want), name
+    for got, scattered in zip(_rees_minima(table), _scatter_minima(table)):
+        assert np.array_equal(got, scattered), name
+    check_against_oracle(table, name)
+
+
+# Rees semigroups over the trivial group above order 4, each with a ReesForm
+REES_TABLES = ([(f"rees{args[0]}", random_rees(*args)) for args in RANDOM_REES]
+               + [(f"brandt{k}", brandt(k)) for k in (2, 3, 5, 16)]
+               + [(f"block_rees{draw}", t) for draw, t in enumerate(block_rees_draws())
+                  if t.rees_form is not None and t.n > 4])
+
+
+class TestReesForm:
+    """Tables that the associativity check proves to be M0(I, Λ; P) keep that
+    ReesForm, and green_arrays reads R, L and H off it (_rees_minima) instead
+    of scattering the ideals (_scatter_minima)."""
+
+    @pytest.mark.parametrize("name,table", REES_TABLES, ids=[name for name, _ in REES_TABLES])
+    def test_minima_agree_with_the_scatters_and_the_oracle(self, name, table):
+        # the zero first, in the middle and last, and two random numberings
+        for k, product in enumerate(placements(table.product)):
+            placed = MulTable(product)
+            assert placed.rees_form is not None, (name, k)
+            _check_rees_form(placed, (name, k))
+
+    def test_the_rees_tables_are_many(self):
+        # most block Rees draws that are not products have the form
+        assert len(REES_TABLES) >= 100
+
+    def test_the_null_semigroup_of_order_two_has_a_zero_sandwich_matrix(self):
+        # the one non-regular P the certificate accepts: a a = z, so a is
+        # alone in its R- and L-class
+        table = null_semigroup(2)
+        assert table.rees_form.p.tolist() == [[False]]
+        _check_rees_form(table, "null2")
+        assert green_arrays(table).d_count == 2
+
+    def test_every_sandwich_matrix_up_to_3x3(self):
+        # of the 682 0/1 matrices with at most 3 rows and 3 columns, the
+        # certificate holds on the 327 regular ones and on [[0]] alone: a
+        # zero row or column of any other puts two elements in one label
+        certified = 0
+        for rows, cols in itertools.product((1, 2, 3), repeat=2):
+            for bits in itertools.product((False, True), repeat=rows * cols):
+                p = np.array(bits).reshape(rows, cols)
+                regular = bool(p.any(axis=0).all() and p.any(axis=1).all())
+                table = _rees_of(p)
+                assert (table.rees_form is not None) == (regular or p.tolist() == [[False]]), p.tolist()
+                if table.rees_form is not None:
+                    certified += 1
+                    _check_rees_form(table, p.tolist())
+        assert certified == 328
+
+    def test_band7_is_a_rees_semigroup(self):
+        # M0 of a 3 x 2 sandwich matrix: its six nonzero elements are one D-class
+        table = band7()
+        assert table.rees_form.cell.shape == (2, 3)
+        _check_rees_form(table, "band7")
+
+    @pytest.mark.parametrize("name,table", [
+        ("rees_c3", rees_over_group(cyclic(3), [[0, 1], [None, 2]])),
+        ("t3", t_n(3)),
+        ("band7_one", adjoin_identity(band7())),
+        ("left_zero4", left_zero(4)),
+    ])
+    def test_other_tables_carry_no_certificate(self, name, table):
+        assert table.rees_form is None
+        check_against_oracle(table, name)
+
+    def test_no_square_array_for_a_rees_table(self):
+        # the scatters hold two n x n bool arrays; read off the 27 x 37 grid
+        # of this 1000-element table, Green's relations take O(n) bytes
+        table = random_rees(27, 27, 37, 0.3)
+        assert table.n == 1000 and table.rees_form is not None
+        tracemalloc.start()
+        try:
+            green_arrays(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.n ** 2
