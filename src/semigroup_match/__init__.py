@@ -21,7 +21,6 @@ from .factors import (
     Subband,
     ZeroRectBand,
     d_class_band,
-    egg_box_band,
     h_quotient_band,
     maximal_rect_subbands,
     principal_factor,

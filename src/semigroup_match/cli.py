@@ -32,10 +32,10 @@ from .matching import (
     METHODS,
     HallCertificate,
     Matching,
+    MatchingCount,
     TutteBarrier,
     count_permutation_matchings,
     decide,
-    verify_matching,
 )
 from .structure import classify, idempotents
 from .table import (
@@ -128,10 +128,8 @@ def render_certificate(table: MulTable, cert: HallCertificate) -> str:
     )
 
 
-def _matching_json(table: MulTable, m: Matching) -> dict:
-    check = verify_matching(table, m.f, require_involution=m.kind == "involution")
-    if not check.ok:
-        raise RuntimeError(f"refusing to report an unverified matching: {check.reason}")
+def _matching_json(m: Matching) -> dict:
+    """A matching as its route returned it, already through verify_matching."""
     return {"kind": m.kind, "provenance": m.provenance, "map": list(m.f)}
 
 
@@ -225,7 +223,7 @@ def _matching_verdict(table: MulTable) -> dict:
         status = "involution_found" if res.is_involution_map() else "not_searched"
         return {
             "exists": True,
-            "matching": _matching_json(table, res),
+            "matching": _matching_json(res),
             "certificate": None,
             "involution_status": status,
         }
@@ -308,35 +306,40 @@ def render_barrier(table: MulTable, barrier: TutteBarrier) -> str:
     )
 
 
-def _emit_matching_result(args, table, base, m=None, cert=None, barrier=None,
-                          count=None) -> None:
-    if args.json:
-        report = dict(base)
-        report["matching"] = _matching_json(table, m) if m is not None else None
-        report["certificate"] = _certificate_json(cert) if cert is not None else None
+def _render_count(_table: MulTable, count: MatchingCount) -> str:
+    return f"count = {count.count}" if count.exact else f"count >= {count.count}"
+
+
+def _emit_matching_result(args, table, base, res) -> int:
+    """Print decide's answer or a count and return the exit code, 0 for a
+    matching or a nonzero count and 1 otherwise.
+
+    The answer's type is read once; the JSON report keeps null in the slots
+    the other types fill.
+    """
+    report = {**base, "matching": None, "certificate": None, "search": None}
+    if base["mode"] == "involution":
+        report["barrier"] = None
+    if isinstance(res, MatchingCount):
+        report.update(count=res.count, exact=res.exact)
+        render, code = _render_count, 0 if res.count > 0 else 1
+    elif isinstance(res, Matching):
+        report["matching"] = _matching_json(res)
+        render, code = render_matching, 0
+    elif isinstance(res, HallCertificate):
+        report["certificate"] = _certificate_json(res)
+        render, code = render_certificate, 1
+    else:
         # an involution "no" keeps certificate null: the barrier is not a
         # Hall certificate, and search.complete marks the answer definitive
-        report["search"] = (
-            {"complete": True, "nodes": barrier.nodes} if barrier is not None else None
-        )
-        if base["mode"] == "involution":
-            report["barrier"] = {
-                "elements": list(barrier.elements),
-                "odd_components": [list(c) for c in barrier.odd_components],
-            } if barrier is not None else None
-        if count is not None:
-            report["count"] = count.count
-            report["exact"] = count.exact
-        print(_dumps(report))
-        return
-    if count is not None:
-        print(f"count = {count.count}" if count.exact else f"count >= {count.count}")
-    elif m is not None:
-        print(render_matching(table, m))
-    elif cert is not None:
-        print(render_certificate(table, cert))
-    else:
-        print(render_barrier(table, barrier))
+        report["search"] = {"complete": True, "nodes": res.nodes}
+        report["barrier"] = {
+            "elements": list(res.elements),
+            "odd_components": [list(c) for c in res.odd_components],
+        }
+        render, code = render_barrier, 1
+    print(_dumps(report) if args.json else render(table, res))
+    return code
 
 
 def cmd_matching(args) -> int:
@@ -357,21 +360,13 @@ def cmd_matching(args) -> int:
         res = count_permutation_matchings(
             table, limit=args.count, max_size=cap if cap is not None else DEFAULT_BRUTE_CAP
         )
-        _emit_matching_result(args, table, base, count=res)
-        return 0 if res.count > 0 else 1
+        return _emit_matching_result(args, table, base, res)
 
     if args.involution and args.method in ("hall", "brute"):
         print(f"error: --involution cannot use method {args.method}", file=sys.stderr)
         return 2
     res = decide(table, method=args.method, involution=args.involution, cap=cap)
-    if isinstance(res, Matching):
-        _emit_matching_result(args, table, base, m=res)
-        return 0
-    if isinstance(res, HallCertificate):
-        _emit_matching_result(args, table, base, cert=res)
-        return 1
-    _emit_matching_result(args, table, base, barrier=res)
-    return 1
+    return _emit_matching_result(args, table, base, res)
 
 
 def cmd_factors(args) -> int:

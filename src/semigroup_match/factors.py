@@ -3,10 +3,9 @@
 Collapsing each H-class of a regular D-class to a point gives a rectangular
 band with zero whose idempotent cells split into maximal rectangular blocks;
 the block sizes decide whether a permutation matching can exist.
-d_class_band reads the band off S's Green arrays and egg_box_band off an
-egg box of S; h_quotient_band reads the same band off a principal factor
-(the class plus a fresh zero absorbing every product that escapes the
-class), for reports and cross-checks.
+d_class_band reads the band off S's Green arrays; h_quotient_band reads the
+same band off a principal factor (the class plus a fresh zero absorbing
+every product that escapes the class), for reports and cross-checks.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthodoxError, NotRegularDClassError
-from .green import EggBox, green_arrays
-from .structure import idempotents
+from .green import green_arrays
 from .table import MulTable
 
 
@@ -96,26 +94,17 @@ class ZeroRectBand:
         return f"ZeroRectBand(m={self.m}, n={self.n})"
 
 
-def egg_box_band(box: EggBox, table: MulTable, element_map=None) -> ZeroRectBand:
-    """Collapse each H-class of a regular D-class of table to a cell (i, lam).
-
-    A cell is marked in p when one of its elements is idempotent in table,
-    read off the table's diagonal in one gather.  cells holds the box's
-    elements, renamed through element_map when given.
-    """
-    m, n = len(box.r_ids), len(box.l_ids)
-    return _cells_band(np.array(box.grid, dtype=np.intp).reshape(m * n, -1), m, n,
-                       table, element_map)
-
-
 def d_class_band(table: MulTable, d: int, element_map=None) -> ZeroRectBand:
-    """egg_box_band of D-class d's egg box, read off green_arrays(table)."""
+    """Collapse each H-class of D-class d of table to a cell (i, lam).
+
+    The egg box is read off green_arrays(table).  A cell is marked in p when
+    one of its elements is idempotent in table, read off the table's
+    diagonal in one gather.  cells holds the class's elements, renamed
+    through element_map when given.
+    """
     g = green_arrays(table)
-    return _cells_band(g.cells(d), int(g.rows[d]), int(g.cols[d]), table, element_map)
-
-
-def _cells_band(cells, m: int, n: int, table: MulTable, element_map) -> ZeroRectBand:
-    p = (table.product.diagonal()[cells] == cells).any(axis=1).reshape(m, n).T
+    cells = g.cells(d)
+    p = (table.product.diagonal()[cells] == cells).any(axis=1).reshape(g.rows[d], g.cols[d]).T
     if element_map is not None:
         cells = np.asarray(element_map, dtype=np.intp)[cells]
     p.setflags(write=False)
@@ -128,17 +117,19 @@ def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
 
     The quotient of a regular principal factor is a rectangular band with
     zero whose structure matrix records which cells hold an idempotent.
-    Raises NotRegularDClassError when the class has no idempotent.
+    Raises NotRegularDClassError when the class has no idempotent: its
+    factor is null, so the band of factor element 0 has no marked cell.
     """
     t = pf.table
-    if all(e == pf.zero for e in idempotents(t)):
+    d_class = green_arrays(t).d_class
+    band = d_class_band(t, int(d_class[0]), pf.element_map)
+    if not band.p.any():
         raise NotRegularDClassError(
             f"D-class {pf.d_class} holds no idempotent; it has no band quotient"
         )
-    d_class = green_arrays(t).d_class
     if (d_class[:pf.zero] != d_class[0]).any():
         raise RuntimeError("regular principal factor must be 0-simple")
-    return d_class_band(t, int(d_class[0]), pf.element_map)
+    return band
 
 
 @dataclass(frozen=True)

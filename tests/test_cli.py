@@ -488,6 +488,14 @@ def test_one_element_table_counts_are_singular(tmp_path, capsys):
     }
 
 
+def _patch_package(monkeypatch, attr, replacement):
+    """Set attr to replacement at every binding in the package that has it."""
+    for name, module in list(sys.modules.items()):
+        if (name == "semigroup_match" or name.startswith("semigroup_match.")) \
+                and hasattr(module, attr):
+            monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.mark.parametrize("table", [band7(), brandt(4), t_n(3), null_semigroup(6)],
                          ids=["band7", "B4", "t3", "null6"])
 def test_no_command_builds_the_green_tuples(monkeypatch, tmp_path, capsys, table):
@@ -502,13 +510,56 @@ def test_no_command_builds_the_green_tuples(monkeypatch, tmp_path, capsys, table
     def refuse(table):
         raise AssertionError("green_classes called on a command's path")
 
-    for name, module in list(sys.modules.items()):
-        if (name == "semigroup_match" or name.startswith("semigroup_match.")) \
-                and hasattr(module, "green_classes"):
-            monkeypatch.setattr(module, "green_classes", refuse)
+    _patch_package(monkeypatch, "green_classes", refuse)
     for argv, (code, out, err) in zip(commands, want):
         assert run(argv, capsys) == (code, out, err), argv
         assert code in (0, 1), argv
+
+
+@pytest.mark.parametrize("table,argv", [
+    (rectangular_band(2, 3), ["matching", "--json"]),
+    (t_n(3), ["matching", "--method", "hall", "--json"]),
+    (t_n(3), ["matching", "--involution", "--json"]),
+    (rectangular_band(2, 3), ["analyze", "--json"]),
+], ids=["band2x3-matching", "t3-hall", "t3-blossom", "band2x3-analyze"])
+def test_each_printed_matching_is_verified_once(monkeypatch, tmp_path, capsys, table, argv):
+    """Every route returns its matching through verify_matching, and the
+    command prints it as returned: one run checks it exactly once."""
+    path = tmp_path / "s.tbl"
+    path.write_text(render_table(table), encoding="utf-8")
+    argv = [argv[0], path, *argv[1:]]
+    want = run(argv, capsys)
+    calls = []
+
+    def counting(table, f, require_involution=False):
+        calls.append(require_involution)
+        return verify_matching(table, f, require_involution=require_involution)
+
+    _patch_package(monkeypatch, "verify_matching", counting)
+    assert run(argv, capsys) == want
+    assert want[0] == 0
+    assert len(calls) == 1, argv
+
+
+@pytest.mark.parametrize("table", [band7(), t_n(3), null_semigroup(6)],
+                         ids=["band7", "t3", "null6"])
+def test_reports_run_no_idempotent_pass_per_factor(monkeypatch, tmp_path, capsys, table):
+    """h_quotient_band reads regularity off its band's marks: with
+    factors.idempotents raising, analyze and factors print the same bytes."""
+    from semigroup_match import factors
+
+    path = tmp_path / "s.tbl"
+    path.write_text(render_table(table), encoding="utf-8")
+    commands = [["analyze", path, "--json"], ["factors", path, "--json"]]
+    want = [run(argv, capsys) for argv in commands]
+
+    def refuse(table):
+        raise AssertionError("idempotents called by factors")
+
+    monkeypatch.setattr(factors, "idempotents", refuse, raising=False)
+    for argv, (code, out, err) in zip(commands, want):
+        assert run(argv, capsys) == (code, out, err), argv
+        assert code == 0, argv
 
 
 def test_main_builds_its_parser_once():

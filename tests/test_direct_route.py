@@ -20,10 +20,10 @@ from semigroup_match import (
     NotOrthodoxError,
     Subband,
     classify,
+    d_class_band,
     decide,
     decide_orthodox_matching,
     direct_product,
-    egg_box_band,
     green_classes,
     h_quotient_band,
     idempotents,
@@ -111,7 +111,7 @@ def test_egg_box_band_matches_principal_factor_band(name, table):
     for pf, box in zip(principal_factors(table), g.egg_boxes):
         if not idems.intersection(g.d_classes[pf.d_class]):
             continue
-        direct = egg_box_band(box, table)
+        direct = d_class_band(table, box.d_class)
         ref = h_quotient_band(pf)
         assert (direct.m, direct.n) == (ref.m, ref.n), name
         assert np.array_equal(direct.p, ref.p), name

@@ -114,6 +114,14 @@ class TestHQuotient:
         assert top.element_map == (0,)
         with pytest.raises(NotRegularDClassError, match="no band quotient"):
             h_quotient_band(top)
+        # the factor of a class without an idempotent is null, not 0-simple:
+        # the regularity check must come first on every such class
+        for name, table in full_corpus():
+            e = set(idempotents(table))
+            for pf in principal_factors(table):
+                if not e.intersection(pf.element_map):
+                    with pytest.raises(NotRegularDClassError, match="no band quotient"):
+                        h_quotient_band(pf)
 
     def test_group_collapses_to_point(self):
         from corpus import cyclic

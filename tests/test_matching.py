@@ -23,10 +23,10 @@ from semigroup_match import (
     VerifyResult,
     classify,
     count_permutation_matchings,
+    d_class_band,
     decide,
     decide_orthodox_matching,
     direct_product,
-    egg_box_band,
     find_involution_matching,
     find_permutation_matching,
     formula_characterizations,
@@ -313,7 +313,7 @@ class TestDecideOrthodox:
         dec = decide_orthodox_matching(band7())
         assert isinstance(dec, HallCertificate)
         assert dec == find_permutation_matching(band7())
-        verdicts = [similarity_check(maximal_rect_subbands(egg_box_band(box, band7())))
+        verdicts = [similarity_check(maximal_rect_subbands(d_class_band(band7(), box.d_class)))
                     for box in green_classes(band7()).egg_boxes]
         assert len(verdicts) == 2
         assert not verdicts[0].pairwise_similar
@@ -389,7 +389,7 @@ def test_structural_route_is_decide_and_similarity_check():
     for k, table in enumerate(tables):
         dec = decide_orthodox_matching(table)
         assert dec == decide(table), k
-        similar = all(similarity_check(maximal_rect_subbands(egg_box_band(box, table)))
+        similar = all(similarity_check(maximal_rect_subbands(d_class_band(table, box.d_class)))
                       .pairwise_similar for box in green_classes(table).egg_boxes)
         assert isinstance(dec, Matching) == similar, k
         if isinstance(dec, HallCertificate):
