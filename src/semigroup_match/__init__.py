@@ -12,7 +12,6 @@ from .errors import (
     NotRegularMatrixError,
     SemigroupError,
     TableFormatError,
-    TooLargeError,
 )
 from .factors import (
     BandDecomposition,
@@ -38,9 +37,7 @@ from .matching import (
     DEFAULT_BRUTE_CAP,
     METHODS,
     CharacterizationReport,
-    ClassSizeMismatch,
     ClauseResult,
-    HallBruteResult,
     HallCertificate,
     Matching,
     MatchingCount,

@@ -7,7 +7,8 @@ gen (write generated tables).  All commands take --json for a byte-stable
 machine-readable report and --cap N to raise the per-operation size guards.
 --budget MS is still accepted but no route is time-limited any more.
 
-Exit codes: 0 found/ok, 1 definitively absent, 2 input or usage error.
+Exit codes: 0 found/ok, 1 definitively absent, 2 input or usage error
+(a table too large for memory among them).
 Every answer is definitive; an involution "no" carries a Tutte barrier.
 gen refuses a table above the size cap before building it.
 """
@@ -546,6 +547,10 @@ def main(argv=None) -> int:
         return cmd_gen(args)
     except (SemigroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's MemoryError names the allocation that failed; a bare one names nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

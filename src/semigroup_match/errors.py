@@ -32,10 +32,6 @@ class CapExceededError(SemigroupError):
     """A construction or search would exceed the configured size cap."""
 
 
-class TooLargeError(SemigroupError):
-    """Input exceeds the hard limit of an exhaustive operation."""
-
-
 class NotRegularError(SemigroupError):
     """The operation needs a regular semigroup; witness is an element with no inverse."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LiftFailureError, NotOrthodoxError, TooLargeError
+from .errors import CapExceededError, LiftFailureError, NotOrthodoxError
 from .factors import (
     PrincipalFactor,
     ZeroRectBand,
@@ -246,22 +246,17 @@ def _bitmask(row) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
-@dataclass(frozen=True)
-class HallBruteResult:
-    holds: bool
-    witness: tuple | None
-
-
-def hall_brute_force(table: MulTable, max_size: int = DEFAULT_BRUTE_CAP) -> HallBruteResult:
+def hall_brute_force(table: MulTable, max_size: int = DEFAULT_BRUTE_CAP) -> HallCertificate | None:
     """Check |V(A)| >= |A| over every subset A directly.
 
     Subsets are enumerated by size and then lexicographically, so a failure
-    reports a violating set of minimum size (earliest such set).  Exponential;
-    refuses tables above max_size.
+    returns the HallCertificate of the earliest violating set of minimum
+    size; None means Hall's condition holds.  Exponential; refuses tables
+    above max_size.
     """
     n = table.n
     if n > max_size:
-        raise TooLargeError(f"subset enumeration over {n} elements exceeds the cap of {max_size}")
+        raise CapExceededError(f"subset enumeration over {n} elements exceeds the cap of {max_size}")
     masks = [_bitmask(row) for row in inverse_matrix(table)]
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
@@ -269,16 +264,8 @@ def hall_brute_force(table: MulTable, max_size: int = DEFAULT_BRUTE_CAP) -> Hall
             for a in combo:
                 union |= masks[a]
             if union.bit_count() < k:
-                return HallBruteResult(holds=False, witness=combo)
-    return HallBruteResult(holds=True, witness=None)
-
-
-@dataclass(frozen=True)
-class ClassSizeMismatch:
-    """A V-class whose size differs from that of its class of inverses."""
-
-    gamma_members: tuple
-    inverse_members: tuple
+                return _hall_certificate(table, combo)
+    return None
 
 
 def _require_orthodox(table: MulTable):
@@ -301,20 +288,23 @@ def orthodox_involution(table: MulTable):
     inverses induces an involution on the classes.  A matching exists
     exactly when each class has the size of its partner; the construction
     fixes the self-paired classes pointwise and pairs the others off in
-    element order.  Returns ClassSizeMismatch on the first class (by id)
-    whose partner has a different size.
+    element order.
+
+    Otherwise the inverse graph, a disjoint union of complete bipartite
+    graphs K(class, partner), leaves unmatched in some maximum matching
+    exactly the elements of every class larger than its partner: that set,
+    ascending, is the HallCertificate returned, the one
+    find_permutation_matching reports.
     """
     _require_orthodox(table)
     gs = gamma_structure(table)
     if gs.v_involution is None:
         raise RuntimeError("orthodox inverse sets must induce a class involution")
     k = gs.gamma_classes()
-    for c in range(k):
-        d = gs.v_involution[c]
-        if len(gs.class_list[c]) != len(gs.class_list[d]):
-            return ClassSizeMismatch(
-                gamma_members=gs.class_list[c], inverse_members=gs.class_list[d]
-            )
+    larger = [a for c, members in enumerate(gs.class_list)
+              if len(members) > len(gs.class_list[gs.v_involution[c]]) for a in members]
+    if larger:
+        return _hall_certificate(table, sorted(larger))
     f = [-1] * table.n
     for c in range(k):
         d = gs.v_involution[c]
@@ -719,9 +709,9 @@ def decide(table: MulTable, method: str = "auto", involution: bool = False, cap=
         return find_involution_matching(table)
     if method == "hall":
         return find_permutation_matching(table)
-    res = hall_brute_force(table, max_size=DEFAULT_BRUTE_CAP if cap is None else cap)
-    if not res.holds:
-        return _hall_certificate(table, res.witness)
+    cert = hall_brute_force(table, max_size=DEFAULT_BRUTE_CAP if cap is None else cap)
+    if cert is not None:
+        return cert
     m = find_permutation_matching(table)
     if not isinstance(m, Matching):
         raise RuntimeError("subset enumeration and bipartite matching verdicts disagree")
@@ -746,7 +736,7 @@ def count_permutation_matchings(table: MulTable, limit=None,
         raise ValueError("matching count needs a limit >= 1")
     n = table.n
     if n > max_size:
-        raise TooLargeError(f"matching count over {n} elements exceeds the cap of {max_size}")
+        raise CapExceededError(f"matching count over {n} elements exceeds the cap of {max_size}")
     masks = [_bitmask(row) for row in inverse_matrix(table)]
     if any(m == 0 for m in masks):
         return MatchingCount(count=0, exact=True)

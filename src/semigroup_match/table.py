@@ -860,10 +860,18 @@ def full_transformation(n: int, max_rank: int = DEFAULT_RANK_CAP) -> MulTable:
     # narrowest dtype that holds every index
     dtype = np.min_scalar_type(size - 1)
     maps = np.array(list(itertools.product(range(n), repeat=n)), dtype=dtype)
-    # [i, j, x] = x f_i g_j, read as a base-n numeral; the size x size x n
-    # temporary is freed before MulTable checks the product
-    prod = maps[np.arange(size)[None, :, None], maps[:, None, :]] @ (
-        n ** np.arange(n - 1, -1, -1)).astype(dtype)
+    # [i, j] is the base-n numeral of the values x f_i g_j, one digit x at a
+    # time: cols[v, j] = v g_j, so cols[maps[rows, x]] is digit x of those
+    # rows' products; a block of rows at a time keeps the only temporary
+    # small beside the product
+    cols = np.ascontiguousarray(maps.T)
+    prod = np.zeros((size, size), dtype=dtype)
+    step = max(1, _ASSOC_CHUNK_CELLS // size)
+    for start in range(0, size, step):
+        block = prod[start:start + step]
+        for x in range(n):
+            block *= n
+            block += cols[maps[start:start + step, x]]
     names = ["".join(str(v) for v in f) for f in maps.tolist()]
     return MulTable(prod, names)
 

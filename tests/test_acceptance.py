@@ -79,9 +79,9 @@ def test_criterion_1_hall_failure_fixture(tmp_path, capsys):
 
     # independent confirmation by subset enumeration
     brute = hall_brute_force(band7())
-    assert not brute.holds
-    assert brute.witness == (4, 5)
-    assert [band7().element_name(a) for a in brute.witness] == ["(2,2)", "(2,3)"]
+    assert brute is not None
+    assert brute.violating_set == (4, 5)
+    assert [band7().element_name(a) for a in brute.violating_set] == ["(2,2)", "(2,3)"]
     assert elapsed < 1.0
 
 
@@ -166,7 +166,7 @@ def test_criterion_4_oracle_equivalence_on_small_fixtures():
     for name, table in suite:
         brute = hall_brute_force(table)
         fast = find_permutation_matching(table)
-        assert brute.holds == isinstance(fast, Matching), name
+        assert (brute is None) == isinstance(fast, Matching), name
 
 
 def test_criterion_5_exact_matching_counts():

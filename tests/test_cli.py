@@ -612,6 +612,23 @@ class TestGen:
         assert code == 0
         assert parse_table(out_path.read_text(encoding="utf-8")) == t_n(3)
 
+    @pytest.mark.parametrize("message,want", [
+        ("Unable to allocate 8.11 GiB for an array", "error: Unable to allocate 8.11 GiB for an array"),
+        ("", "error: out of memory"),
+    ])
+    def test_out_of_memory_is_an_input_error(self, monkeypatch, tmp_path, capsys, message, want):
+        # T_6 passes a cap of 100000 but needs gigabytes; the build is
+        # stood in for by one that runs out of memory at once
+        def exhausted(n, max_rank):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "full_transformation", exhausted)
+        out_path = tmp_path / "t6.tbl"
+        code, out, err = run(["gen", "tn", 6, out_path, "--cap", 100000], capsys)
+        assert (code, out) == (2, "")
+        assert err == want + "\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("argv", [["2000"], ["1000000", "--cap", "5000"]])
     def test_tn_refuses_huge_n_fast(self, tmp_path, capsys, argv):
         # n^n is neither printed in full nor built to compare it with the cap

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from semigroup_match import (
     BoolStructureMatrix,
-    ClassSizeMismatch,
+    CapExceededError,
     HallCertificate,
     LiftFailureError,
     Matching,
     MulTable,
     NotAssociativeError,
     NotOrthodoxError,
-    TooLargeError,
     TutteBarrier,
     VerifyResult,
     classify,
@@ -54,6 +53,7 @@ from hall_reference import reference_permutation_matching
 from corpus import (
     RANDOM_REES,
     T3_INVOLUTION,
+    all_semigroups,
     band7,
     block_band,
     block_diag_matrix,
@@ -248,16 +248,15 @@ class TestPinnedToReference:
 class TestHallBruteForce:
     def test_band7_minimal_witness(self):
         res = hall_brute_force(band7())
-        assert not res.holds
-        assert res.witness == (4, 5)
+        assert res == HallCertificate(violating_set=(4, 5), image=(0,))
 
     def test_holds_on_matchable_fixtures(self):
         for table in (five_unique(), cyclic(6), brandt(2), rectangular_band(2, 2)):
-            res = hall_brute_force(table)
-            assert res.holds and res.witness is None
+            assert hall_brute_force(table) is None
 
     def test_size_cap(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(CapExceededError,
+                           match="^subset enumeration over 27 elements exceeds the cap of 20$"):
             hall_brute_force(t_n(3))
 
     @pytest.mark.parametrize("name,table", small_corpus())
@@ -265,13 +264,13 @@ class TestHallBruteForce:
         # the decision route and the subset route must coincide
         brute = hall_brute_force(table)
         fast = find_permutation_matching(table)
-        assert brute.holds == isinstance(fast, Matching), name
-        if brute.witness is not None:
+        assert (brute is None) == isinstance(fast, Matching), name
+        if brute is not None:
             v = inverse_sets(table)
             covered = set()
-            for a in brute.witness:
+            for a in brute.violating_set:
                 covered |= set(v[a])
-            assert len(covered) < len(brute.witness), name
+            assert len(covered) < len(brute.violating_set), name
 
 
 class TestOrthodoxInvolution:
@@ -294,9 +293,7 @@ class TestOrthodoxInvolution:
 
     def test_band7_size_mismatch(self):
         res = orthodox_involution(band7())
-        assert isinstance(res, ClassSizeMismatch)
-        assert res.gamma_members == (0,)
-        assert res.inverse_members == (4, 5)
+        assert res == HallCertificate(violating_set=(4, 5), image=(0,))
 
     def test_rejects_non_orthodox(self):
         with pytest.raises(NotOrthodoxError) as exc:
@@ -394,6 +391,31 @@ def test_structural_route_is_decide_and_similarity_check():
         assert isinstance(dec, Matching) == similar, k
         if isinstance(dec, HallCertificate):
             assert dec == find_permutation_matching(table), k
+
+
+def test_class_pairing_certificate_is_the_other_routes():
+    # the inverse graph of an orthodox S is a disjoint union of complete
+    # bipartite graphs K(class, partner); in K(p, q) with p > q some maximum
+    # matching misses each left vertex, with p <= q none does, so the
+    # V-class pairing's certificate, every class larger than its partner,
+    # is the one the structural route and Hopcroft-Karp give; in 178 of the
+    # "no"s it takes more than one class
+    tables = ([t for _, t in full_corpus()] + list(block_rees_draws())
+              + [MulTable(p) for n in range(1, 5) for p in all_semigroups(n)])
+    orthodox = noes = several = 0
+    for k, table in enumerate(tables):
+        if not is_orthodox(table):
+            continue
+        orthodox += 1
+        pairing, auto, hk = orthodox_involution(table), decide(table), find_permutation_matching(table)
+        if isinstance(pairing, Matching):
+            assert isinstance(auto, Matching) and isinstance(hk, Matching), k
+            continue
+        assert pairing == auto == hk, k
+        noes += 1
+        v = inverse_sets(table)
+        several += len({v[a] for a in pairing.violating_set}) > 1
+    assert (orthodox, noes, several) == (1436, 244, 178)
 
 
 class TestLift:
@@ -564,7 +586,8 @@ class TestCounting:
         assert res.count == 1 and res.exact
 
     def test_size_cap(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(CapExceededError,
+                           match="^matching count over 27 elements exceeds the cap of 20$"):
             count_permutation_matchings(t_n(3))
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):

@@ -145,7 +145,7 @@ class TestMatchingRouteAgreement:
     def test_involution_search_consistent_with_hall(self, name, table):
         res = find_involution_matching(table)
         if isinstance(res, Matching):
-            assert hall_brute_force(table).holds, name
+            assert hall_brute_force(table) is None, name
         # a definitive no from the involution search says nothing about
         # permutation matchings in general, so no converse check here
 
@@ -208,7 +208,7 @@ class TestMonogenic:
         out = find_permutation_matching(t)
         assert isinstance(out, Matching) == (index == 1)
         if index > 1:
-            assert hall_brute_force(t).witness is not None
+            assert hall_brute_force(t) is not None
 
 
 @st.composite
@@ -230,9 +230,9 @@ class TestRandomizedAgreement:
         table = rees_matrix(BoolStructureMatrix(entries))
         brute = hall_brute_force(table)
         fast = find_permutation_matching(table)
-        assert brute.holds == isinstance(fast, Matching)
+        assert (brute is None) == isinstance(fast, Matching)
         if classify(table).orthodox:
-            assert isinstance(decide_orthodox_matching(table), Matching) == brute.holds
+            assert isinstance(decide_orthodox_matching(table), Matching) == (brute is None)
 
     @settings(max_examples=60)
     @given(

@@ -29,6 +29,8 @@ from semigroup_match import (
     render_table,
 )
 
+from semigroup_match import table as table_mod
+
 from corpus import band7, cyclic, full_corpus, small_corpus, t_n
 
 
@@ -391,6 +393,20 @@ class TestFullTransformation:
         t = full_transformation(n, max_rank=n)
         assert np.array_equal(t.product, want)
         assert t.names == tuple("".join(map(str, f)) for f in maps)
+
+    def test_product_peaks_under_three_products(self, monkeypatch):
+        # the product is summed one digit of the numeral at a time, so
+        # besides itself at most one size x size digit array is live, never
+        # a size x size x n gather
+        monkeypatch.setattr(table_mod, "MulTable", lambda prod, names: prod)
+        tracemalloc.start()
+        try:
+            prod = full_transformation(4, max_rank=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prod.shape == (256, 256)
+        assert peak < 3 * prod.nbytes
 
     def test_rank_cap(self):
         with pytest.raises(CapExceededError, match="raise it explicitly"):
