@@ -69,7 +69,6 @@ from .structure import (
     orthodoxy_witness,
 )
 from .table import (
-    DEFAULT_RANK_CAP,
     DEFAULT_SIZE_CAP,
     BoolStructureMatrix,
     MulTable,

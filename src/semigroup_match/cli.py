@@ -10,7 +10,9 @@ machine-readable report and --cap N to raise the per-operation size guards.
 Exit codes: 0 found/ok, 1 definitively absent, 2 input or usage error
 (a table too large for memory among them).
 Every answer is definitive; an involution "no" carries a Tutte barrier.
-gen refuses a table above the size cap before building it.
+gen refuses a table above the size cap (--cap N, else 5000) before building
+it: gen tn from n, gen rees from the matrix header, gen product once both
+tables are read.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .matching import (
 )
 from .structure import classify, idempotents
 from .table import (
-    DEFAULT_RANK_CAP,
     DEFAULT_SIZE_CAP,
     BoolStructureMatrix,
     MulTable,
@@ -400,7 +401,9 @@ def cmd_factors(args) -> int:
     return 0
 
 
-def _parse_structure_matrix(text: str) -> BoolStructureMatrix:
+def _parse_structure_matrix(text: str, cap: int) -> BoolStructureMatrix:
+    """The matrix of a `gen rees` file, refused from its header alone when
+    its Rees semigroup has more than cap elements."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise TableFormatError("empty structure matrix file")
@@ -414,6 +417,7 @@ def _parse_structure_matrix(text: str) -> BoolStructureMatrix:
     if rows < 1 or cols < 1:
         raise TableFormatError(
             f"structure matrix needs at least one row and one column, header says {rows} x {cols}")
+    _check_gen_size("Rees matrix semigroup", rows * cols + 1, cap)
     if len(lines) - 1 != rows:
         raise TableFormatError(f"expected {rows} matrix rows, got {len(lines) - 1}")
     entries = []
@@ -425,45 +429,24 @@ def _parse_structure_matrix(text: str) -> BoolStructureMatrix:
     return BoolStructureMatrix(entries)
 
 
-def _check_gen_size(what: str, size: int, cap) -> None:
-    """Refuse to build a table of more than cap elements (default DEFAULT_SIZE_CAP)."""
-    cap = DEFAULT_SIZE_CAP if cap is None else cap
+def _check_gen_size(what: str, size: int, cap: int) -> None:
+    """Refuse to build a table of more than cap elements."""
     if size > cap:
         raise CapExceededError(f"{what} has {size} elements, cap is {cap}")
 
 
-def _tn_fits(n: int, cap: int) -> bool:
-    """n^n <= cap for n >= 1, multiplied up only until it passes cap."""
-    size = 1
-    for _ in range(n):
-        size *= n
-        if size > cap:
-            return False
-    return True
-
-
 def cmd_gen(args) -> int:
+    cap = DEFAULT_SIZE_CAP if args.cap is None else args.cap
     if args.kind == "rect":
         if args.m >= 1 and args.n >= 1:
-            _check_gen_size("rectangular band", args.m * args.n, args.cap)
+            _check_gen_size("rectangular band", args.m * args.n, cap)
         table = rectangular_band(args.m, args.n)
     elif args.kind == "rees":
-        p = _parse_structure_matrix(_read_text(args.matrixfile))
-        _check_gen_size("Rees matrix semigroup", p.rows * p.cols + 1, args.cap)
-        table = rees_matrix(p)
+        table = rees_matrix(_parse_structure_matrix(_read_text(args.matrixfile), cap))
     elif args.kind == "tn":
-        if args.cap is not None and 1 <= args.n <= DEFAULT_RANK_CAP:
-            _check_gen_size("full transformation semigroup", args.n ** args.n, args.cap)
-        if args.cap is not None and args.n >= 1 and _tn_fits(args.n, args.cap):
-            table = full_transformation(args.n, max_rank=args.n)
-        else:
-            table = full_transformation(args.n)
+        table = full_transformation(args.n, max_size=cap)
     else:
-        s = _load(args.f1, args.cap)
-        t = _load(args.f2, args.cap)
-        table = direct_product(
-            s, t, max_size=args.cap if args.cap is not None else DEFAULT_SIZE_CAP
-        )
+        table = direct_product(_load(args.f1, args.cap), _load(args.f2, args.cap), max_size=cap)
     Path(args.out).write_text(render_table(table), encoding="utf-8")
     if args.json:
         print(_dumps({

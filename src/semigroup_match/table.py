@@ -59,7 +59,6 @@ from .errors import (
 )
 
 DEFAULT_SIZE_CAP = 5000
-DEFAULT_RANK_CAP = 4
 
 # scratch cells per chunk of the vectorized associativity checks
 _ASSOC_CHUNK_CELLS = 1 << 21
@@ -840,7 +839,7 @@ def rectangular_band(m: int, n: int) -> MulTable:
     return MulTable(prod, names)
 
 
-def full_transformation(n: int, max_rank: int = DEFAULT_RANK_CAP) -> MulTable:
+def full_transformation(n: int, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
     """All n^n self-maps of {0..n-1} under left-to-right composition.
 
     The product fg applies f first: x(fg) = (xf)g.  Maps are ordered
@@ -849,13 +848,15 @@ def full_transformation(n: int, max_rank: int = DEFAULT_RANK_CAP) -> MulTable:
     """
     if n < 1:
         raise TableFormatError("n must be positive")
-    if n > max_rank:
-        # past n = 15, n^n has 20 digits or more, and past about 1900 str() refuses it
-        count = n ** n if n <= 15 else f"{n}^{n}"
-        raise CapExceededError(
-            f"T_{n} has {count} elements; default rank cap is {max_rank}, raise it explicitly"
-        )
-    size = n ** n
+    # n^n is multiplied up only until it passes the cap, so a huge n fails at once
+    size = 1
+    for _ in range(n):
+        size *= n
+        if size > max_size:
+            # past n = 15, n^n has 20 digits or more, and past about 1900 str() refuses it
+            count = n ** n if n <= 15 else f"{n}^{n}"
+            raise CapExceededError(
+                f"full transformation semigroup has {count} elements, cap is {max_size}")
     # maps in lexicographic order are the base-n numerals 0..size-1, in the
     # narrowest dtype that holds every index
     dtype = np.min_scalar_type(size - 1)

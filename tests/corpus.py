@@ -136,7 +136,7 @@ def block_band(blocks: list[tuple[int, int]]) -> MulTable:
 
 
 def t_n(n: int) -> MulTable:
-    return full_transformation(n, max_rank=n)
+    return full_transformation(n, max_size=n ** n)
 
 
 # The involution search on T_3 found this map; frozen as a regression
@@ -293,6 +293,15 @@ def random_rees(seed: int, rows: int, cols: int, density: float) -> MulTable:
 # (seed, rows, cols, density) of random_rees fixtures: none of them is orthodox
 RANDOM_REES = [(seed, 9 + seed % 4, 9 + (seed // 4) % 4, 0.2 + 0.25 * seed / 19)
                for seed in range(20)] + [(20, 20, 20, 0.3)]
+
+# Rees matrix semigroups over C_3, C_4 and S_3 with seeded sandwich
+# matrices over G⁰: completely 0-simple, 19 to 49 elements; none of them is
+# orthodox, and only rees_s3_3x2 has no permutation matching
+REES_OVER_GROUP = [
+    (f"rees_{name}_{rows}x{cols}", rees_over_group(group, random_sandwich(seed, group, rows, cols, 0.5)))
+    for seed, (name, group, rows, cols) in enumerate([
+        ("c3", cyclic(3), 2, 3), ("c3", cyclic(3), 4, 4), ("c4", cyclic(4), 3, 3),
+        ("s3", symmetric3(), 2, 2), ("s3", symmetric3(), 3, 2)])]
 
 
 def all_semigroups(n: int) -> list:

@@ -57,6 +57,7 @@ from semigroup_match.table import (
 from associativity_reference import full_witness, round_robin_generators
 from corpus import (
     RANDOM_REES,
+    REES_OVER_GROUP,
     adjoin_identity,
     adjoin_zero,
     all_semigroups,
@@ -69,11 +70,8 @@ from corpus import (
     one_entry_mutations,
     placements,
     random_rees,
-    random_sandwich,
-    rees_over_group,
     renumbered,
     right_zero,
-    symmetric3,
     t_n,
 )
 
@@ -397,14 +395,6 @@ def _check_factored_route(q):
 def _rees_times_group():
     return direct_product(random_rees(3, 4, 5, 0.4), cyclic(3))
 
-
-# Rees matrix semigroups over C_3, C_4 and S_3 with seeded sandwich
-# matrices over G⁰: completely 0-simple, 19 to 49 elements
-REES_OVER_GROUP = [
-    (f"rees_{name}_{rows}x{cols}", rees_over_group(group, random_sandwich(seed, group, rows, cols, 0.5)))
-    for seed, (name, group, rows, cols) in enumerate([
-        ("c3", cyclic(3), 2, 3), ("c3", cyclic(3), 4, 4), ("c4", cyclic(4), 3, 3),
-        ("s3", symmetric3(), 2, 2), ("s3", symmetric3(), 3, 2)])]
 
 # 12 mutations of each of the first 20 RANDOM_REES draws, 60 of a Rees
 # semigroup times C_3 and 20 of each Rees semigroup over a group

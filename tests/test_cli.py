@@ -598,9 +598,8 @@ class TestGen:
         assert parse_table(out_path.read_text(encoding="utf-8")) == t_n(3)
 
     def test_tn_cap(self, tmp_path, capsys):
-        code, _, err = run(["gen", "tn", 5, tmp_path / "t5.tbl"], capsys)
-        assert code == 2
-        assert "raise it explicitly" in err
+        code, _, err = run(["gen", "tn", 6, tmp_path / "t6.tbl"], capsys)
+        assert (code, err) == (2, "error: full transformation semigroup has 46656 elements, cap is 5000\n")
 
     def test_tn_lowered_cap(self, tmp_path, capsys):
         out_path = tmp_path / "t3.tbl"
@@ -611,6 +610,9 @@ class TestGen:
         code, _, _ = run(["gen", "tn", 3, out_path, "--cap", 27], capsys)
         assert code == 0
         assert parse_table(out_path.read_text(encoding="utf-8")) == t_n(3)
+        code, _, err = run(["gen", "tn", 5, tmp_path / "t5.tbl", "--cap", 3000], capsys)
+        assert (code, err) == (2, "error: full transformation semigroup has 3125 elements, cap is 3000\n")
+        assert not (tmp_path / "t5.tbl").exists()
 
     @pytest.mark.parametrize("message,want", [
         ("Unable to allocate 8.11 GiB for an array", "error: Unable to allocate 8.11 GiB for an array"),
@@ -619,7 +621,7 @@ class TestGen:
     def test_out_of_memory_is_an_input_error(self, monkeypatch, tmp_path, capsys, message, want):
         # T_6 passes a cap of 100000 but needs gigabytes; the build is
         # stood in for by one that runs out of memory at once
-        def exhausted(n, max_rank):
+        def exhausted(n, max_size):
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, "full_transformation", exhausted)
@@ -636,7 +638,7 @@ class TestGen:
         code, _, err = run(["gen", "tn", *argv[:1], tmp_path / "t.tbl", *argv[1:]], capsys)
         assert time.process_time() - started < 1
         assert code == 2
-        assert err.startswith("error: ") and "raise it explicitly" in err
+        assert err.startswith("error: ") and err.endswith(" elements, cap is 5000\n")
         assert f"has {argv[0]}^{argv[0]} elements" in err
 
     def test_product(self, tmp_path, capsys):
@@ -655,6 +657,18 @@ class TestGen:
         code, _, err = run(["gen", "rees", mat, tmp_path / "x.tbl"], capsys)
         assert code == 2
         assert "all false" in err
+
+    def test_matrix_refused_from_its_header(self, tmp_path, capsys):
+        # the cap is compared with rows * cols + 1 before any row is read
+        mat = tmp_path / "big.mat"
+        mat.write_text("100 100\n0 1 x\n", encoding="utf-8")
+        out_path = tmp_path / "big.tbl"
+        code, out, err = run(["gen", "rees", mat, out_path], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: Rees matrix semigroup has 10001 elements, cap is 5000\n"
+        assert not out_path.exists()
+        code, _, err = run(["gen", "rees", mat, out_path, "--cap", 10001], capsys)
+        assert (code, err) == (2, "error: expected 100 matrix rows, got 1\n")
 
     @pytest.mark.parametrize("text,shape", [("2 0\n0\n0\n", "2 x 0"), ("0 2\n", "0 x 2")])
     def test_empty_matrix_header(self, tmp_path, capsys, text, shape):

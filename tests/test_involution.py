@@ -41,7 +41,16 @@ from semigroup_match.cli import main
 from semigroup_match.matching import _Blossom, _doubled_adjacency, _odd_loop_free_components
 
 from blossom_reference import ReferenceBlossom, doubled_adjacency, odd_loop_free_components
-from corpus import RANDOM_REES, T3_INVOLUTION, band7, frame_depth, full_corpus, random_rees, t_n
+from corpus import (
+    RANDOM_REES,
+    REES_OVER_GROUP,
+    T3_INVOLUTION,
+    band7,
+    frame_depth,
+    full_corpus,
+    random_rees,
+    t_n,
+)
 from involution_oracle import involution_oracle
 
 CORPUS = full_corpus()
@@ -165,6 +174,13 @@ def test_blossom_agrees_with_networkx(p):
 @given(regular_matrices())
 def test_blossom_follows_reference_on_regular_matrices(p):
     assert_same_as_reference(rees_matrix(p))
+
+
+@pytest.mark.parametrize("name,table", REES_OVER_GROUP, ids=[name for name, _ in REES_OVER_GROUP])
+def test_blossom_agrees_with_networkx_over_groups(name, table):
+    res = find_involution_matching(table)
+    check_answer(table, res)
+    assert isinstance(res, Matching) == networkx_exists(table)
 
 
 @st.composite

@@ -52,6 +52,7 @@ from characterization_reference import reference_characterizations
 from hall_reference import reference_permutation_matching
 from corpus import (
     RANDOM_REES,
+    REES_OVER_GROUP,
     T3_INVOLUTION,
     all_semigroups,
     band7,
@@ -195,7 +196,7 @@ NON_PROPORTIONAL_BLOCKS = [[(2, 4), (3, 3)], [(3, 3), (4, 2)], [(2, 4), (4, 2)],
 
 
 def _pin_tables():
-    tables = full_corpus() + [
+    tables = full_corpus() + REES_OVER_GROUP + [
         (f"rees{seed}", random_rees(seed, rows, cols, density))
         for seed, rows, cols, density in RANDOM_REES
     ]
@@ -234,6 +235,13 @@ class TestPinnedToReference:
         assert any(c.image == () for c in certs)
         # certificates from the search with more than one unmatched element
         assert any(len(c.violating_set) - len(c.image) > 1 for c in certs if c.image)
+
+    def test_rees_over_group_reaches_both_answers(self):
+        # none is orthodox, so Hopcroft-Karp answers each; over S_3 one is a "no"
+        assert not any(is_orthodox(table) for _, table in REES_OVER_GROUP)
+        noes = [name for name, table in REES_OVER_GROUP
+                if isinstance(find_permutation_matching(table), HallCertificate)]
+        assert noes == ["rees_s3_3x2"]
 
     @settings(max_examples=150)
     @given(regular_rees())

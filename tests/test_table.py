@@ -390,7 +390,7 @@ class TestFullTransformation:
         maps = list(itertools.product(range(n), repeat=n))
         index = {f: i for i, f in enumerate(maps)}
         want = [[index[tuple(g[x] for x in f)] for g in maps] for f in maps]
-        t = full_transformation(n, max_rank=n)
+        t = full_transformation(n, max_size=n ** n)
         assert np.array_equal(t.product, want)
         assert t.names == tuple("".join(map(str, f)) for f in maps)
 
@@ -401,17 +401,27 @@ class TestFullTransformation:
         monkeypatch.setattr(table_mod, "MulTable", lambda prod, names: prod)
         tracemalloc.start()
         try:
-            prod = full_transformation(4, max_rank=4)
+            prod = full_transformation(4, max_size=256)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert prod.shape == (256, 256)
         assert peak < 3 * prod.nbytes
 
-    def test_rank_cap(self):
-        with pytest.raises(CapExceededError, match="raise it explicitly"):
-            full_transformation(5)
-        assert full_transformation(2, max_rank=2).n == 4
+    def test_element_cap(self):
+        with pytest.raises(CapExceededError,
+                           match="^full transformation semigroup has 46656 elements, cap is 5000$"):
+            full_transformation(6)
+        assert full_transformation(2, max_size=4).n == 4
+        with pytest.raises(CapExceededError, match="has 4 elements, cap is 3$"):
+            full_transformation(2, max_size=3)
+
+    def test_t5_under_the_default_cap(self):
+        t = full_transformation(5)
+        assert t.n == 3125
+        ident = t.names.index("01234")
+        assert np.array_equal(t.product[ident], np.arange(t.n))
+        assert np.array_equal(t.product[:, ident], np.arange(t.n))
 
 
 class TestDirectProduct:
