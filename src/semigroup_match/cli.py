@@ -11,8 +11,8 @@ Exit codes: 0 found/ok, 1 definitively absent, 2 input or usage error
 (a table too large for memory among them).
 Every answer is definitive; an involution "no" carries a Tutte barrier.
 gen refuses a table above the size cap (--cap N, else 5000) before building
-it: gen tn from n, gen rees from the matrix header, gen product once both
-tables are read.
+it: gen tn from n, gen rees from the matrix header, gen product from the
+two tables' element-count lines.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .table import (
     DEFAULT_SIZE_CAP,
     BoolStructureMatrix,
     MulTable,
+    _read_prelude,
     direct_product,
     full_transformation,
     parse_table,
@@ -101,9 +102,27 @@ def _read_text(path) -> str:
         raise TableFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _table_cap(cap) -> int:
+    """The element cap of a table file read with --cap cap (None when not given)."""
+    return DEFAULT_SIZE_CAP if cap is None else max(cap, DEFAULT_SIZE_CAP)
+
+
 def _load(path, cap) -> MulTable:
-    max_size = DEFAULT_SIZE_CAP if cap is None else max(cap, DEFAULT_SIZE_CAP)
-    return parse_table(_read_text(path), max_size=max_size)
+    return parse_table(_read_text(path), max_size=_table_cap(cap))
+
+
+def _element_count_of(path, cap):
+    """A table file's element count, read only up to its count line, or None
+    when only the whole file tells: a line of that prelude with a break
+    inside, or bytes that are not UTF-8 (_load reports those).  The prelude's
+    errors, a count above the cap among them, are _load's."""
+    try:
+        # utf-8-sig drops a leading byte-order mark, as _read_text does
+        with open(path, encoding="utf-8-sig") as lines:
+            prelude = _read_prelude(lines, _table_cap(cap))
+    except UnicodeDecodeError:
+        return None
+    return None if prelude is None else prelude[1]
 
 
 def render_matching(table: MulTable, m: Matching) -> str:
@@ -446,6 +465,9 @@ def cmd_gen(args) -> int:
     elif args.kind == "tn":
         table = full_transformation(args.n, max_size=cap)
     else:
+        counts = [_element_count_of(path, args.cap) for path in (args.f1, args.f2)]
+        if None not in counts:
+            _check_gen_size("direct product", counts[0] * counts[1], cap)
         table = direct_product(_load(args.f1, args.cap), _load(args.f2, args.cap), max_size=cap)
     Path(args.out).write_text(render_table(table), encoding="utf-8")
     if args.json:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotOrthodoxError, NotRegularDClassError
 from .green import green_arrays
-from .table import MulTable
+from .table import MulTable, _storage_dtype
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,12 @@ def principal_factor(table: MulTable, d: int) -> PrincipalFactor:
     """D-class d with a fresh zero that absorbs every product leaving the class."""
     ids = green_arrays(table).members(d)
     k = len(ids)
-    index_of = np.full(table.n, k, dtype=np.intp)   # position in the class, the zero outside it
+    dtype = _storage_dtype(k + 1)
+    index_of = np.full(table.n, k, dtype=dtype)     # position in the class, the zero outside it
     index_of[ids] = np.arange(k)
-    fprod = np.full((k + 1, k + 1), k, dtype=np.intp)
+    fprod = np.full((k + 1, k + 1), k, dtype=dtype)
     # 256 rows at a time, so no second k x k array is made, and MulTable
-    # keeps the read-only result instead of copying it
+    # keeps the read-only result, in its storage dtype, instead of copying it
     inner = fprod[:k, :k]
     for start in range(0, k, 256):
         inner[start:start + 256] = index_of[table.product[ids[start:start + 256, None], ids]]

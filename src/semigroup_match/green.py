@@ -121,12 +121,17 @@ def _scatter_minima(table: MulTable):
     # flat-index scatters are faster than 2-D fancy indexing but build their
     # intp index, so they go a block of rows (about _ASSOC_CHUNK_CELLS bytes
     # of index) at a time; left is indexed [b, a] so that both scatters read
-    # prod in memory order
+    # prod in memory order.  The index is worked out in intp, as prod's
+    # narrow entries would wrap
     step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
     for start in range(0, n, step):
-        rows = prod[start:start + step]
-        right.ravel()[(ar[start:start + step] * n)[:, None] + rows] = True
-        left.ravel()[rows * n + ar] = True
+        block = slice(start, start + step)
+        rows = prod[block]
+        idx = np.add((ar[block] * n)[:, None], rows, dtype=np.intp)
+        right.ravel()[idx] = True
+        np.multiply(rows, n, out=idx, dtype=np.intp)
+        idx += ar
+        left.ravel()[idx] = True
     r_rel = right & _transposed(right)
     l_rel = left & _transposed(left)
     # argmax finds the first True, so these are the least elements of the classes

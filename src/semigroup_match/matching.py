@@ -41,7 +41,7 @@ from .structure import (
     is_orthodox,
     orthodoxy_witness,
 )
-from .table import (_ASSOC_CHUNK_CELLS, BoolStructureMatrix, MulTable, _narrow, _powers,
+from .table import (_ASSOC_CHUNK_CELLS, BoolStructureMatrix, MulTable, _powers,
                     _transposed, rees_matrix)
 
 DEFAULT_BRUTE_CAP = 20
@@ -824,7 +824,7 @@ def formula_characterizations(table: MulTable, k=None) -> CharacterizationReport
     """
     if k is not None and k < 1:
         raise ValueError("power identity needs k >= 1")
-    prod = _narrow(table.product)
+    prod = table.product
     cols = _transposed(prod)          # cols[y, x] = xy: a block of y reads whole rows
     ar = np.arange(table.n)
     flags = classify(table)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotRegularError
 from .green import _ids, _members, green_arrays
-from .table import MulTable, _first_equal, _narrow, _powers, _transposed, derived
+from .table import MulTable, _first_equal, _powers, _transposed, derived
 
 
 @derived("idempotents")
@@ -34,7 +34,7 @@ def inverse_matrix(table: MulTable) -> np.ndarray:
     is X[b, a].  The blocked copy of the transpose is about as fast as the
     gather; a strided read of X.T or of product.T is several times slower.
     """
-    p = _narrow(table.product)
+    p = table.product
     col = np.arange(table.n, dtype=p.dtype)[:, None]
     x = p[p, col] == col
     result = x & _transposed(x)

@@ -64,12 +64,22 @@ DEFAULT_SIZE_CAP = 5000
 _ASSOC_CHUNK_CELLS = 1 << 21
 
 
-def _narrow(product: np.ndarray) -> np.ndarray:
-    """product in the narrowest dtype that holds every element, in C order.
+def _storage_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds 0..n-1: MulTable's product dtype.
 
-    Gathers through the narrower copy move less memory.
+    uint8 up to 256 elements, uint16 up to 65536.  Gathers through it move
+    less memory than through intp; arithmetic on its entries must be done in
+    intp, since uint8 and uint16 wrap without warning.
     """
-    return np.array(product, dtype=np.min_scalar_type(product.shape[0] - 1), order="C")
+    return np.min_scalar_type(n - 1)
+
+
+def _narrow(product: np.ndarray, copy: bool = False) -> np.ndarray:
+    """product in _storage_dtype, in C order: product itself when it already is, unless copy."""
+    dtype = _storage_dtype(product.shape[0])
+    if copy:
+        return np.array(product, dtype=dtype, order="C")
+    return np.asarray(product, dtype=dtype, order="C")
 
 
 def _powers(product: np.ndarray, xs, k: int):
@@ -423,16 +433,15 @@ def _rees_form(compact: np.ndarray) -> ReesForm | None:
 
 def _associativity_witness(product: np.ndarray):
     """First triple (a, b, c) with (ab)c != a(bc) in lexicographic order, or None."""
-    return _associativity_check(product)[0]
+    return _associativity_check(_narrow(product))[0]
 
 
-def _associativity_check(product: np.ndarray):
-    """_associativity_witness(product), and the ReesForm of product or None.
+def _associativity_check(compact: np.ndarray):
+    """_associativity_witness on compact, a _narrow table, and its ReesForm or None.
 
     A table that _rees_form certifies has no failing triple; any other goes
     through Light's test in _light_witness.
     """
-    compact = _narrow(product)
     form = _rees_form(compact)
     return (None if form is not None else _light_witness(compact)), form
 
@@ -472,9 +481,10 @@ class MulTable:
     lexicographically first bad triple.  rees_form keeps the ReesForm that
     check proved, or None when the table is not of that form, and Green's
     relations are read off it.  The product is stored as a
-    read-only C-ordered intp array, whatever the input's layout: a copy,
-    unless the input already is such an array and owns its data, and
-    instances are immutable afterwards.  Structure derived from the table
+    read-only C-ordered array of _storage_dtype(n), uint8 up to 256
+    elements and uint16 up to 65536, whatever the input's dtype and layout:
+    a copy, unless the input already is such an array and owns its data,
+    and instances are immutable afterwards.  Structure derived from the table
     (Green classes, inverse sets) is cached on the instance through
     `derived`.
     """
@@ -496,12 +506,10 @@ class MulTable:
         if int(arr.min()) < 0 or int(arr.max()) >= n:
             a, b = (int(x) for x in np.argwhere((arr < 0) | (arr >= n))[0])
             raise EntryRangeError(f"entry product[{a}][{b}] = {int(arr[a, b])} outside [0, {n})")
-        flags = arr.flags
-        # a read-only intp array that owns its data, as parse_table builds,
-        # is kept; anything else is copied, so no caller's array is frozen
-        if not (arr.dtype == np.intp and flags.c_contiguous and flags.owndata
-                and not flags.writeable):
-            arr = np.array(arr, dtype=np.intp, order="C")
+        # a read-only array that owns its data, as parse_table and the
+        # builders make, is kept when it is in the storage dtype; anything
+        # else is copied, so no caller's array is frozen
+        arr = _narrow(arr, copy=arr.flags.writeable or not arr.flags.owndata)
         witness, rees_form = _associativity_check(arr)
         if witness is not None:
             raise NotAssociativeError(witness)
@@ -659,7 +667,40 @@ def _read_by_lines(text: str, max_size: int):
     n = _element_count(data[0] if data else None, max_size)
     if len(data) - 1 != n:
         raise TableFormatError(f"expected {n} table rows, got {len(data) - 1}")
-    return names, _rows_by_loop(data[1:], n)
+    product = np.array(_rows_by_loop(data[1:], n), dtype=_storage_dtype(n))
+    product.setflags(write=False)
+    return names, product
+
+
+def _lines(text: str):
+    """The lines of text, each with its \n, the last one with or without it."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
+def _read_prelude(lines, max_size: int):
+    """names, n and the characters read, from a table file's lines up to the element count.
+
+    lines yields the file's lines with their line ends.  Comments and
+    '# names:' lines are read as parse_table reads them, and the first data
+    line is the count, which _element_count reads and checks against
+    max_size.  None when a line holds a break that str.splitlines splits at
+    before its end: then only _read_by_lines reads the file as parse_table
+    does.
+    """
+    names = None
+    read = 0
+    for raw in lines:
+        if len(raw.splitlines()) > 1:
+            return None
+        read += len(raw)
+        data, names = _data_lines([raw], names)
+        if data:
+            return names, _element_count(data[0], max_size), read
+    return _element_count(None, max_size)       # raises: there is no data line
 
 
 # characters per block of the byte pass, rounded to whole lines, for each
@@ -673,8 +714,8 @@ _MAX_RUN = 4
 def _read_by_bytes(text: str, max_size: int):
     """_read_table's result, or None when _read_by_lines must read the text.
 
-    The prelude is scanned line by line up to the element count; a line
-    that str.splitlines would break anywhere but at its end returns None.
+    The prelude up to the element count is _read_prelude's, and a None
+    from it returns None.
     The body is then read in blocks of whole lines of about _BLOCK_BYTES
     characters per 1024 elements.  A block with a '#' has its comment lines
     taken out first.  Every byte left must be an ASCII digit, space, tab or
@@ -685,20 +726,11 @@ def _read_by_bytes(text: str, max_size: int):
     rows of the product.  A run of more than _MAX_RUN digits, a value of n
     or more, or a row count other than n returns None.
     """
-    names = None
-    pos = 0
-    while True:
-        nl = text.find("\n", pos)
-        end = len(text) if nl < 0 else nl + 1
-        raw = text[pos:end]
-        pos = end
-        if len(raw.splitlines()) > 1:
-            return None
-        data, names = _data_lines([raw], names)
-        if data or pos == len(text):
-            break
-    n = _element_count(data[0] if data else None, max_size)
-    product = np.empty((n, n), dtype=np.intp)
+    prelude = _read_prelude(_lines(text), max_size)
+    if prelude is None:
+        return None
+    names, n, pos = prelude
+    product = np.empty((n, n), dtype=_storage_dtype(n))
     flat = product.reshape(-1)
     row = 0
     # a row near the cap is longer than _BLOCK_BYTES alone, so the budget
@@ -755,7 +787,7 @@ def _read_by_bytes(text: str, max_size: int):
         row += rows
     if row != n:
         return None
-    # MulTable keeps a read-only intp array instead of copying it
+    # MulTable keeps a read-only array in its storage dtype instead of copying it
     product.setflags(write=False)
     return names, product
 
@@ -816,13 +848,13 @@ def rees_matrix(p: BoolStructureMatrix) -> MulTable:
     """
     rows, cols = p.rows, p.cols
     zero = cols * rows
+    dtype = _storage_dtype(zero + 1)
     i, lam = np.divmod(np.arange(zero), rows)    # element i*rows + lam is (i, lam)
-    prod = np.full((zero + 1, zero + 1), zero, dtype=np.intp)
-    prod[:zero, :zero] = np.where(
-        np.array(p.entries, dtype=bool)[lam[:, None], i[None, :]],
-        i[:, None] * rows + lam[None, :],
-        zero,
-    )
+    prod = np.full((zero + 1, zero + 1), zero, dtype=dtype)
+    # (i, lam)(k, mu) = i*rows + mu where p[lam][k] holds, written in place
+    np.add((i * rows).astype(dtype)[:, None], lam.astype(dtype), out=prod[:zero, :zero],
+           where=np.array(p.entries, dtype=bool)[lam[:, None], i])
+    prod.setflags(write=False)
     names = [f"({i + 1},{lam + 1})" for i in range(cols) for lam in range(rows)]
     names.append("0")
     return MulTable(prod, names)
@@ -833,8 +865,11 @@ def rectangular_band(m: int, n: int) -> MulTable:
     if m < 1 or n < 1:
         raise TableFormatError("rectangular band needs m >= 1 and n >= 1")
     size = m * n
+    dtype = _storage_dtype(size)
     a = np.arange(size)
-    prod = (a[:, None] // n) * n + a[None, :] % n
+    # (i, j)(k, l) = i*n + l: each row's start plus each column's l
+    prod = np.add(((a // n) * n).astype(dtype)[:, None], (a % n).astype(dtype))
+    prod.setflags(write=False)
     names = [f"({i + 1},{j + 1})" for i in range(m) for j in range(n)]
     return MulTable(prod, names)
 
@@ -858,8 +893,8 @@ def full_transformation(n: int, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
             raise CapExceededError(
                 f"full transformation semigroup has {count} elements, cap is {max_size}")
     # maps in lexicographic order are the base-n numerals 0..size-1, in the
-    # narrowest dtype that holds every index
-    dtype = np.min_scalar_type(size - 1)
+    # storage dtype
+    dtype = _storage_dtype(size)
     maps = np.array(list(itertools.product(range(n), repeat=n)), dtype=dtype)
     # [i, j] is the base-n numeral of the values x f_i g_j, one digit x at a
     # time: cols[v, j] = v g_j, so cols[maps[rows, x]] is digit x of those
@@ -873,6 +908,7 @@ def full_transformation(n: int, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
         for x in range(n):
             block *= n
             block += cols[maps[start:start + step, x]]
+    prod.setflags(write=False)
     names = ["".join(str(v) for v in f) for f in maps.tolist()]
     return MulTable(prod, names)
 
@@ -884,7 +920,18 @@ def direct_product(s: MulTable, t: MulTable, max_size: int = DEFAULT_SIZE_CAP) -
         raise CapExceededError(f"direct product has {size} elements, cap is {max_size}")
     a = np.arange(s.n).repeat(t.n)
     b = np.tile(np.arange(t.n), s.n)
-    prod = s.product[np.ix_(a, a)] * t.n + t.product[np.ix_(b, b)]
+    prod = np.empty((size, size), dtype=_storage_dtype(size))
+    # (xx') |T| + yy' is worked out in intp, where the factors' narrow
+    # entries cannot wrap, a block of rows (about _ASSOC_CHUNK_CELLS bytes)
+    # at a time
+    step = max(1, _ASSOC_CHUNK_CELLS // (8 * size))
+    for start in range(0, size, step):
+        block = slice(start, start + step)
+        pair = s.product[a[block, None], a].astype(np.intp)
+        pair *= t.n
+        pair += t.product[b[block, None], b]
+        prod[block] = pair
+    prod.setflags(write=False)
     names = None
     if s.names is not None and t.names is not None:
         names = [f"({s.names[x]},{t.names[y]})" for x in range(s.n) for y in range(t.n)]

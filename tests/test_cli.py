@@ -670,6 +670,36 @@ class TestGen:
         code, _, err = run(["gen", "rees", mat, out_path, "--cap", 10001], capsys)
         assert (code, err) == (2, "error: expected 100 matrix rows, got 1\n")
 
+    def test_product_refused_from_its_count_lines(self, tmp_path, capsys):
+        # the cap is compared with |S| |T| from the two count lines, before
+        # either table's rows are read
+        paths = []
+        for name in ("s.tbl", "t.tbl"):
+            path = tmp_path / name
+            path.write_text("# names: not read\n100\n0 1 x\n", encoding="utf-8")
+            paths.append(path)
+        out_path = tmp_path / "st.tbl"
+        code, out, err = run(["gen", "product", *paths, out_path], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: direct product has 10000 elements, cap is 5000\n"
+        assert not out_path.exists()
+        code, _, err = run(["gen", "product", *paths, out_path, "--cap", 10000], capsys)
+        assert (code, err) == (2, "error: expected 100 table rows, got 1\n")
+
+    def test_product_count_lines_read_as_tables_are(self, tmp_path, capsys):
+        # a byte-order mark, comments and CRLF line ends before the count
+        # line are read as parse_table reads them, and a count above a
+        # table's own cap is that table's error
+        s = tmp_path / "s.tbl"
+        s.write_bytes(b"\xef\xbb\xbf# c\r\n\r\n71\r\n0 x\r\n")
+        t = tmp_path / "t.tbl"
+        t.write_text("71\n", encoding="utf-8")
+        code, _, err = run(["gen", "product", s, t, tmp_path / "st.tbl"], capsys)
+        assert (code, err) == (2, "error: direct product has 5041 elements, cap is 5000\n")
+        t.write_text("# names: a\n5001\n", encoding="utf-8")
+        code, _, err = run(["gen", "product", s, t, tmp_path / "st.tbl"], capsys)
+        assert (code, err) == (2, "error: table has 5001 elements, cap is 5000\n")
+
     @pytest.mark.parametrize("text,shape", [("2 0\n0\n0\n", "2 x 0"), ("0 2\n", "0 x 2")])
     def test_empty_matrix_header(self, tmp_path, capsys, text, shape):
         mat = tmp_path / "empty.mat"

@@ -73,7 +73,7 @@ class TestPrincipalFactors:
     def test_large_factor_holds_its_table_once(self):
         # B(40): one D-class of 1600 elements, gathered in blocks of 256
         # rows, the last one short; the factor is the table itself.  Its
-        # (k + 1) x (k + 1) intp table is kept by MulTable, not copied, and
+        # (k + 1) x (k + 1) uint16 table is kept by MulTable, not copied, and
         # no second one is made on the way
         table = brandt(40)
         g = green_classes(table)

@@ -117,10 +117,18 @@ class TestMulTable:
         assert t.product.flags.c_contiguous
         assert t == MulTable(np.ascontiguousarray(given))
 
-    def test_keeps_an_owned_read_only_intp_array(self):
-        given = np.array(t_n(3).product)
+    def test_keeps_an_owned_read_only_array_in_the_storage_dtype(self):
+        # T_3 has 27 elements, so its product is stored as uint8
+        given = np.array(t_n(3).product, dtype=np.uint8)
         given.setflags(write=False)
         assert MulTable(given).product is given
+        # an owned read-only intp array is copied into the storage dtype
+        wide = np.array(t_n(3).product, dtype=np.intp)
+        wide.setflags(write=False)
+        kept = MulTable(wide).product
+        assert kept is not wide
+        assert kept.dtype == np.uint8 and not kept.flags.writeable
+        assert np.array_equal(kept, wide)
 
     def test_copies_a_writeable_array(self):
         given = np.array(t_n(3).product)
@@ -141,8 +149,8 @@ class TestMulTable:
         assert np.array_equal(t.product, t_n(3).product)
 
     def test_parse_holds_the_table_once(self):
-        # the 16 x 16 band, 256 elements: a second n x n intp copy of the
-        # parsed rows would reach the bound by itself
+        # the 16 x 16 band, 256 elements: its product is uint8, n^2 bytes,
+        # and reading and verifying it peaks below one n x n intp array
         text = render_table(rectangular_band(16, 16))
         n = 256
         tracemalloc.start()
@@ -151,7 +159,7 @@ class TestMulTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * n * 8
+        assert peak < n * n * 8
 
     def test_equality(self):
         assert cyclic(3) == cyclic(3)
