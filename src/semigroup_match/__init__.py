@@ -17,7 +17,6 @@ from .factors import (
     BandDecomposition,
     PrincipalFactor,
     SimilarityVerdict,
-    Subband,
     ZeroRectBand,
     d_class_band,
     h_quotient_band,

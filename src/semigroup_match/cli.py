@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import CapExceededError, NotOrthodoxError, SemigroupError, TableFormatError
-from .factors import h_quotient_band, maximal_rect_subbands, principal_factor, similarity_check
+from .factors import h_quotient_band, maximal_rect_subbands, principal_factor
 from .green import green_arrays
 from .matching import (
     DEFAULT_BRUTE_CAP,
@@ -167,10 +167,11 @@ def _render_egg_box(band, dec) -> list:
     boundaries are drawn.
     """
     size = band.cells.shape[1]
-    r_ord = list(dec.r_order) if dec is not None else list(range(band.m))
-    l_ord = list(dec.l_order) if dec is not None else list(range(band.n))
-    row_groups = [s.m for s in dec.subbands] if dec is not None else [band.m]
-    col_groups = [s.n for s in dec.subbands] if dec is not None else [band.n]
+    if dec is None:
+        r_ord, l_ord, groups = range(band.m), range(band.n), [(band.m, band.n)]
+    else:
+        r_ord, l_ord, groups = dec.r_order.tolist(), dec.l_order.tolist(), dec.block_sizes()
+    row_groups, col_groups = zip(*groups)
     cells = [
         [f"{size}{'*' if band.p[lam, i] else ''}" for lam in l_ord]
         for i in r_ord
@@ -226,8 +227,8 @@ def _d_class_reports(table: MulTable, with_grid: bool = False) -> list:
                 if with_grid:
                     grid = _render_egg_box(band, None)
             else:
-                entry["subbands"] = [[s.m, s.n] for s in dec.subbands]
-                entry["similar"] = similarity_check(dec).pairwise_similar
+                entry["subbands"] = [list(shape) for shape in dec.block_sizes()]
+                entry["similar"] = not dec.surplus().any()
                 if with_grid:
                     grid = _render_egg_box(band, dec)
         else:
@@ -364,6 +365,13 @@ def _emit_matching_result(args, table, base, res) -> int:
 
 
 def cmd_matching(args) -> int:
+    # usage errors first, so no table is read for them
+    if args.count is not None and args.count < 1:
+        print("error: --count needs a positive limit", file=sys.stderr)
+        return 2
+    if args.count is None and args.involution and args.method in ("hall", "brute"):
+        print(f"error: --involution cannot use method {args.method}", file=sys.stderr)
+        return 2
     table = _load(args.file, args.cap)
     cap = args.cap
     base = {
@@ -375,17 +383,11 @@ def cmd_matching(args) -> int:
     }
 
     if args.count is not None:
-        if args.count < 1:
-            print("error: --count needs a positive limit", file=sys.stderr)
-            return 2
         res = count_permutation_matchings(
             table, limit=args.count, max_size=cap if cap is not None else DEFAULT_BRUTE_CAP
         )
         return _emit_matching_result(args, table, base, res)
 
-    if args.involution and args.method in ("hall", "brute"):
-        print(f"error: --involution cannot use method {args.method}", file=sys.stderr)
-        return 2
     res = decide(table, method=args.method, involution=args.involution, cap=cap)
     return _emit_matching_result(args, table, base, res)
 

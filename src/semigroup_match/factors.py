@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthodoxError, NotRegularDClassError
-from .green import green_arrays
-from .table import MulTable, _storage_dtype
+from .green import _ids, green_arrays
+from .table import MulTable, _first_equal, _storage_dtype, _transposed
 
 
 @dataclass(frozen=True)
@@ -133,34 +133,43 @@ def h_quotient_band(pf: PrincipalFactor) -> ZeroRectBand:
     return band
 
 
-@dataclass(frozen=True)
-class Subband:
-    """A maximal rectangular block, r_indices x l_indices, of idempotent cells."""
-
-    r_indices: tuple
-    l_indices: tuple
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandDecomposition:
-    """The maximal rectangular subbands of a ZeroRectBand.
+    """The maximal rectangular blocks of a ZeroRectBand, as two label arrays.
 
-    row_block and col_block send each R-position and L-position of the band
-    to the index of the subband whose rows/columns cover it.  r_order and
-    l_order list positions subband by subband, the order that displays the
-    blocks diagonally.
+    row_block[i] and col_block[lam] (read-only intp arrays) are the block
+    covering R-position i and L-position lam; blocks are numbered by their
+    least row.  r_order and l_order list positions block by block, ascending
+    within each, the order that displays the blocks diagonally.
     """
 
-    subbands: tuple
-    r_order: tuple
-    l_order: tuple
-    row_block: tuple
-    col_block: tuple
+    row_block: np.ndarray
+    col_block: np.ndarray
 
     def block_sizes(self) -> tuple:
-        return tuple((s.m, s.n) for s in self.subbands)
+        """(m, n) of every block, in block order."""
+        return tuple(zip(np.bincount(self.row_block).tolist(),
+                         np.bincount(self.col_block).tolist()))
+
+    @property
+    def r_order(self) -> np.ndarray:
+        return np.argsort(self.row_block, kind="stable")
+
+    @property
+    def l_order(self) -> np.ndarray:
+        return np.argsort(self.col_block, kind="stable")
+
+    def surplus(self) -> np.ndarray:
+        """The band's m x n bool array of surplus cells.
+
+        With block t of shape m_t x n_t, cell (i, lam) of row block a and
+        column block b has surplus when m_a * n_b > m_b * n_a.  Every block
+        has a row and a column, so the block shapes are pairwise proportional
+        exactly when no cell has surplus.
+        """
+        ms, ns = np.bincount(self.row_block), np.bincount(self.col_block)
+        a, b = self.row_block[:, None], self.col_block
+        return ms[a] * ns[b] > ms[b] * ns[a]
 
 
 def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
@@ -170,7 +179,8 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
     for the structure matrix P (the orthodox condition at this level);
     otherwise NotOrthodoxError carries the first offending pair in pair-index
     order.  Closure makes every connected component of marked cells a full
-    rectangle, read off the marks of its first row, which also orders them.
+    rectangle, so rows with equal marks share a block, numbered first-seen
+    like any class, and each column lies in the block of its first marked row.
     """
     p = zband.p   # p[lam, i]: cell (i, lam) is idempotent
     # (i, lam)(k, mu) = (i, mu) when p[lam, k], and (i, mu) is idempotent when p[mu, i];
@@ -186,31 +196,11 @@ def maximal_rect_subbands(zband: ZeroRectBand) -> BandDecomposition:
         i, lam = zband.coords(e)
         hits = p.T & p[lam][:, None] & ~p[:, i]      # hits[k, mu]: (k, mu) takes (i, lam) out
         raise NotOrthodoxError((e, int(hits.argmax())))
-    subbands = []
-    row_block = [-1] * zband.m
-    col_block = [-1] * zband.n
-    for i in range(zband.m):
-        if row_block[i] != -1:
-            continue
-        l_indices = tuple(int(lam) for lam in np.flatnonzero(p[:, i]))
-        r_indices = tuple(int(k) for k in np.flatnonzero(p[l_indices[0]]))
-        for k in r_indices:
-            row_block[k] = len(subbands)
-        for lam in l_indices:
-            col_block[lam] = len(subbands)
-        subbands.append(
-            Subband(r_indices=r_indices, l_indices=l_indices,
-                    m=len(r_indices), n=len(l_indices))
-        )
-    r_order = tuple(i for s in subbands for i in s.r_indices)
-    l_order = tuple(lam for s in subbands for lam in s.l_indices)
-    return BandDecomposition(
-        subbands=tuple(subbands),
-        r_order=r_order,
-        l_order=l_order,
-        row_block=tuple(row_block),
-        col_block=tuple(col_block),
-    )
+    row_block = _ids(_first_equal(_transposed(p)))
+    col_block = row_block[p.argmax(axis=1)]
+    row_block.setflags(write=False)
+    col_block.setflags(write=False)
+    return BandDecomposition(row_block, col_block)
 
 
 def _partner_cells(dec: BandDecomposition):
@@ -220,10 +210,10 @@ def _partner_cells(dec: BandDecomposition):
     block (a, b) in row-major order and pairs with cell k of block (b, a):
     an involution on cells when the block shapes are proportional.
     """
-    ms, ns = np.array(dec.block_sizes()).T
-    r_order, l_order = np.array(dec.r_order), np.array(dec.l_order)
+    ms, ns = np.bincount(dec.row_block), np.bincount(dec.col_block)
+    r_order, l_order = dec.r_order, dec.l_order
     r_start, l_start = np.cumsum(ms) - ms, np.cumsum(ns) - ns   # block offsets in the orders
-    a, b = np.array(dec.row_block), np.array(dec.col_block)
+    a, b = dec.row_block, dec.col_block
     r_pos = np.argsort(r_order) - r_start[a]                   # place within the block
     l_pos = np.argsort(l_order) - l_start[b]
     r, c = np.divmod(r_pos[:, None] * ns[b] + l_pos, ns[a][:, None])

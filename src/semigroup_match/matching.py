@@ -363,15 +363,13 @@ def decide_orthodox_matching(table: MulTable) -> Matching | HallCertificate:
 
     Works one D-class at a time on S's own egg box, building no derived
     table: its H-classes form a rectangular band with zero whose idempotent
-    cells split into maximal rectangular blocks.  A cell (i, lam) whose row
-    block a and column block b (shapes m x n) have m_a*n_b > m_b*n_a holds
-    surplus elements.  Every block has a row and a column, so the block
-    shapes of a D-class are pairwise proportional exactly when none of its
-    cells has surplus, and a permutation matching of S exists exactly when
-    no D-class has one.  Then each band cell pairs with its swapped-block
-    partner, every element goes to its unique inverse in the partner
-    H-class, and the assembled involution matching is verified on S and
-    returned.
+    cells split into maximal rectangular blocks.  A permutation matching of
+    S exists exactly when the block shapes of every D-class are pairwise
+    proportional, that is, when no cell has surplus
+    (BandDecomposition.surplus).  Then each band cell pairs with its
+    swapped-block partner, every element goes to its unique inverse in the
+    partner H-class, and the assembled involution matching is verified on S
+    and returned.
 
     Otherwise the HallCertificate's set A holds, ascending, the elements of
     every surplus cell: exactly the elements that some maximum matching
@@ -382,11 +380,7 @@ def decide_orthodox_matching(table: MulTable) -> Matching | HallCertificate:
     for d in range(green_arrays(table).d_count):
         band = d_class_band(table, d)
         dec = maximal_rect_subbands(band)
-        ms, ns = np.array(dec.block_sizes()).T
-        a = np.array(dec.row_block)[:, None]
-        b = np.array(dec.col_block)
-        surplus = ms[a] * ns[b] > ms[b] * ns[a]      # surplus[i, lam], cell i*n + lam
-        classes.append((band, dec, surplus))
+        classes.append((band, dec, dec.surplus()))    # surplus[i, lam], cell i*n + lam
     if any(surplus.any() for _, _, surplus in classes):
         violating = np.concatenate([band.cells[surplus.ravel()].ravel()
                                     for band, _, surplus in classes])

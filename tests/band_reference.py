@@ -7,13 +7,15 @@ time: a |cells| x |cells| table of which products stay nonzero, and one
 block lookup per cell.  Tests check the library against them.
 block_coordinates reads each element's (row block, column block) pair off
 the band's cells, and pair_index numbers a cell as the band does.
+Decompositions are compared as label lists (block_labels), or as the
+NotOrthodoxError witness (labels_or_witness).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from semigroup_match import BandDecomposition, NotOrthodoxError, Subband
+from semigroup_match import BandDecomposition, NotOrthodoxError, maximal_rect_subbands
 
 
 def pair_index(band, i: int, lam: int) -> int:
@@ -21,12 +23,32 @@ def pair_index(band, i: int, lam: int) -> int:
     return i * band.n + lam
 
 
-def meets_decomposition(zband) -> BandDecomposition:
-    """maximal_rect_subbands through the pairwise "meets" table of idempotent cells.
+def block_labels(dec: BandDecomposition) -> tuple:
+    """dec's row_block and col_block as two lists, the form the references return."""
+    return dec.row_block.tolist(), dec.col_block.tolist()
+
+
+def labels_or_witness(read_labels, zband):
+    """read_labels(zband), or the witness of the NotOrthodoxError it raises."""
+    try:
+        return read_labels(zband)
+    except NotOrthodoxError as exc:
+        return exc.witness
+
+
+def library_labels(zband) -> tuple:
+    """maximal_rect_subbands' labels, as block_labels lists."""
+    return block_labels(maximal_rect_subbands(zband))
+
+
+def meets_decomposition(zband) -> tuple:
+    """maximal_rect_subbands' labels through the pairwise "meets" table of idempotent cells.
 
     meets[e, f] says the product of cells e and f is nonzero; it must then
     be idempotent, which is meets[f, e].  The first idempotent pair (e, f)
     in pair-index order that breaks this is the NotOrthodoxError witness.
+    Otherwise the lists row_block and col_block come back, each block
+    numbered by its least row and read off that row's marks.
     """
     p = zband.p                                 # p[lam, i]
     cells = np.argwhere(p.T)                    # idempotent (i, lam), pair-index order
@@ -39,36 +61,29 @@ def meets_decomposition(zband) -> BandDecomposition:
         e, f = divmod(first, len(cells))
         raise NotOrthodoxError((int(pair_index(zband, *cells[e])),
                                 int(pair_index(zband, *cells[f]))))
-    subbands = []
+    blocks = 0
     row_block = [-1] * zband.m
     col_block = [-1] * zband.n
     for i in range(zband.m):
         if row_block[i] != -1:
             continue
-        l_indices = tuple(int(lam) for lam in np.flatnonzero(p[:, i]))
-        r_indices = tuple(int(k) for k in np.flatnonzero(p[l_indices[0]]))
-        for k in r_indices:
-            row_block[k] = len(subbands)
+        l_indices = np.flatnonzero(p[:, i]).tolist()
+        for k in np.flatnonzero(p[l_indices[0]]).tolist():
+            row_block[k] = blocks
         for lam in l_indices:
-            col_block[lam] = len(subbands)
-        subbands.append(Subband(r_indices=r_indices, l_indices=l_indices,
-                                m=len(r_indices), n=len(l_indices)))
-    return BandDecomposition(
-        subbands=tuple(subbands),
-        r_order=tuple(i for s in subbands for i in s.r_indices),
-        l_order=tuple(lam for s in subbands for lam in s.l_indices),
-        row_block=tuple(row_block),
-        col_block=tuple(col_block),
-    )
+            col_block[lam] = blocks
+        blocks += 1
+    return row_block, col_block
 
 
 def block_coordinates(zband, dec: BandDecomposition) -> dict:
     """Every element of the band's cells mapped to its (row block, column block)."""
+    row_block, col_block = block_labels(dec)
     coords = {}
     for c, row in enumerate(zband.cells.tolist()):
         i, lam = zband.coords(c)
         for a in row:
-            coords[a] = (dec.row_block[i], dec.col_block[lam])
+            coords[a] = (row_block[i], col_block[lam])
     return coords
 
 
@@ -76,8 +91,10 @@ def swapped_cell(dec: BandDecomposition, i: int, lam: int) -> tuple:
     """Cell (i, lam) of row block a and column block b pairs with the cell at
     the same pair-index position among those of row block b and column block a.
     """
-    src = dec.subbands[dec.row_block[i]]
-    dst = dec.subbands[dec.col_block[lam]]
-    k = src.r_indices.index(i) * dst.n + dst.l_indices.index(lam)
-    r, c = divmod(k, src.n)
-    return dst.r_indices[r], src.l_indices[c]
+    row_block, col_block = block_labels(dec)
+    a, b = row_block[i], col_block[lam]
+    a_rows, b_rows = ([k for k, t in enumerate(row_block) if t == s] for s in (a, b))
+    a_cols, b_cols = ([mu for mu, t in enumerate(col_block) if t == s] for s in (a, b))
+    k = a_rows.index(i) * len(b_cols) + b_cols.index(lam)
+    r, c = divmod(k, len(a_cols))
+    return b_rows[r], a_cols[c]

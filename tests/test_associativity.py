@@ -32,9 +32,12 @@ from semigroup_match import (
     BoolStructureMatrix,
     MulTable,
     NotAssociativeError,
+    d_class_band,
     direct_product,
     full_transformation,
+    green_arrays,
     green_classes,
+    inverse_matrix,
     rectangular_band,
     rees_matrix,
 )
@@ -301,9 +304,15 @@ def _check_light_sets(product):
 
 
 def test_first_equal_matches_the_definition():
-    for _, table in SMALL + QUOTIENT:
-        for lines in (table.product, np.ascontiguousarray(table.product.T)):
-            rows = [lines[a].tolist() for a in range(table.n)]
+    # product rows and columns, bool rows of the inverse matrix (gamma_structure's
+    # V classes) and the transposed structure matrix of every D-class's band
+    # (maximal_rect_subbands' row blocks), 1 x 4 and 4 x 1 among them
+    thin = [("rect14", rectangular_band(1, 4)), ("rect41", rectangular_band(4, 1))]
+    for _, table in SMALL + QUOTIENT + thin:
+        bands = [_transposed(d_class_band(table, d).p) for d in range(green_arrays(table).d_count)]
+        for lines in [table.product, np.ascontiguousarray(table.product.T),
+                      inverse_matrix(table)] + bands:
+            rows = lines.tolist()
             assert _first_equal(lines).tolist() == [rows.index(r) for r in rows]
 
 

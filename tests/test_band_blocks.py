@@ -1,10 +1,12 @@
 """Block geometry read off the structure matrix, against cell-by-cell references.
 
-maximal_rect_subbands must give the same decomposition, or the same
-NotOrthodoxError witness, as the pairwise scan in band_reference; the
-partner cells must be the reference's swapped cells and pair the cells off
-in an involution; the structural route must still refuse a cell that does
-not hold exactly one inverse.
+maximal_rect_subbands must give the same block labels, or the same
+NotOrthodoxError witness, as the pairwise scan in band_reference, with
+orders and sizes read off those labels and surplus cells exactly when
+similarity_check finds two blocks not proportional; the partner cells must
+be the reference's swapped cells and pair the cells off in an involution;
+the structural route must still refuse a cell that does not hold exactly
+one inverse.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from semigroup_match import (
 from semigroup_match import matching as matching_mod
 from semigroup_match.factors import _partner_cells
 
-from band_reference import meets_decomposition, swapped_cell
+from band_reference import block_labels, labels_or_witness, meets_decomposition, swapped_cell
 from corpus import cyclic
 
 
@@ -44,18 +46,23 @@ def zero_rect_band(entries) -> ZeroRectBand:
     return ZeroRectBand(p, np.arange(p.size)[:, None])
 
 
-def outcome(read_blocks, zband):
-    try:
-        return read_blocks(zband)
-    except NotOrthodoxError as exc:
-        return exc.witness
-
-
 def check_against_references(entries):
     zband = zero_rect_band(entries)
-    got = outcome(maximal_rect_subbands, zband)
-    assert got == outcome(meets_decomposition, zband), entries
-    if isinstance(got, tuple) or not similarity_check(got).pairwise_similar:
+    ref = labels_or_witness(meets_decomposition, zband)
+    try:
+        got = maximal_rect_subbands(zband)
+    except NotOrthodoxError as exc:
+        assert exc.witness == ref, entries
+        return
+    assert block_labels(got) == ref, entries
+    row_block, col_block = ref
+    blocks = range(max(row_block) + 1)
+    assert got.block_sizes() == tuple((row_block.count(t), col_block.count(t)) for t in blocks)
+    assert got.r_order.tolist() == sorted(range(zband.m), key=row_block.__getitem__)
+    assert got.l_order.tolist() == sorted(range(zband.n), key=col_block.__getitem__)
+    similar = similarity_check(got).pairwise_similar
+    assert similar == (not got.surplus().any()), entries
+    if not similar:
         return
     rows, cols = _partner_cells(got)
     assert rows.shape == cols.shape == (zband.m, zband.n)

@@ -310,6 +310,17 @@ class TestMatching:
         assert code == 2
         assert "positive limit" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--count", 0], "error: --count needs a positive limit"),
+        (["--involution", "--method", "hall"], "error: --involution cannot use method hall"),
+        (["--involution", "--method", "brute"], "error: --involution cannot use method brute"),
+    ])
+    def test_usage_errors_come_before_the_table(self, flags, message, capsys):
+        # no file to read: the usage error is reported without reading one
+        code, _, err = run(["matching", "does-not-exist.tbl", *flags], capsys)
+        assert code == 2
+        assert err.strip() == message
+
     def test_involution_on_band(self, tmp_path, capsys):
         from semigroup_match import rectangular_band
 

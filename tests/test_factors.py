@@ -22,7 +22,7 @@ from semigroup_match import (
     similarity_check,
 )
 
-from band_reference import block_coordinates, pair_index
+from band_reference import block_coordinates, block_labels, pair_index
 
 from corpus import (
     band7,
@@ -150,13 +150,13 @@ class TestSubbands:
         band = h_quotient_band(principal_factors(band7())[0])
         dec = maximal_rect_subbands(band)
         assert dec.block_sizes() == ((1, 2), (1, 1))
-        first, second = dec.subbands
-        assert first.r_indices == (0,) and first.l_indices == (1, 2)
-        assert second.r_indices == (1,) and second.l_indices == (0,)
-        assert dec.r_order == (0, 1)
-        assert dec.l_order == (1, 2, 0)
-        assert dec.row_block == (0, 1)
-        assert dec.col_block == (1, 0, 0)
+        assert block_labels(dec) == ([0, 1], [1, 0, 0])
+        assert dec.r_order.tolist() == [0, 1]
+        assert dec.l_order.tolist() == [1, 2, 0]
+        # cells (1, 1) and (1, 2) lie in row block 1 (1x1) and column block 0
+        # (1x2): 1 * 2 > 1 * 1, so they hold the certificate's elements 4 and 5
+        assert dec.surplus().tolist() == [[False, False, False], [False, True, True]]
+        assert not dec.row_block.flags.writeable and not dec.col_block.flags.writeable
 
     def test_band7_phi(self):
         band = h_quotient_band(principal_factors(band7())[0])
