@@ -122,18 +122,20 @@ class HallCertificate:
 def _adjacency(v, copies: int = 1) -> list:
     """Row a of the bool matrix v as the ascending list of its True columns.
 
-    All rows come from one np.nonzero, sliced through a memoryview (slices
-    of one big list would keep the garbage collector rescanning it); copy c
-    repeats the rows shifted by c*n.
+    All rows come from one np.nonzero; copy c repeats the rows shifted by
+    c*n.  Each copy's columns are gathered from one pool of the vertex ints
+    into one list, which the rows slice, so every edge into a vertex holds
+    the same int object rather than a fresh one.
     """
     n = len(v)
     rows, cols = np.nonzero(v)
     ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     starts = [0] + ends[:-1]
+    pool = np.arange(copies * n).astype(object)
     adj = []
     for c in range(copies):
-        flat = memoryview(cols + c * n)
-        adj += [flat[s:e].tolist() for s, e in zip(starts, ends)]
+        flat = pool[cols + c * n].tolist()
+        adj += [flat[s:e] for s, e in zip(starts, ends)]
     return adj
 
 
@@ -437,6 +439,9 @@ def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
     xs = set(elements)
     if len(xs) != len(elements) or any(not 0 <= x < n for x in xs):
         return VerifyResult(False, "barrier is not a set of elements", None)
+    if _barrier_holds(v, elements, barrier.odd_components):
+        return VerifyResult(True, None, None)
+    # find the first violation, component by component
     seen = set(xs)
     for comp in barrier.odd_components:
         try:
@@ -465,6 +470,49 @@ def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
     if len(barrier.odd_components) <= len(xs):
         return VerifyResult(False, "no more odd components than barrier elements", None)
     return VerifyResult(True, None, None)
+
+
+def _barrier_holds(v, elements, odd_components) -> bool:
+    """Whether the components pass every check of verify_barrier against the
+    set of elements X, in one labelled pass over V.
+
+    Each component member is labelled with its component's number and X
+    with -2; a member fails on a loop or on an inverse labelled neither.
+    False says only that some check fails, not which.
+    """
+    n = len(v)
+    if len(odd_components) <= len(elements):
+        return False
+    members = []
+    sizes = []
+    for comp in odd_components:
+        try:
+            comp = list(map(operator.index, comp))
+        except TypeError:
+            return False
+        if len(comp) % 2 == 0:
+            return False
+        members += comp
+        sizes.append(len(comp))
+    try:
+        ms = np.array(members, dtype=np.intp)
+    except OverflowError:
+        return False
+    if ms.min() < 0 or ms.max() >= n:
+        return False
+    ids = np.repeat(np.arange(len(sizes)), sizes)
+    label = np.full(n, -1, dtype=np.intp)
+    label[elements] = -2
+    if (label[ms] != -1).any():
+        return False
+    label[ms] = ids
+    # a member listed twice leaves fewer labelled elements than members
+    if np.count_nonzero(label >= 0) != len(ms) or v[ms, ms].any():
+        return False
+    rows = v[ms]
+    rows[:, elements] = False
+    rows &= label != ids[:, None]
+    return not rows.any()
 
 
 class _Blossom:
@@ -509,12 +557,14 @@ class _Blossom:
         joined = len(roots)
         members = {}
         queue = deque(roots)
+        popleft, push = queue.popleft, queue.append
         pops = 0
         while queue:
-            x = queue.popleft()
+            x = popleft()
             pops += 1
+            bx, mx = base[x], match[x]
             for y in adj[x]:
-                if base[x] == base[y] or match[x] == y:
+                if base[y] == bx or y == mx:
                     continue
                 if outer[y]:
                     # b: the nearest common base on the routes of x and y to their roots
@@ -546,16 +596,17 @@ class _Blossom:
                         base[z] = b
                         if not outer[z]:
                             outer[z] = True
-                            queue.append(z)
+                            push(z)
                     members.setdefault(b, [b]).extend(moved)
+                    bx = b  # x lies on the cycle or already in b
                 elif parent[y] == -1:
                     parent[y] = x
-                    if match[y] == -1:
+                    m = match[y]
+                    if m == -1:
                         self.nodes += pops
                         return y, parent, outer
-                    m = match[y]
                     outer[m] = True
-                    queue.append(m)
+                    push(m)
                     pos[y] = joined
                     pos[m] = joined + 1
                     joined += 2

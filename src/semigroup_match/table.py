@@ -206,9 +206,11 @@ def _first_equal(lines: np.ndarray) -> np.ndarray:
     equal rows next to each other, the least index first, and one gather in
     that order finds the runs.  When every row differs (always in a monoid:
     the identity's column tells any two rows apart) first is arange and
-    nothing more is built.
+    nothing more is built.  A view whose rows are not contiguous (a
+    transpose, say) is copied to C order first; C-ordered input is not.
     """
     n = lines.shape[0]
+    lines = np.ascontiguousarray(lines)
     keys = lines.view(np.dtype((np.void, lines.dtype.itemsize * lines.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

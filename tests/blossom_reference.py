@@ -1,19 +1,24 @@
 """Whole-forest references for the blossom route of find_involution_matching.
 
 matching._Blossom relabels only the members of the blossoms a contraction
-merges, and the adjacency and the barrier's components are read off one
-np.nonzero of V.  The versions here do the same work the direct way: one
+merges, the adjacency and the barrier's components are read off one
+np.nonzero of V, and verify_barrier accepts a barrier in one labelled pass
+over V.  The versions here do the same work the direct way: one
 np.flatnonzero per row, a rescan of the whole forest on every contraction,
-and one numpy row operation per vertex of a component.  They take the same
-search path, so tests demand equal matchings, A-sets, node counts and
-barriers.
+one numpy row operation per vertex of a component, and one numpy check per
+component.
+They take the same search path, so tests demand equal matchings, A-sets,
+node counts, barriers and verdicts.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 import numpy as np
+
+from semigroup_match import VerifyResult, inverse_matrix
 
 
 def doubled_adjacency(v) -> list:
@@ -151,3 +156,46 @@ def odd_loop_free_components(v, removed) -> tuple:
         if len(comp) % 2 == 1 and not v[comp, comp].any():
             comps.append(tuple(sorted(comp)))
     return tuple(comps)
+
+
+def verify_barrier(table, barrier) -> VerifyResult:
+    """The first violation of barrier's checks, component by component:
+    within a component, elements ascending, a in V(a) before an inverse
+    outside the component and X."""
+    n = table.n
+    v = inverse_matrix(table)
+    try:
+        elements = [operator.index(x) for x in barrier.elements]
+    except TypeError:
+        return VerifyResult(False, "barrier element not an integer", None)
+    xs = set(elements)
+    if len(xs) != len(elements) or any(not 0 <= x < n for x in xs):
+        return VerifyResult(False, "barrier is not a set of elements", None)
+    seen = set(xs)
+    for comp in barrier.odd_components:
+        try:
+            comp = [operator.index(a) for a in comp]
+        except TypeError:
+            return VerifyResult(False, "component element not an integer", None)
+        members = set(comp)
+        if any(not 0 <= a < n for a in members):
+            return VerifyResult(False, "component element out of range", None)
+        if len(members) != len(comp) or not seen.isdisjoint(members):
+            return VerifyResult(False, "components overlap", min(members & seen, default=None))
+        seen |= members
+        if len(members) % 2 == 0:
+            return VerifyResult(False, "component of even size", min(members, default=None))
+        ms = np.array(sorted(members), dtype=np.intp)
+        outside = np.ones(n, dtype=bool)
+        outside[ms] = False
+        outside[elements] = False
+        loop = v[ms, ms]
+        bad = loop | (v[ms] & outside).any(axis=1)
+        if bad.any():
+            first = int(bad.argmax())
+            reason = ("component element is its own inverse" if loop[first]
+                      else "component has an inverse outside the barrier")
+            return VerifyResult(False, reason, int(ms[first]))
+    if len(barrier.odd_components) <= len(xs):
+        return VerifyResult(False, "no more odd components than barrier elements", None)
+    return VerifyResult(True, None, None)

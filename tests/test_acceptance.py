@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 import time
 
-import pytest
-
 from semigroup_match import (
     BoolStructureMatrix,
     Matching,

@@ -1,6 +1,6 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
-__init__.py is left out: its imports are the package's exports.
+The package's __init__.py is left out: its imports are the package's exports.
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semigroup_match"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "semigroup_match"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

@@ -7,7 +7,6 @@ it; and no command-line path falls back to the frozenset view.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 

@@ -4,11 +4,13 @@ The backtracking oracle and networkx's general matching of the doubled
 graph decide existence independently; every matching must verify and every
 "no" must carry a Tutte barrier that verify_barrier accepts.  The library's
 blossom also takes the same search path as the whole-forest reference in
-blossom_reference: equal matchings, A-sets, node counts and barriers.
+blossom_reference: equal matchings, A-sets, node counts and barriers, and
+its verify_barrier gives the reference's verdict on tampered barriers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -41,6 +43,7 @@ from semigroup_match.cli import main
 from semigroup_match.matching import _Blossom, _doubled_adjacency, _odd_loop_free_components
 
 from blossom_reference import ReferenceBlossom, doubled_adjacency, odd_loop_free_components
+from blossom_reference import verify_barrier as reference_verify_barrier
 from corpus import (
     RANDOM_REES,
     REES_OVER_GROUP,
@@ -294,6 +297,96 @@ class TestVerifyBarrier:
                                ((5, 15, 21), ("component element is its own inverse", 5))]:
             res = verify_barrier(table, TutteBarrier(elements=(), odd_components=(comp,), nodes=0))
             assert (res.ok, (res.reason, res.element)) == (False, expected)
+
+
+# tables the tampered barriers start from: the blossom's barrier where there
+# is one, otherwise X empty with every odd component free of a in V(a)
+BARRIER_TABLES = CORPUS + REES_OVER_GROUP + [
+    (f"random_rees_{args[0]}", random_rees(*args)) for args in RANDOM_REES]
+
+
+@functools.cache
+def starting_barrier(index: int) -> TutteBarrier:
+    table = BARRIER_TABLES[index][1]
+    res = find_involution_matching(table)
+    if isinstance(res, TutteBarrier):
+        return res
+    comps = odd_loop_free_components(inverse_matrix(table), ())
+    return TutteBarrier(elements=(), odd_components=comps, nodes=0)
+
+
+@functools.cache
+def blossom_barrier_indices() -> list:
+    return [k for k, (_, table) in enumerate(BARRIER_TABLES)
+            if isinstance(find_involution_matching(table), TutteBarrier)]
+
+
+def pick(draw, items):
+    return items.pop(draw(st.integers(0, len(items) - 1)))
+
+
+@st.composite
+def tampered_barriers(draw):
+    """A table and its starting barrier after up to three tamperings: an X
+    element dropped or added (perhaps repeated or out of range), components
+    merged, split, reordered or repeated, an element (perhaps an a in V(a))
+    added to a component, an entry made a float."""
+    # mostly the blossom's barriers, which pass unless tampered with
+    index = draw(st.sampled_from(blossom_barrier_indices()) | st.integers(0, len(BARRIER_TABLES) - 1))
+    table = BARRIER_TABLES[index][1]
+    barrier = starting_barrier(index)
+    xs = list(barrier.elements)
+    comps = [list(comp) for comp in barrier.odd_components]
+    loops = np.flatnonzero(inverse_matrix(table).diagonal()).tolist()
+    ops = ("drop", "add", "merge", "split", "reorder", "repeat", "loop", "element", "float")
+    for op in draw(st.lists(st.sampled_from(ops), max_size=3)):
+        if op == "drop" and xs:
+            pick(draw, xs)
+        elif op == "add":
+            xs.append(draw(st.integers(-1, table.n)))
+        elif op == "merge" and len(comps) > 1:
+            comp = pick(draw, comps)
+            comps[draw(st.integers(0, len(comps) - 1))] += comp
+        elif op == "split" and comps:
+            comp = pick(draw, comps)
+            k = draw(st.integers(0, len(comp)))
+            comps[len(comps):] = [comp[:k], comp[k:]]
+        elif op == "reorder":
+            comps = [draw(st.permutations(comp)) for comp in draw(st.permutations(comps))]
+        elif op == "repeat" and comps:
+            comps.append(list(draw(st.sampled_from(comps))))
+        elif op in ("loop", "element"):
+            a = (draw(st.sampled_from(loops)) if op == "loop" and loops
+                 else draw(st.integers(-1, table.n)))
+            if comps and draw(st.booleans()):
+                comps[draw(st.integers(0, len(comps) - 1))].append(a)
+            else:
+                comps.append([a])
+        elif op == "float" and (xs or comps):
+            entries = draw(st.sampled_from([xs] + comps))
+            if entries:
+                k = draw(st.integers(0, len(entries) - 1))
+                entries[k] = float(entries[k])
+    return table, TutteBarrier(elements=tuple(xs), odd_components=tuple(map(tuple, comps)),
+                               nodes=barrier.nodes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tampered_barriers())
+def test_verify_barrier_follows_reference(case):
+    """The one-pass acceptance leaves every verdict, reason and element as
+    the component-by-component reference reports them."""
+    table, barrier = case
+    res = verify_barrier(table, barrier)
+    expected = reference_verify_barrier(table, barrier)
+    assert (res.ok, res.reason, res.element) == (expected.ok, expected.reason, expected.element)
+
+
+def test_verify_barrier_accepts_every_starting_barrier():
+    passed = [k for k, (_, table) in enumerate(BARRIER_TABLES)
+              if verify_barrier(table, starting_barrier(k)).ok]
+    assert passed == blossom_barrier_indices()
+    assert len(passed) >= 10
 
 
 def test_no_global_interpreter_state(monkeypatch):
