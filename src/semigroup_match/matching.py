@@ -46,8 +46,6 @@ from .table import (_ASSOC_CHUNK_CELLS, BoolStructureMatrix, MulTable, _powers,
 
 DEFAULT_BRUTE_CAP = 20
 
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -119,84 +117,14 @@ class HallCertificate:
     image: tuple
 
 
-def _adjacency(v, copies: int = 1) -> list:
-    """Row a of the bool matrix v as the ascending list of its True columns.
+def _row_masks(v) -> list:
+    """Row a of the bool matrix v as an int whose bit b is v[a, b].
 
-    All rows come from one np.nonzero; copy c repeats the rows shifted by
-    c*n.  Each copy's columns are gathered from one pool of the vertex ints
-    into one list, which the rows slice, so every edge into a vertex holds
-    the same int object rather than a fresh one.
+    One np.packbits packs every row, least significant bit first; each row's
+    bytes become one int.
     """
-    n = len(v)
-    rows, cols = np.nonzero(v)
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    starts = [0] + ends[:-1]
-    pool = np.arange(copies * n).astype(object)
-    adj = []
-    for c in range(copies):
-        flat = pool[cols + c * n].tolist()
-        adj += [flat[s:e] for s, e in zip(starts, ends)]
-    return adj
-
-
-def _hk_bfs(n, adj, match_l, match_r, dist):
-    """Layer the lefts by alternating distance; return the free-right layer depth."""
-    q = deque()
-    for a in range(n):
-        if match_l[a] == -1:
-            dist[a] = 0
-            q.append(a)
-        else:
-            dist[a] = _INF
-    free_dist = _INF
-    while q:
-        a = q.popleft()
-        if dist[a] + 1 >= free_dist:
-            continue
-        for b in adj[a]:
-            c = match_r[b]
-            if c == -1:
-                if free_dist == _INF:
-                    free_dist = dist[a] + 1
-            elif dist[c] == _INF:
-                dist[c] = dist[a] + 1
-                q.append(c)
-    return free_dist
-
-
-def _hk_augment(a0, adj, dist, match_l, match_r, free_dist):
-    """Augment along one shortest alternating path from the free left a0.
-
-    Depth-first on three stacks: the lefts on the path, the rights joining
-    each to the next (and, at the end, the free right), and an iterator
-    over each left's untried edges.  A left whose edges run out is marked
-    dead for the rest of the phase.
-    """
-    lefts = [a0]
-    rights = []
-    edges = [iter(adj[a0])]
-    while lefts:
-        d = dist[lefts[-1]] + 1
-        for b in edges[-1]:
-            c = match_r[b]
-            if c == -1:
-                if d == free_dist:
-                    rights.append(b)
-                    for x, y in zip(lefts, rights):
-                        match_l[x] = y
-                        match_r[y] = x
-                    return True
-            elif dist[c] == d:
-                lefts.append(c)
-                rights.append(b)
-                edges.append(iter(adj[c]))
-                break
-        else:
-            dist[lefts.pop()] = _INF
-            edges.pop()
-            if rights:
-                rights.pop()
-    return False
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(v, axis=1, bitorder="little")]
 
 
 def _hall_certificate(table: MulTable, violating) -> HallCertificate:
@@ -217,35 +145,87 @@ def find_permutation_matching(table: MulTable):
     Returns a Matching when Hall's condition holds, otherwise a
     HallCertificate exhibiting a set with too few inverses.  An element with
     no inverse at all short-circuits to a singleton certificate.  Otherwise
-    the last Hopcroft-Karp layering, which finds no free right, has given a
-    finite distance to exactly the lefts that an alternating path from a
-    free left reaches: their inverses are all matched to lefts of that set,
-    so it has more members than inverses by the number of free lefts.
+    the last Hopcroft-Karp layering, which finds no free right, has reached
+    exactly the lefts that an alternating path from a free left reaches:
+    their inverses are all matched to lefts of that set, so it has more
+    members than inverses by the number of free lefts.
+
+    Rows, free rights and layers are int bitmasks (_row_masks): layer[d]
+    holds the matched rights whose mate the layering put at depth d, and a
+    phase's layering stops at the first depth whose lefts reach a free
+    right.  A depth-first step from the left at depth k - 1 takes the least
+    right of its row in layer[k], or among the free rights at the last
+    depth, so every step picks the least eligible inverse.  A left whose
+    row offers none is dead for the rest of the phase, and the right it
+    entered by leaves its layer; an augmentation moves each right on the
+    path down one layer, the free one included.  Exact layers make every
+    step the step of the same search over ascending edge lists; stale ones
+    would change only which dead ends are searched, as no shortest path of
+    a phase meets a path augmented earlier in it (Hopcroft and Karp).
     """
     n = table.n
-    adj = _adjacency(inverse_matrix(table))
-    for a in range(n):
-        if not adj[a]:
-            return _hall_certificate(table, (a,))
+    masks = _row_masks(inverse_matrix(table))
+    if 0 in masks:
+        return _hall_certificate(table, (masks.index(0),))
     match_l = [-1] * n
     match_r = [-1] * n
-    dist = [_INF] * n
+    free = (1 << n) - 1
+    # the first layering: every left is free and every row meets a free right
+    roots = list(range(n))
+    layer = [0]
     while True:
-        free_dist = _hk_bfs(n, adj, match_l, match_r, dist)
-        if free_dist == _INF:
+        last = len(layer)
+        for a0 in roots:
+            lefts = [a0]
+            path = []           # the rights joining lefts, each as its bit
+            while lefts:
+                k = len(lefts)
+                cand = masks[lefts[-1]] & (free if k == last else layer[k])
+                if not cand:
+                    lefts.pop()
+                    if path:
+                        layer[k - 1] ^= path.pop()
+                    continue
+                bit = cand & -cand
+                path.append(bit)
+                if k < last:
+                    lefts.append(match_r[bit.bit_length() - 1])
+                    continue
+                free ^= bit
+                prev = 0
+                for i, (x, bit) in enumerate(zip(lefts, path)):
+                    y = bit.bit_length() - 1
+                    match_l[x] = y
+                    match_r[y] = x
+                    layer[i] ^= prev | bit
+                    prev = bit
+                break
+        roots = [a for a in range(n) if match_l[a] == -1]
+        frontier = roots
+        reached = list(roots)
+        layer = [0]
+        seen = 0
+        while True:
+            reach = 0
+            for a in frontier:
+                reach |= masks[a]
+            new = reach & ~seen
+            if reach & free or not new:
+                break
+            seen |= new
+            layer.append(new)
+            frontier = []
+            while new:
+                bit = new & -new
+                frontier.append(match_r[bit.bit_length() - 1])
+                new ^= bit
+            reached += frontier
+        if not reach & free:
             break
-        for a in range(n):
-            if match_l[a] == -1:
-                _hk_augment(a, adj, dist, match_l, match_r, free_dist)
-    if all(b != -1 for b in match_l):
+    if -1 not in match_l:
         return _verified(table, Matching(f=tuple(match_l), kind="permutation",
                                          provenance="hall_bipartite"))
-    return _hall_certificate(table, [a for a in range(n) if dist[a] != _INF])
-
-
-def _bitmask(row) -> int:
-    """A bool row as an int whose bit b is row[b]."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+    return _hall_certificate(table, sorted(reached))
 
 
 def hall_brute_force(table: MulTable, max_size: int = DEFAULT_BRUTE_CAP) -> HallCertificate | None:
@@ -259,7 +239,7 @@ def hall_brute_force(table: MulTable, max_size: int = DEFAULT_BRUTE_CAP) -> Hall
     n = table.n
     if n > max_size:
         raise CapExceededError(f"subset enumeration over {n} elements exceeds the cap of {max_size}")
-    masks = [_bitmask(row) for row in inverse_matrix(table)]
+    masks = _row_masks(inverse_matrix(table))
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
             union = 0
@@ -655,9 +635,21 @@ class _Blossom:
 def _doubled_adjacency(v) -> list:
     """Two copies of the mutual-inverse graph with adjacency matrix v, vertex
     a + c*n in copy c, each a in V(a) joined to its other copy instead of
-    itself, that edge listed first; other neighbours ascending."""
+    itself, that edge listed first; other neighbours ascending.
+
+    All rows come from one np.nonzero.  Each copy's columns are gathered
+    from one pool of the vertex ints into one list, which the rows slice,
+    so every edge into a vertex holds the same int object.
+    """
     n = len(v)
-    adj = _adjacency(v, copies=2)
+    rows, cols = np.nonzero(v)
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
+    pool = np.arange(2 * n).astype(object)
+    adj = []
+    for c in (0, 1):
+        flat = pool[cols + c * n].tolist()
+        adj += [flat[s:e] for s, e in zip(starts, ends)]
     for a in np.flatnonzero(v.diagonal()).tolist():
         for c in (0, 1):
             nbrs = adj[a + c * n]
@@ -782,7 +774,7 @@ def count_permutation_matchings(table: MulTable, limit=None,
     n = table.n
     if n > max_size:
         raise CapExceededError(f"matching count over {n} elements exceeds the cap of {max_size}")
-    masks = [_bitmask(row) for row in inverse_matrix(table)]
+    masks = _row_masks(inverse_matrix(table))
     if any(m == 0 for m in masks):
         return MatchingCount(count=0, exact=True)
     count = 0

@@ -7,8 +7,9 @@ column, P and its transpose each give a Rees semigroup M0(I, Λ; P): 1988 of
 them, 104 orthodox, 60 of those with no permutation matching.  On each,
 the block labels of every D-class's band must equal the pairwise reference
 in band_reference (or both raise the same NotOrthodoxError pair), the
-structural route must give Hopcroft-Karp's verdict and certificate, and
-Hopcroft-Karp must find a matching exactly when the blossom finds an
+structural route must give Hopcroft-Karp's verdict and certificate,
+Hopcroft-Karp must return what the list-based reference in hall_reference
+returns, and it must find a matching exactly when the blossom finds an
 involution one.
 """
 
@@ -30,6 +31,7 @@ from semigroup_match import (
 
 from band_reference import labels_or_witness, library_labels, meets_decomposition
 from census import burnside, classes, regular_matrices
+from hall_reference import reference_permutation_matching
 
 SHAPES = [(m, n) for m in range(1, 5) for n in range(m, 6)]
 
@@ -60,6 +62,7 @@ def test_census_routes_agree(m, n):
                 assert (labels_or_witness(library_labels, band)
                         == labels_or_witness(meets_decomposition, band)), name
             hall = find_permutation_matching(table)
+            assert hall == reference_permutation_matching(table), name
             assert isinstance(hall, Matching) == isinstance(find_involution_matching(table),
                                                             Matching), name
             if not is_orthodox(table):

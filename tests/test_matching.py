@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import sys
 
 import networkx as nx
@@ -66,6 +67,7 @@ from corpus import (
     full_corpus,
     inverses_of_set,
     klein,
+    left_zero,
     monogenic,
     null_semigroup,
     one_entry_mutations,
@@ -209,14 +211,53 @@ def _pin_tables():
 
 PIN_TABLES = _pin_tables()
 
+# sizes at the byte and word edges of the row bitmasks
+BIT_BOUNDARY_SIZES = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256, 257)
+
+
+def _near_square(m):
+    """(rows, cols) with rows * cols = m, rows the largest divisor up to sqrt(m)."""
+    rows = max(d for d in range(1, math.isqrt(m) + 1) if m % d == 0)
+    return rows, m // rows
+
+
+def _bit_boundary_tables():
+    """For each size n in BIT_BOUNDARY_SIZES: the null semigroup, the
+    left-zero band, a rectangular band, two random Rees semigroups of a
+    rows x cols matrix with rows * cols + 1 = n, the Rees semigroup of the
+    non-proportional blocks 1 x (cols - 1) and (rows - 1) x 1 where both
+    fit, and a random Rees semigroup times C_k for each k in 2..5 dividing
+    n."""
+    tables = []
+    for n in BIT_BOUNDARY_SIZES:
+        rows, cols = _near_square(n)
+        tables += [(f"null{n}", null_semigroup(n)), (f"left_zero{n}", left_zero(n)),
+                   (f"rect{rows}x{cols}", rectangular_band(rows, cols))]
+        if n > 1:
+            rows, cols = _near_square(n - 1)
+            tables += [(f"rees{rows}x{cols}_d{density}", random_rees(n, rows, cols, density))
+                       for density in (0.1, 0.3)]
+            if rows > 1:
+                tables.append((f"blocks_1x{cols - 1}_{rows - 1}x1",
+                               block_band([(1, cols - 1), (rows - 1, 1)])))
+        for k in range(2, 6):
+            if n % k == 0 and n // k > 1:
+                rows, cols = _near_square(n // k - 1)
+                tables.append((f"rees{rows}x{cols}_x_c{k}",
+                               direct_product(random_rees(n + k, rows, cols, 0.2), cyclic(k))))
+    return tables
+
+
+BIT_BOUNDARY_TABLES = _bit_boundary_tables()
+
 
 @st.composite
 def regular_rees(draw):
-    """Rees semigroup of a random structure matrix of at most 8 x 8 with a one
-    in every row and column, times C_k for k up to 3 (k = 1: the semigroup
-    itself)."""
-    table = random_rees(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8)),
-                        draw(st.integers(1, 8)), draw(st.sampled_from((0.1, 0.25, 0.5))))
+    """Rees semigroup of a random structure matrix of at most 16 x 16 with a
+    one in every row and column, times C_k for k up to 3 (k = 1: the
+    semigroup itself)."""
+    table = random_rees(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 16)),
+                        draw(st.integers(1, 16)), draw(st.sampled_from((0.1, 0.25, 0.5))))
     k = draw(st.integers(1, 3))
     return table if k == 1 else direct_product(table, cyclic(k))
 
@@ -251,6 +292,37 @@ class TestPinnedToReference:
     def test_certificate_builder_demands_a_violation(self):
         with pytest.raises(RuntimeError, match="does not violate"):
             matching_mod._hall_certificate(cyclic(3), (0, 1))
+
+
+class TestBitBoundaries:
+    """Row bitmasks one bit either side of every byte and word edge."""
+
+    @pytest.mark.parametrize("name,table", BIT_BOUNDARY_TABLES,
+                             ids=[name for name, _ in BIT_BOUNDARY_TABLES])
+    def test_pinned_to_reference(self, name, table):
+        assert table.n in BIT_BOUNDARY_SIZES, name
+        check_pinned(table, name)
+
+    def test_tables_reach_every_kind_of_answer(self):
+        outs = {n: [] for n in BIT_BOUNDARY_SIZES}
+        for _, table in BIT_BOUNDARY_TABLES:
+            outs[table.n].append(find_permutation_matching(table))
+        assert all(any(isinstance(m, Matching) for m in ms) for ms in outs.values())
+        # certificates from the search, not from an element with no inverse,
+        # at every size but 1, 8 and 128, where n - 1 is 0 or prime and no
+        # two blocks fit
+        searched = {n for n, ms in outs.items()
+                    if any(isinstance(c, HallCertificate) and c.image for c in ms)}
+        assert searched >= set(BIT_BOUNDARY_SIZES) - {1, 8, 128}
+
+    @pytest.mark.parametrize("cols", BIT_BOUNDARY_SIZES)
+    def test_row_masks_hold_the_rows(self, cols):
+        v = np.random.default_rng(cols).random((6, cols)) < 0.5
+        v[0] = False
+        v[1] = True
+        masks = matching_mod._row_masks(v)
+        assert [[mask >> b & 1 == 1 for b in range(cols)] for mask in masks] == v.tolist()
+        assert all(mask >> cols == 0 for mask in masks)
 
 
 class TestHallBruteForce:
