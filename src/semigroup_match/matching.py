@@ -509,6 +509,8 @@ class _Blossom:
         self.adj = adj
         self.match = [-1] * len(adj)
         self.nodes = 0
+        # each search's base[] starts as a copy of this
+        self.identity = list(range(len(adj)))
 
     def grow(self, roots):
         """Alternating forest from roots, stopping at an exposed non-root.
@@ -527,7 +529,7 @@ class _Blossom:
         """
         adj, match = self.adj, self.match
         size = len(adj)
-        base = list(range(size))
+        base = self.identity.copy()
         parent = [-1] * size
         outer = [False] * size
         pos = [0] * size
@@ -542,29 +544,34 @@ class _Blossom:
         while queue:
             x = popleft()
             pops += 1
-            bx, mx = base[x], match[x]
+            bx = base[x]
+            # x's mate needs no test: it is inner, its parent set, or in x's blossom
             for y in adj[x]:
-                if base[y] == bx or y == mx:
-                    continue
                 if outer[y]:
+                    if base[y] == bx:
+                        continue
                     # b: the nearest common base on the routes of x and y to their roots
-                    a = base[x]
-                    path = {a}
+                    a = bx
+                    path = [a]
                     while match[a] != -1:
                         a = base[parent[match[a]]]
-                        path.add(a)
+                        path.append(a)
                     b = base[y]
                     while b not in path:
                         if match[b] == -1:
                             raise RuntimeError(
                                 "augmenting path between two trees of a maximum matching")
                         b = base[parent[match[b]]]
-                    # route both sides to b through the cycle, collecting its blossoms
-                    bases = set()
+                    # route both sides to b through the cycle, collecting its
+                    # blossoms once each: z is outer, so match[z] shares z's
+                    # blossom unless z is its base, and is then an inner vertex,
+                    # its own base
+                    bases = []
                     for z, child in ((x, y), (y, x)):
-                        while base[z] != b:
-                            bases.add(base[z])
-                            bases.add(base[match[z]])
+                        while (bz := base[z]) != b:
+                            bases.append(bz)
+                            if bz == z:
+                                bases.append(match[z])
                             parent[z] = child
                             child = match[z]
                             z = parent[child]
@@ -602,21 +609,34 @@ class _Blossom:
             match[x] = end
             end = nxt
 
-    def maximize(self):
+    def maximize(self, doubled=False):
         """Greedy start, then one search per exposed vertex with a neighbour.
 
         A vertex with no augmenting path now has none after later
         augmentations either, so each vertex is searched from once.
+
+        doubled says adj is a doubled graph of _doubled_adjacency, n vertices
+        a copy; the greedy start then runs over copy 0 and is mirrored onto
+        copy 1, which is what it would do over all 2n vertices.  After copy
+        0, every a in V(a) is matched, so copy 1 takes no cross edge; and a
+        takes a + n only when no earlier vertex of copy 0 took a, so no
+        earlier vertex of copy 1 would take a + n.
         """
-        match = self.match
-        for x, nbrs in enumerate(self.adj):
+        adj, match = self.adj, self.match
+        n = len(adj) // 2 if doubled else len(adj)
+        for x in range(n):
             if match[x] == -1:
-                for y in nbrs:
+                for y in adj[x]:
                     if match[y] == -1:
                         match[x] = y
                         match[y] = x
                         break
-        for r, nbrs in enumerate(self.adj):
+        if doubled:
+            for a in range(n):
+                m = match[a]
+                if 0 <= m < n:
+                    match[a + n] = m + n
+        for r, nbrs in enumerate(adj):
             if match[r] == -1 and nbrs:
                 end, parent, _ = self.grow([r])
                 if end != -1:
@@ -637,24 +657,32 @@ def _doubled_adjacency(v) -> list:
     a + c*n in copy c, each a in V(a) joined to its other copy instead of
     itself, that edge listed first; other neighbours ascending.
 
-    All rows come from one np.nonzero.  Each copy's columns are gathered
-    from one pool of the vertex ints into one list, which the rows slice,
-    so every edge into a vertex holds the same int object.
+    The edges are one np.flatnonzero of V, row by row.  Each a in V(a)
+    drops its own entry and puts a + n first in its row, the other entries
+    keeping their order, before the rows are sliced.  Each copy's columns
+    are gathered from one pool of the vertex ints into one list, which the
+    rows slice, so every edge into a vertex holds the same int object.
     """
     n = len(v)
-    rows, cols = np.nonzero(v)
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    starts = [0] + ends[:-1]
+    flat = np.flatnonzero(v)
+    ends = np.searchsorted(flat, np.arange(n, n * n + 1, n)).tolist()
+    loops = np.flatnonzero(v.diagonal())
+    first = np.searchsorted(flat, loops * n)
+    own = np.searchsorted(flat, loops * (n + 1))
+    kept = np.ones(len(flat), dtype=bool)
+    kept[own] = False
+    rest = np.ones(len(flat), dtype=bool)
+    rest[first] = False
+    cols = np.empty_like(flat)
+    cols[rest] = flat[kept] % n
+    cols[first] = loops + n
     pool = np.arange(2 * n).astype(object)
+    starts = [0] + ends[:-1]
     adj = []
     for c in (0, 1):
-        flat = pool[cols + c * n].tolist()
-        adj += [flat[s:e] for s, e in zip(starts, ends)]
-    for a in np.flatnonzero(v.diagonal()).tolist():
-        for c in (0, 1):
-            nbrs = adj[a + c * n]
-            nbrs.remove(a + c * n)
-            nbrs.insert(0, a + (1 - c) * n)
+        # in copy 1 a cross edge's a + 2n wraps round to a
+        flat_c = pool.take(cols + c * n, mode="wrap").tolist()
+        adj += [flat_c[s:e] for s, e in zip(starts, ends)]
     return adj
 
 
@@ -704,7 +732,7 @@ def find_involution_matching(table: MulTable):
     n = table.n
     adj = _doubled_adjacency(inverse_matrix(table))
     solver = _Blossom(adj)
-    solver.maximize()
+    solver.maximize(doubled=True)
     if -1 not in solver.match:
         f = tuple(m if m < n else a for a, m in enumerate(solver.match[:n]))
         return _verified(table, Matching(f=f, kind="involution", provenance="blossom"))

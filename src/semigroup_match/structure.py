@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotRegularError
 from .green import _ids, _members, green_arrays
-from .table import MulTable, _first_equal, _powers, _transposed, derived
+from .table import _ASSOC_CHUNK_CELLS, MulTable, _first_equal, _powers, _transposed, derived
 
 
 @derived("idempotents")
@@ -30,13 +30,24 @@ def inverse_matrix(table: MulTable) -> np.ndarray:
     """V as a read-only n x n bool array: V[a, b] holds when aba = a and bab = b.
 
     The relation is symmetric; np.flatnonzero(V[a]) is V(a) in ascending order.
-    With X[a, b] = [(ab)a = a], one gather, V is X and its transpose: bab = b
-    is X[b, a].  The blocked copy of the transpose is about as fast as the
-    gather; a strided read of X.T or of product.T is several times slower.
+    With X[a, b] = [(ab)a = a], V is X and its transpose: bab = b is X[b, a].
+    (ab)a is entry (ab)*n + a of the flattened product, read with one np.take
+    per block of rows, whose intp index (about _ASSOC_CHUNK_CELLS bytes) is
+    worked out in intp, as the narrow entries would wrap.  The blocked copy
+    of the transpose is about as fast as the gather; a strided read of X.T
+    or of product.T is several times slower.
     """
+    n = table.n
     p = table.product
-    col = np.arange(table.n, dtype=p.dtype)[:, None]
-    x = p[p, col] == col
+    flat = p.ravel()
+    ar = np.arange(n)[:, None]
+    x = np.empty((n, n), dtype=bool)
+    step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        idx = np.multiply(p[block], n, dtype=np.intp)
+        idx += ar[block]
+        np.equal(flat.take(idx), ar[block], out=x[block])
     result = x & _transposed(x)
     result.setflags(write=False)
     return result

@@ -1,11 +1,14 @@
 """Reference bipartite route for find_permutation_matching.
 
-matching.find_permutation_matching augments on three parallel stacks and
-reads its Hall certificate off the last Hopcroft-Karp layering.  The
-version here augments on [left, next edge] frames and finds the
-certificate with a second alternating breadth-first search from the free
-lefts, cross-checking it as it goes.  Both run the same phases over the
-same edge order, so tests demand equal matchings and certificates.
+matching.find_permutation_matching holds each row of V, the free rights
+and each layer as one int bitmask, and searches depth first on two stacks,
+the lefts on the path and the rights joining them, each as its bit, taking
+the least eligible right at every step.  It reads its Hall certificate off
+the last Hopcroft-Karp layering.  The version here augments on [left,
+next edge] frames over edge lists and finds the certificate with a second
+alternating breadth-first search from the free lefts, cross-checking it as
+it goes.  Both run the same phases over the same edge order, so tests
+demand equal matchings and certificates.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ graph decide existence independently; every matching must verify and every
 "no" must carry a Tutte barrier that verify_barrier accepts.  The library's
 blossom also takes the same search path as the whole-forest reference in
 blossom_reference: equal matchings, A-sets, node counts and barriers, and
-its verify_barrier gives the reference's verdict on tampered barriers.
+its verify_barrier gives the reference's verdict on tampered barriers.  On
+the doubled graph the library runs its greedy start over copy 0 and mirrors
+it onto copy 1; that must be the reference's greedy over every vertex.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from semigroup_match.matching import _Blossom, _doubled_adjacency, _odd_loop_fre
 
 from blossom_reference import ReferenceBlossom, doubled_adjacency, odd_loop_free_components
 from blossom_reference import verify_barrier as reference_verify_barrier
+from census import regular_matrices as census_matrices
 from corpus import (
     RANDOM_REES,
     REES_OVER_GROUP,
@@ -55,6 +58,7 @@ from corpus import (
     t_n,
 )
 from involution_oracle import involution_oracle
+from test_green import transformation_subsemigroups
 
 CORPUS = full_corpus()
 SMALL = [(name, table) for name, table in CORPUS if table.n <= 20]
@@ -105,10 +109,11 @@ def test_blossom_agrees_with_structure_on_orthodox(name, table):
         assert isinstance(res, Matching) == isinstance(decide_orthodox_matching(table), Matching)
 
 
-def assert_same_solver_path(solver, ref) -> list:
+def assert_same_solver_path(solver, ref, doubled=False) -> list:
     """Run both solvers to a maximum matching and its A-set, which is
-    returned; the matchings, A-sets and node counts must agree."""
-    solver.maximize()
+    returned; the matchings, A-sets and node counts must agree.  doubled
+    runs the library's maximize as find_involution_matching does."""
+    solver.maximize(doubled=doubled)
     ref.maximize()
     assert (solver.match, solver.nodes) == (ref.match, ref.nodes)
     a_set = ref.inner_vertices()
@@ -124,7 +129,7 @@ def assert_same_as_reference(table):
     adj = _doubled_adjacency(v)
     assert adj == doubled_adjacency(v)
     ref = ReferenceBlossom(doubled_adjacency(v))
-    xs = tuple(x for x in assert_same_solver_path(_Blossom(adj), ref) if x < n)
+    xs = tuple(x for x in assert_same_solver_path(_Blossom(adj), ref, doubled=True) if x < n)
     for removed in ((), xs):
         assert _odd_loop_free_components(adj, removed) == odd_loop_free_components(v, removed)
     if -1 in ref.match:
@@ -144,6 +149,46 @@ def test_blossom_follows_reference_on_corpus(name, table):
 @pytest.mark.parametrize("seed,rows,cols,density", RANDOM_REES)
 def test_blossom_follows_reference_on_random_rees(seed, rows, cols, density):
     assert_same_as_reference(random_rees(seed, rows, cols, density))
+
+
+class _Searching(Exception):
+    """Raised by a solver's first search, so maximize stops after its greedy start."""
+
+
+def greedy_start(solver, **kwargs) -> list:
+    """The match that solver.maximize(**kwargs) holds when its first search begins."""
+    def stop(roots):
+        raise _Searching
+    solver.grow = stop
+    try:
+        solver.maximize(**kwargs)
+    except _Searching:
+        pass
+    return solver.match
+
+
+def assert_mirrored_greedy(table, name=""):
+    """The library's copy-0 greedy start, mirrored onto copy 1, is the
+    reference's greedy start over all 2n vertices of the doubled graph."""
+    adj = doubled_adjacency(inverse_matrix(table))
+    assert greedy_start(_Blossom(adj), doubled=True) == greedy_start(ReferenceBlossom(adj)), name
+
+
+GREEDY_TABLES = ([(f"random_rees_{args[0]}", random_rees(*args)) for args in RANDOM_REES]
+                 + REES_OVER_GROUP + [("T_3", t_n(3)), ("T_4", t_n(4))])
+
+
+@pytest.mark.parametrize("name,table", GREEDY_TABLES, ids=[name for name, _ in GREEDY_TABLES])
+def test_mirrored_greedy_start(name, table):
+    assert_mirrored_greedy(table, name)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(m, 6)])
+def test_mirrored_greedy_start_on_census(m, n):
+    for k, p in enumerate(census_matrices(m, n)):
+        for side, q in (("P", p), ("P^T", p.T)):
+            assert_mirrored_greedy(rees_matrix(BoolStructureMatrix(q.tolist())),
+                                   f"{m}x{n} class {k} {side}")
 
 
 def test_t3_oracle_finds_the_frozen_map():
@@ -177,6 +222,18 @@ def test_blossom_agrees_with_networkx(p):
 @given(regular_matrices())
 def test_blossom_follows_reference_on_regular_matrices(p):
     assert_same_as_reference(rees_matrix(p))
+
+
+@settings(max_examples=150)
+@given(regular_matrices())
+def test_mirrored_greedy_start_on_regular_matrices(p):
+    assert_mirrored_greedy(rees_matrix(p))
+
+
+@settings(max_examples=150)
+@given(transformation_subsemigroups())
+def test_mirrored_greedy_start_on_transformation_subsemigroups(table):
+    assert_mirrored_greedy(table)
 
 
 @pytest.mark.parametrize("name,table", REES_OVER_GROUP, ids=[name for name, _ in REES_OVER_GROUP])

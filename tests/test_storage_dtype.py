@@ -8,7 +8,9 @@ every index or value worked out from the entries must be worked out in
 intp; the tables at the dtype boundaries (255, 256 and 257 elements) and
 the direct products whose factors are uint8 but whose product is not would
 show a wrapped index as wrong Green's relations, a wrong inverse relation
-or a table that is not the product of its factors.
+or a table that is not the product of its factors.  inverse_matrix reads
+(ab)a at (ab)*n + a of the flattened product a block of rows at a time, so
+it is also checked with blocks small enough that every table spans several.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from semigroup_match import (
     verify_barrier,
     verify_matching,
 )
+from semigroup_match import structure
 from semigroup_match.green import _rees_minima, _scatter_minima
 from semigroup_match.table import DEFAULT_SIZE_CAP, _read_table
 
-from corpus import brandt, cyclic, t_n
+from corpus import brandt, cyclic, full_corpus, t_n
 
 
 def check_storage(table: MulTable, name=""):
@@ -198,3 +201,17 @@ def test_boundary_tables_read_right(name, build):
         check_answer(table, decide(table, method=method), v, involution=False)
     check_answer(table, decide(table, involution=True), v, involution=True)
     assert green_arrays(table).r_class.dtype == np.intp
+
+
+# each corpus table afresh, so that its inverse relation is not yet cached
+BLOCK_TABLES = BOUNDARY + [(name, lambda t=table: MulTable(t.product))
+                           for name, table in full_corpus()]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name,build", BLOCK_TABLES, ids=[name for name, _ in BLOCK_TABLES])
+def test_inverse_matrix_in_row_blocks(monkeypatch, name, build, rows):
+    table = build()
+    # inverse_matrix takes _ASSOC_CHUNK_CELLS // (8 n) rows per block
+    monkeypatch.setattr(structure, "_ASSOC_CHUNK_CELLS", 8 * table.n * rows)
+    assert np.array_equal(inverse_matrix(table), definition_inverses(table)), name
