@@ -3,8 +3,9 @@
 Green's relations are read straight off the product table: the principal
 right ideal aS^1 is row a of the table together with a, and the left ideal
 S^1a is column a together with a.  A table whose associativity check found
-it to be M0(I, Λ; P) over the trivial group has them read off the grid and
-P of that certificate instead, in O(n).  D is the composite R o L.  All
+it to be a Rees matrix semigroup over the trivial group, M0(I, Λ; P) or a
+rectangular band, has them read off the grid and P of that certificate
+instead, in O(n).  D is the composite R o L.  All
 class ids follow first-seen element order so output is deterministic.
 green_arrays holds the relations as arrays, which the command line reads;
 green_classes is their tuple view for library callers.  omega_powers
@@ -146,6 +147,8 @@ def _rees_minima(table: MulTable):
     with P[λ, j] and every μ.  So a R b exactly when a = b, or when i(a) =
     i(b) and rows λ(a) and λ(b) of P both have a 1; L is the same with
     columns, z is alone in its classes and every H-class is one element.
+    A rectangular band has no z and P all ones: R is "same row of the
+    grid" and L "same column".
     """
     form = table.rees_form
     cell, z = form.cell, form.zero
@@ -158,7 +161,8 @@ def _rees_minima(table: MulTable):
     l_min = np.empty(table.n, dtype=np.intp)
     r_min[cell] = np.where(row, r_least, cell)
     l_min[cell] = np.where(col, l_least, cell)
-    r_min[z] = l_min[z] = z
+    if z is not None:
+        r_min[z] = l_min[z] = z
     return r_min, l_min, np.arange(table.n)
 
 

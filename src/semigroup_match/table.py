@@ -8,18 +8,21 @@ each distinct row, y of each distinct column and g of each (row, column)
 class, decides it and finds the first failing triple: n^2 cells for a
 k x l rectangular band or a left-zero band, 1 for a null semigroup.
 
-Three shortcuts come first.  A table of the form M0(I, Λ; P), a Rees
-matrix semigroup over the trivial group with any 0/1 sandwich matrix P, is
-associative: (ab)c and a(bc) are both cell(i(a), λ(c)) when P[λ(a), i(b)]
-and P[λ(b), i(c)] hold, and both the zero otherwise.  _rees_form labels the
-elements by their least nonzero row and column entries and compares every
-product once with that formula; when all match, nothing is swept, and the
-table keeps the grid and P as its rees_form, off which Green's relations
-are read.  Every principal factor of a combinatorial regular D-class has
-this form, and so does every combinatorial 0-simple Rees semigroup: Brandt
-semigroups and rectangular bands with a zero among them.  A table without
-a two-sided zero leaves after O(n) reads.  Any other table goes on to Light's
-test, and one that fails the next two shortcuts is then swept.  Where
+Three shortcuts come first.  A Rees matrix semigroup over the trivial
+group is associative: in M0(I, Λ; P), with any 0/1 sandwich matrix P,
+(ab)c and a(bc) are both cell(i(a), λ(c)) when P[λ(a), i(b)] and
+P[λ(b), i(c)] hold, and both the zero otherwise; in the rectangular band
+I x Λ, M(1; I, Λ), both are cell(i(a), λ(c)).  _rees_form labels the
+elements by their least row and column entries and compares every product
+once with that formula; when all match, nothing is swept, and the table
+keeps the grid and P as its rees_form, off which Green's relations are
+read.  Every principal factor of a combinatorial regular D-class has the
+first form, and so does every combinatorial 0-simple Rees semigroup:
+Brandt semigroups and rectangular bands with a zero among them; the
+rectangular bands themselves have the second.  A table with neither a
+two-sided zero nor an idempotent diagonal leaves after O(n) reads.  Any
+other table goes on to Light's test, and one that fails the next two
+shortcuts is then swept.  Where
 every class costs more than 2 n^2 cells, Light's test checks g only over
 a generating set: every element outside S^2, then greedily the unreached
 element with the largest |aS| + |Sa| whose row and column minima (its R-
@@ -347,43 +350,29 @@ def _first_failure(x_rows, y_cols, xs, gs, ys):
 
 @dataclass(frozen=True, eq=False)
 class ReesForm:
-    """A proof that a table is M0(I, Λ; P), a Rees matrix semigroup over the trivial group.
+    """A proof that a table is a Rees matrix semigroup over the trivial group.
 
     cell[i, λ] is the one element in row i and column λ of the I x Λ grid
-    (an intp array), p[λ, i] the 0/1 sandwich matrix P (a bool array) and
-    zero the two-sided zero: ab = cell(i(a), λ(b)) when p[λ(a), i(b)]
-    holds, and zero otherwise.  Both arrays are read-only.
+    (an intp array) and p[λ, i] the 0/1 sandwich matrix P (a bool array).
+    When zero is the two-sided zero, the table is M0(I, Λ; P):
+    ab = cell(i(a), λ(b)) when p[λ(a), i(b)] holds, and zero otherwise.
+    When zero is None, p is all ones and the table is the rectangular band
+    I x Λ, M(1; I, Λ): ab = cell(i(a), λ(b)) always.  Both arrays are
+    read-only.
     """
 
     cell: np.ndarray
     p: np.ndarray
-    zero: int
+    zero: int | None
 
 
-def _rees_form(compact: np.ndarray) -> ReesForm | None:
-    """compact's ReesForm, or None: a form found proves the table associative.
+def _two_sided_zero(compact: np.ndarray, ident: np.ndarray):
+    """compact's two-sided zero, in compact's dtype, or None; O(n) reads.
 
     A zero z has 0z = z = z0, and it is the product of any elements that
     include it, in any bracketing: the product of the elements c with
-    0c = c = c0 is the only candidate, and its row and column are read, so
-    a table without a two-sided zero costs O(n) here.  Each other element a
-    gets i(a), the least nonzero entry of its row, and λ(a), that of its
-    column, both in the cyclic order that starts after z (entries are read
-    as x - z - 1 modulo the dtype's range, so z sorts last and needs no
-    sentinel).  These labels must put exactly one element in each cell of
-    an I x Λ grid; P[λ, i] is read off one product per pair.  Then every
-    product, z's row and column included, is compared with
-    ab = cell(i(a), λ(b)) when P[λ(a), i(b)] and z otherwise, a block of
-    rows at a time.  When all match, the table is
-    M0(I, Λ; P), where (ab)c and a(bc) both equal cell(i(a), λ(c)) exactly
-    when P[λ(a), i(b)] and P[λ(b), i(c)] hold and both are z otherwise.
-    The labels are only a guess: the grid and the formula prove the form,
-    and the grid, P and z are returned as its certificate.
+    0c = c = c0 is the only candidate, and its row and column are read.
     """
-    n = compact.shape[0]
-    if n < 2:
-        return None
-    ident = np.arange(n)
     v = np.flatnonzero((compact[0] == ident) & (compact[:, 0] == ident))
     while len(v) > 1:
         v = np.concatenate([compact[v[:-1:2], v[1::2]], v[len(v) & ~1:]])
@@ -392,7 +381,44 @@ def _rees_form(compact: np.ndarray) -> ReesForm | None:
     z = compact.dtype.type(v[0])
     if (compact[z] != z).any() or (compact[:, z] != z).any():
         return None
-    flip = np.invert(z)                 # x + flip = x - z - 1, wrapping
+    return z
+
+
+def _rees_form(compact: np.ndarray) -> ReesForm | None:
+    """compact's ReesForm, or None: a form found proves the table associative.
+
+    The table must have a two-sided zero z (_two_sided_zero), or have
+    none and an idempotent diagonal; both are read in O(n), so T_n, a band
+    times a group and a group leave at once.  Each element a other than z
+    gets i(a), the least entry of its row, and λ(a), that of its column;
+    with a zero both are read in the cyclic order that starts after z
+    (entries are read as x - z - 1 modulo the dtype's range, so z sorts
+    last and needs no sentinel).  These labels must put exactly one element
+    in each cell of an I x Λ grid.  With a zero P[λ, i] is read off one
+    product per pair; without one it is all ones.  z's row and column were
+    read whole, and the row of every other element a is compared with
+    ab = cell(i(a), λ(b)) when P[λ(a), i(b)] and z otherwise, for a block
+    of the grid's elements at a time, in compact's dtype.  When all match,
+    the table is M0(I, Λ; P), where (ab)c and a(bc) both equal
+    cell(i(a), λ(c)) exactly when P[λ(a), i(b)] and P[λ(b), i(c)] hold and
+    both are z otherwise, or without a zero the rectangular band I x Λ,
+    M(1; I, Λ), where both are cell(i(a), λ(c)).  The labels are only a
+    guess: the grid and the formula prove the form, and the grid, P and z
+    are returned as its certificate.
+    """
+    n = compact.shape[0]
+    if n < 2:
+        return None
+    ident = np.arange(n)
+    z = _two_sided_zero(compact, ident)
+    if z is not None:
+        others = np.flatnonzero(ident != z)
+        flip = np.invert(z)             # x + flip = x - z - 1, wrapping
+    elif (np.diagonal(compact) == ident).all():
+        others = ident
+        flip = compact.dtype.type(0)
+    else:
+        return None
     # rows per block as in _ideal_profile: no temporary takes more than
     # _ASSOC_CHUNK_CELLS bytes
     step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
@@ -402,35 +428,41 @@ def _rees_form(compact: np.ndarray) -> ReesForm | None:
         keys = compact[start:start + step] + flip
         row_min[start:start + step] = keys.min(axis=1)
         np.minimum(col_min, keys.min(axis=0), out=col_min)
-    others = np.flatnonzero(ident != z)
     row_labels, i = np.unique(row_min[others], return_inverse=True)
     col_labels, lam = np.unique(col_min[others], return_inverse=True)
     m, k = len(row_labels), len(col_labels)
-    if m * k != n - 1:
+    if m * k != len(others):
         return None
-    cell = np.full((m, k), z)
+    cell = np.full((m, k), -1, dtype=np.intp)
     cell[i, lam] = others
-    if (cell == z).any():               # a cell left empty, so another holds two
+    if (cell < 0).any():                # a cell left empty, so another holds two
         return None
-    p = compact[cell[:1].T, cell[:, :1].T] != z        # p[λ, i] = cell(0, λ) cell(i, 0) != z
-    # nonzero[λ, b] = P[λ, i(b)], value[i, b] = cell(i, λ(b)); z's row reads
-    # the extra all-false row of nonzero, and its column is false throughout
-    row_i = np.zeros(n, dtype=np.intp)
-    row_i[others] = i
-    row_lam = np.full(n, k, dtype=np.intp)
-    row_lam[others] = lam
-    nonzero = np.zeros((k + 1, n), dtype=bool)
-    nonzero[:k, others] = p[:, i]
-    value = np.zeros((m, n), dtype=compact.dtype)
-    value[:, others] = cell[:, lam]
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        if not np.array_equal(compact[block], np.where(nonzero[row_lam[block]], value[row_i[block]], z)):
+    # col_lam[b] = λ(b); z's is 0, which P hides
+    col_lam = np.zeros(n, dtype=np.intp)
+    col_lam[others] = lam
+    if z is None:
+        p = np.ones((k, m), dtype=bool)
+    else:
+        p = compact[cell[:1].T, cell[:, :1].T] != z    # p[λ, i] = cell(0, λ) cell(i, 0) != z
+        # nonzero[λ, b] = P[λ, i(b)], 0 in z's column, in compact's dtype
+        # so that the products below need no cast
+        nonzero = np.zeros((k, n), dtype=compact.dtype)
+        nonzero[:, others] = p[:, i]
+    # the rows of a block of the grid's elements, about step of them (8 n
+    # bytes each), against value[i, b] = cell(i, λ(b)), or with a zero
+    # against (value - z) P[λ, i(b)] + z, which wraps back to value or
+    # gives z
+    grid = cell.astype(compact.dtype)
+    for ib, lb in _blocks(m, k, 8 * n):
+        value = grid[ib][:, None, col_lam]
+        if z is not None:
+            value = (value - z) * nonzero[lb]
+            value += z
+        if not (compact[cell[ib, lb]] == value).all():
             return None
-    cell = cell.astype(np.intp)
     cell.setflags(write=False)
     p.setflags(write=False)
-    return ReesForm(cell=cell, p=p, zero=int(z))
+    return ReesForm(cell=cell, p=p, zero=None if z is None else int(z))
 
 
 def _associativity_witness(product: np.ndarray):
@@ -478,11 +510,11 @@ class MulTable:
     The input must be a square array of integer dtype (anything else raises
     TableFormatError), entries are range-checked and associativity is
     verified at construction: by the Rees formula check when the table is
-    M0(I, Λ; P) over the trivial group, by Light's test otherwise; a
-    non-associative table raises NotAssociativeError with its
-    lexicographically first bad triple.  rees_form keeps the ReesForm that
-    check proved, or None when the table is not of that form, and Green's
-    relations are read off it.  The product is stored as a
+    a Rees matrix semigroup over the trivial group, M0(I, Λ; P) or a
+    rectangular band, by Light's test otherwise; a non-associative table
+    raises NotAssociativeError with its lexicographically first bad
+    triple.  rees_form keeps the ReesForm that check proved, or None when
+    the table is of neither form, and Green's relations are read off it.  The product is stored as a
     read-only C-ordered array of _storage_dtype(n), uint8 up to 256
     elements and uint16 up to 65536, whatever the input's dtype and layout:
     a copy, unless the input already is such an array and owns its data,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from semigroup_match import (
     green_arrays,
     green_classes,
     idempotents,
+    rectangular_band,
 )
 from semigroup_match import green as green_mod
 from semigroup_match.green import _rees_minima, _scatter_minima, omega_powers
@@ -28,7 +30,6 @@ from corpus import (
     brandt,
     cyclic,
     full_corpus,
-    left_zero,
     monogenic,
     null_semigroup,
     placements,
@@ -371,13 +372,18 @@ def _rees_of(p) -> MulTable:
 
 def _check_rees_form(table, name=""):
     """The table's ReesForm describes its product, and Green's relations read
-    off it are the scatters' and the ideal oracle's."""
+    off it are the scatters' and the ideal oracle's.
+
+    A form without a zero is a rectangular band: P is all ones and the grid
+    holds every element."""
     form = table.rees_form
     cell, p, z = form.cell, form.p, form.zero
     assert not cell.flags.writeable and not p.flags.writeable, name
-    assert sorted(cell.ravel().tolist() + [z]) == list(range(table.n)), name
+    assert z is not None or p.all(), name
+    zero = [] if z is None else [z]
+    assert sorted(cell.ravel().tolist() + zero) == list(range(table.n)), name
     # (i, λ)(j, μ) = (i, μ) when p[λ, j], and z otherwise
-    want = np.where(p[None, :, :, None], cell[:, None, None, :], z)      # [i, λ, j, μ]
+    want = np.where(p[None, :, :, None], cell[:, None, None, :], -1 if z is None else z)  # [i, λ, j, μ]
     assert np.array_equal(table.product[cell[:, :, None, None], cell[None, None, :, :]], want), name
     for got, scattered in zip(_rees_minima(table), _scatter_minima(table)):
         assert np.array_equal(got, scattered), name
@@ -403,6 +409,20 @@ class TestReesForm:
             placed = MulTable(product)
             assert placed.rees_form is not None, (name, k)
             _check_rees_form(placed, (name, k))
+
+    @pytest.mark.parametrize("m,k", [(1, 2), (1, 5), (2, 1), (5, 1), (2, 3), (3, 3), (4, 4)])
+    def test_rectangular_bands_in_every_numbering(self, m, k):
+        # M(1; I, Λ) has no zero and P all ones: R is "same row", L "same
+        # column", and green_arrays never scatters the ideals
+        for j, product in enumerate(placements(rectangular_band(m, k).product)):
+            placed = MulTable(product)
+            assert placed.rees_form is not None and placed.rees_form.zero is None, (m, k, j)
+            assert placed.rees_form.cell.shape == (m, k), (m, k, j)
+            _check_rees_form(placed, (m, k, j))
+            with mock.patch.object(green_mod, "_scatter_minima") as scatter:
+                g = green_arrays(placed)
+            scatter.assert_not_called()
+            assert (g.r_count, g.l_count, g.h_count, g.d_count) == (m, k, m * k, 1)
 
     def test_the_rees_tables_are_many(self):
         # most block Rees draws that are not products have the form
@@ -442,7 +462,6 @@ class TestReesForm:
         ("rees_c3", rees_over_group(cyclic(3), [[0, 1], [None, 2]])),
         ("t3", t_n(3)),
         ("band7_one", adjoin_identity(band7())),
-        ("left_zero4", left_zero(4)),
     ])
     def test_other_tables_carry_no_certificate(self, name, table):
         assert table.rees_form is None
