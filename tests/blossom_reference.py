@@ -1,9 +1,10 @@
 """Whole-forest references for the blossom route of find_involution_matching.
 
 matching._Blossom relabels only the members of the blossoms a contraction
-merges, the adjacency and the barrier's components are read off one
-np.nonzero of V, and verify_barrier accepts a barrier in one labelled pass
-over V.  The versions here do the same work the direct way: one
+merges, the doubled adjacency comes from one np.flatnonzero of V, with each
+cross edge placed before the rows are sliced, the barrier's components are
+found by a walk over copy 0 of those lists, and verify_barrier accepts a
+barrier in one labelled pass over V.  The versions here do the same work the direct way: one
 np.flatnonzero per row, a rescan of the whole forest on every contraction,
 one numpy row operation per vertex of a component, and one numpy check per
 component.

@@ -689,6 +689,29 @@ def test_rees_form_rejects_other_semigroups(name, table):
         assert _associativity_witness(relabelled) is None
 
 
+# associative tables with neither a two-sided zero nor an idempotent diagonal
+NO_ZERO_NOR_BAND = [("t3", t_n(3)), ("t4", t_n(4)), ("c4", cyclic(4)), ("s3", symmetric3()),
+                    ("rect23_x_c3", direct_product(rectangular_band(2, 3), cyclic(3))),
+                    ("rees0_x_c2", direct_product(random_rees(*RANDOM_REES[0]), cyclic(2)))]
+
+
+@pytest.mark.parametrize("name,table", NO_ZERO_NOR_BAND + [("rect44", rectangular_band(4, 4))],
+                         ids=[name for name, _ in NO_ZERO_NOR_BAND] + ["rect44"])
+def test_rees_form_reads_no_block_of_rows_without_a_zero_or_a_band(name, table):
+    # the zero probe and the diagonal are O(n) reads; the label pass slices
+    # blocks of rows, and only the band gets that far
+    sliced = []
+
+    class Reads(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                sliced.append(key)
+            return super().__getitem__(key)
+
+    form = _rees_form(_narrow(table.product).view(Reads))
+    assert (form is not None) == bool(sliced) == (name == "rect44")
+
+
 def test_rees_form_is_sound_on_every_small_semigroup_and_mutation():
     # every table of order at most 3, its one-entry mutations, and a seeded
     # 5000 of the 167,616 one-entry mutations of order 4: a certified table
