@@ -5,8 +5,8 @@ right ideal aS^1 is row a of the table together with a, and the left ideal
 S^1a is column a together with a.  A table whose associativity check found
 it to be a Rees matrix semigroup over the trivial group, M0(I, Λ; P) or a
 rectangular band, has them read off the grid and P of that certificate
-instead, in O(n).  D is the composite R o L.  All
-class ids follow first-seen element order so output is deterministic.
+instead, in O(n).  D is the composite R o L.  All class ids follow
+first-seen element order so output is deterministic.
 green_arrays holds the relations as arrays, which the command line reads;
 green_classes is their tuple view for library callers.  omega_powers
 gives the idempotent power a^omega and its predecessor a^(omega-1) of every

@@ -514,9 +514,10 @@ class MulTable:
     rectangular band, by Light's test otherwise; a non-associative table
     raises NotAssociativeError with its lexicographically first bad
     triple.  rees_form keeps the ReesForm that check proved, or None when
-    the table is of neither form, and Green's relations are read off it.  The product is stored as a
-    read-only C-ordered array of _storage_dtype(n), uint8 up to 256
-    elements and uint16 up to 65536, whatever the input's dtype and layout:
+    the table is of neither form, and Green's relations are read off it.
+    The product is stored as a read-only C-ordered array of
+    _storage_dtype(n), uint8 up to 256 elements and uint16 up to 65536,
+    whatever the input's dtype and layout:
     a copy, unless the input already is such an array and owns its data,
     and instances are immutable afterwards.  Structure derived from the table
     (Green classes, inverse sets) is cached on the instance through

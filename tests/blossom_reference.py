@@ -4,10 +4,10 @@ matching._Blossom relabels only the members of the blossoms a contraction
 merges, the doubled adjacency comes from one np.flatnonzero of V, with each
 cross edge placed before the rows are sliced, the barrier's components are
 found by a walk over copy 0 of those lists, and verify_barrier accepts a
-barrier in one labelled pass over V.  The versions here do the same work the direct way: one
-np.flatnonzero per row, a rescan of the whole forest on every contraction,
-one numpy row operation per vertex of a component, and one numpy check per
-component.
+barrier in one labelled pass over V.  The versions here do the same work
+the direct way: one np.flatnonzero per row, a rescan of the whole forest on
+every contraction, one numpy row operation per vertex of a component, and
+one numpy check per component.
 They take the same search path, so tests demand equal matchings, A-sets,
 node counts, barriers and verdicts.
 """
