@@ -57,9 +57,7 @@ from .matching import (
 from .structure import (
     ClassificationFlags,
     InverseSets,
-    InverseSquare,
     classify,
-    find_inverse_square,
     gamma_structure,
     idempotents,
     inverse_matrix,

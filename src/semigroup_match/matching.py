@@ -407,8 +407,17 @@ def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
     Elements must be integers (anything operator.index accepts).  The listed
     components must be pairwise disjoint and disjoint from X, of odd size,
     free of elements a in V(a), closed under taking inverses except into X,
-    and more numerous than X.  The first violation is reported; within a
-    component, elements ascending, a in V(a) before an inverse outside.
+    and more numerous than X.
+
+    One labelled pass over the members of all components checks them at
+    once: each element is owned by X (-2) or by the first component that
+    lists it, and a member fails when it is listed again or owned elsewhere
+    (overlap), when it is in V(a), or when one of its inverses is owned by
+    neither its component nor X.  The first component in listed order that
+    breaks a rule is reported, its rules in the order overlap, even size,
+    then its least failing element, a in V(a) before an inverse outside.  A
+    component with an entry that is no integer or no element fails first of
+    all its rules, and the count check comes last.
     """
     n = table.n
     v = inverse_matrix(table)
@@ -419,80 +428,68 @@ def verify_barrier(table: MulTable, barrier: TutteBarrier) -> VerifyResult:
     xs = set(elements)
     if len(xs) != len(elements) or any(not 0 <= x < n for x in xs):
         return VerifyResult(False, "barrier is not a set of elements", None)
-    if _barrier_holds(v, elements, barrier.odd_components):
-        return VerifyResult(True, None, None)
-    # find the first violation, component by component
-    seen = set(xs)
-    for comp in barrier.odd_components:
-        try:
-            comp = [operator.index(a) for a in comp]
-        except TypeError:
-            return VerifyResult(False, "component element not an integer", None)
-        members = set(comp)
-        if any(not 0 <= a < n for a in members):
-            return VerifyResult(False, "component element out of range", None)
-        if len(members) != len(comp) or not seen.isdisjoint(members):
-            return VerifyResult(False, "components overlap", min(members & seen, default=None))
-        seen |= members
-        if len(members) % 2 == 0:
-            return VerifyResult(False, "component of even size", min(members, default=None))
-        ms = np.array(sorted(members), dtype=np.intp)
-        outside = np.ones(n, dtype=bool)
-        outside[ms] = False
-        outside[elements] = False
-        loop = v[ms, ms]
-        bad = loop | (v[ms] & outside).any(axis=1)
-        if bad.any():
-            first = int(bad.argmax())
-            reason = ("component element is its own inverse" if loop[first]
-                      else "component has an inverse outside the barrier")
-            return VerifyResult(False, reason, int(ms[first]))
-    if len(barrier.odd_components) <= len(xs):
-        return VerifyResult(False, "no more odd components than barrier elements", None)
-    return VerifyResult(True, None, None)
-
-
-def _barrier_holds(v, elements, odd_components) -> bool:
-    """Whether the components pass every check of verify_barrier against the
-    set of elements X, in one labelled pass over V.
-
-    Each component member is labelled with its component's number and X
-    with -2; a member fails on a loop or on an inverse labelled neither.
-    False says only that some check fails, not which.
-    """
-    n = len(v)
-    if len(odd_components) <= len(elements):
-        return False
-    members = []
-    sizes = []
-    for comp in odd_components:
-        try:
-            comp = list(map(operator.index, comp))
-        except TypeError:
-            return False
-        if len(comp) % 2 == 0:
-            return False
-        members += comp
-        sizes.append(len(comp))
+    comps = barrier.odd_components
+    unfit = None    # the fault of the first component with an entry that is no element
     try:
-        ms = np.array(members, dtype=np.intp)
-    except OverflowError:
-        return False
-    if ms.min() < 0 or ms.max() >= n:
-        return False
-    ids = np.repeat(np.arange(len(sizes)), sizes)
+        ms = np.array(list(map(operator.index, itertools.chain.from_iterable(comps))),
+                      dtype=np.intp)
+        fit = not ms.size or (ms.min() >= 0 and ms.max() < n)
+    except (TypeError, OverflowError):
+        fit = False
+    if not fit:
+        # that component fails after the components before it
+        for k, comp in enumerate(comps):
+            try:
+                comp = list(map(operator.index, comp))
+            except TypeError:
+                unfit = "component element not an integer"
+                break
+            if any(not 0 <= a < n for a in comp):
+                unfit = "component element out of range"
+                break
+        comps = comps[:k]
+        ms = np.array(list(map(operator.index, itertools.chain.from_iterable(comps))),
+                      dtype=np.intp)
+    sizes = list(map(len, comps))
+    ids = np.repeat(np.arange(len(comps)), sizes)
     label = np.full(n, -1, dtype=np.intp)
-    label[elements] = -2
-    if (label[ms] != -1).any():
-        return False
     label[ms] = ids
-    # a member listed twice leaves fewer labelled elements than members
-    if np.count_nonzero(label >= 0) != len(ms) or v[ms, ms].any():
-        return False
+    overlap = np.zeros(len(ms), dtype=bool)
+    if np.count_nonzero(label >= 0) < len(ms):
+        # some member is listed twice: its first listing owns it
+        values, first = np.unique(ms, return_index=True)
+        label[values] = ids[first]
+        overlap[:] = True
+        overlap[first] = False
+    label[elements] = -2
+    overlap |= label[ms] != ids
     rows = v[ms]
     rows[:, elements] = False
     rows &= label != ids[:, None]
-    return not rows.any()
+    bad = v[ms, ms] | rows.any(axis=1)
+    fault = overlap | bad
+    k = min(int(ids[fault.argmax()]) if fault.any() else len(comps),
+            next((j for j, size in enumerate(sizes) if size % 2 == 0), len(comps)))
+    if k < len(comps):
+        start = sum(sizes[:k])
+        part = slice(start, start + sizes[k])
+        comp = ms[part]
+        if overlap[part].any():
+            owned = comp[label[comp] != k]      # by X or an earlier component
+            return VerifyResult(False, "components overlap",
+                                int(owned.min()) if owned.size else None)
+        if sizes[k] % 2 == 0:
+            return VerifyResult(False, "component of even size",
+                                int(comp.min()) if comp.size else None)
+        a = int(comp[bad[part]].min())
+        reason = ("component element is its own inverse" if v[a, a]
+                  else "component has an inverse outside the barrier")
+        return VerifyResult(False, reason, a)
+    if unfit is not None:
+        return VerifyResult(False, unfit, None)
+    if len(comps) <= len(xs):
+        return VerifyResult(False, "no more odd components than barrier elements", None)
+    return VerifyResult(True, None, None)
 
 
 class _Blossom:
@@ -609,33 +606,14 @@ class _Blossom:
             match[x] = end
             end = nxt
 
-    def maximize(self, doubled=False):
-        """Greedy start, then one search per exposed vertex with a neighbour.
+    def maximize(self):
+        """One search per exposed vertex with a neighbour, from the caller's
+        greedy start in match.
 
         A vertex with no augmenting path now has none after later
         augmentations either, so each vertex is searched from once.
-
-        doubled says adj is a doubled graph of _doubled_adjacency, n vertices
-        a copy; the greedy start then runs over copy 0 and is mirrored onto
-        copy 1, which is what it would do over all 2n vertices.  After copy
-        0, every a in V(a) is matched, so copy 1 takes no cross edge; and a
-        takes a + n only when no earlier vertex of copy 0 took a, so no
-        earlier vertex of copy 1 would take a + n.
         """
         adj, match = self.adj, self.match
-        n = len(adj) // 2 if doubled else len(adj)
-        for x in range(n):
-            if match[x] == -1:
-                for y in adj[x]:
-                    if match[y] == -1:
-                        match[x] = y
-                        match[y] = x
-                        break
-        if doubled:
-            for a in range(n):
-                m = match[a]
-                if 0 <= m < n:
-                    match[a + n] = m + n
         for r, nbrs in enumerate(adj):
             if match[r] == -1 and nbrs:
                 end, parent, _ = self.grow([r])
@@ -732,9 +710,25 @@ def find_involution_matching(table: MulTable):
     n = table.n
     adj = _doubled_adjacency(inverse_matrix(table))
     solver = _Blossom(adj)
-    solver.maximize(doubled=True)
-    if -1 not in solver.match:
-        f = tuple(m if m < n else a for a, m in enumerate(solver.match[:n]))
+    # greedy start over copy 0, mirrored onto copy 1, which is what it would
+    # do over all 2n vertices: after copy 0, every a in V(a) is matched, so
+    # copy 1 takes no cross edge; and a takes a + n only when no earlier
+    # vertex of copy 0 took a, so no earlier vertex of copy 1 would take a + n
+    match = solver.match
+    for x in range(n):
+        if match[x] == -1:
+            for y in adj[x]:
+                if match[y] == -1:
+                    match[x] = y
+                    match[y] = x
+                    break
+    for a in range(n):
+        m = match[a]
+        if 0 <= m < n:
+            match[a + n] = m + n
+    solver.maximize()
+    if -1 not in match:
+        f = tuple(m if m < n else a for a, m in enumerate(match[:n]))
         return _verified(table, Matching(f=f, kind="involution", provenance="blossom"))
     xs = tuple(x for x in solver.inner_vertices() if x < n)
     barrier = TutteBarrier(elements=xs, odd_components=_odd_loop_free_components(adj, xs),

@@ -107,18 +107,15 @@ def _entries_seen(lines: np.ndarray) -> np.ndarray:
     return seen
 
 
-def _ideal_profile(product: np.ndarray, transposed: np.ndarray | None = None):
+def _ideal_profile(product: np.ndarray, transposed: np.ndarray):
     """|aS| + |Sa| and the least elements of aS and of Sa for each a, and S^2.
 
     The entries of a block of rows, and of the matching block of columns,
     are scattered into bool blocks and counted, so nothing is sorted and no
     n x n temporary is made.  The columns are read as rows of transposed,
-    product.T in C order: the caller's copy, or _transposed(product) when
-    none is passed.
+    product.T in C order (_transposed(product)).
     """
     n = product.shape[0]
-    if transposed is None:
-        transposed = _transposed(product)
     # the blocks' intp scatter index takes about _ASSOC_CHUNK_CELLS bytes
     step = max(1, _ASSOC_CHUNK_CELLS // (8 * n))
     size = np.empty(n, dtype=np.intp)
@@ -137,7 +134,7 @@ def _ideal_profile(product: np.ndarray, transposed: np.ndarray | None = None):
     return size, row_min, col_min, in_square
 
 
-def _generators(product: np.ndarray, profile=None) -> np.ndarray:
+def _generators(product: np.ndarray, profile) -> np.ndarray:
     """Elements whose products, multiplied out from the left, reach every element.
 
     Every element outside S^2 is taken first.  Then, while some element is
@@ -153,10 +150,10 @@ def _generators(product: np.ndarray, profile=None) -> np.ndarray:
     generators' columns: queue[:i] has been multiplied by every column, so
     a new generator's column is applied to queue[:i] once, and each later
     element by every column when the cursor reaches it.  profile is
-    _ideal_profile(product), computed here when not given.
+    _ideal_profile(product, _transposed(product)).
     """
     n = product.shape[0]
-    size, row_min, col_min, in_square = _ideal_profile(product) if profile is None else profile
+    size, row_min, col_min, in_square = profile
     candidates = np.argsort(-size, kind="stable").tolist()
     row_min, col_min = row_min.tolist(), col_min.tolist()
     reached = bytearray(n)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from semigroup_match.table import _ideal_profile
+from semigroup_match.table import _ideal_profile, _transposed
 
 # scratch cells per chunk of the sweep
 _CHUNK_CELLS = 1 << 21
@@ -45,7 +45,7 @@ def round_robin_generators(product: np.ndarray) -> np.ndarray:
     first unreached candidate.
     """
     n = product.shape[0]
-    size, row_min, col_min, in_square = _ideal_profile(product)
+    size, row_min, col_min, in_square = _ideal_profile(product, _transposed(product))
     candidates = np.argsort(-size, kind="stable").tolist()
     row_min, col_min = row_min.tolist(), col_min.tolist()
     reached = bytearray(n)

@@ -3,13 +3,14 @@
 matching._Blossom relabels only the members of the blossoms a contraction
 merges, the doubled adjacency comes from one np.flatnonzero of V, with each
 cross edge placed before the rows are sliced, the barrier's components are
-found by a walk over copy 0 of those lists, and verify_barrier accepts a
-barrier in one labelled pass over V.  The versions here do the same work
-the direct way: one np.flatnonzero per row, a rescan of the whole forest on
+found by a walk over copy 0 of those lists, and verify_barrier reads every
+component in one labelled pass over their members, which both accepts a
+barrier and names its first fault.  The versions here do the same work the
+direct way: one np.flatnonzero per row, a rescan of the whole forest on
 every contraction, one numpy row operation per vertex of a component, and
-one numpy check per component.
+one check per component in listed order, which src/ has no copy of.
 They take the same search path, so tests demand equal matchings, A-sets,
-node counts, barriers and verdicts.
+node counts, barriers and verdicts, reasons and elements.
 """
 
 from __future__ import annotations
@@ -160,9 +161,11 @@ def odd_loop_free_components(v, removed) -> tuple:
 
 
 def verify_barrier(table, barrier) -> VerifyResult:
-    """The first violation of barrier's checks, component by component:
-    within a component, elements ascending, a in V(a) before an inverse
-    outside the component and X."""
+    """The first violation of barrier's checks, component by component: a
+    component's entries are integers, then elements, then disjoint from X
+    and the earlier components and unrepeated, then odd in number, then,
+    elements ascending, each not in V(a) and with no inverse outside the
+    component and X.  The count of components is checked last."""
     n = table.n
     v = inverse_matrix(table)
     try:

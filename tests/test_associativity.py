@@ -121,9 +121,14 @@ def _closure(product, gens) -> set:
     return reached
 
 
+def generators(product):
+    """table._generators given the profile that _light_sets passes it."""
+    return _generators(product, _ideal_profile(product, _transposed(product)))
+
+
 def _check_generators(product):
     n = product.shape[0]
-    gens = _generators(product)
+    gens = generators(product)
     assert len(set(gens.tolist())) == len(gens)
     assert set(range(n)) - set(product.ravel().tolist()) <= set(gens.tolist())
     assert _closure(product, gens) == set(range(n))
@@ -227,10 +232,10 @@ def test_null_semigroup_and_left_zero_band_verify(n):
     # S^2 = {0} in the null semigroup, so all other elements are generators;
     # the left-zero band satisfies xy = x, so no element reaches another
     null = null_semigroup(n).product
-    assert _generators(null).tolist() == list(range(1, n))
+    assert generators(null).tolist() == list(range(1, n))
     assert _associativity_witness(null) is None
     band = left_zero(n).product
-    assert _generators(band).tolist() == list(range(n))
+    assert generators(band).tolist() == list(range(n))
     assert _associativity_witness(band) is None
 
 
@@ -243,13 +248,11 @@ def test_ideal_profile_matches_the_definition(monkeypatch, cells):
         p = table.product
         rows = [set(p[a].tolist()) for a in range(table.n)]
         cols = [set(p[:, a].tolist()) for a in range(table.n)]
-        # the columns read off a transposed copy made inside, and off one passed in
-        for transposed in (None, _transposed(p)):
-            size, row_min, col_min, in_square = _ideal_profile(p, transposed)
-            assert size.tolist() == [len(r) + len(c) for r, c in zip(rows, cols)]
-            assert row_min.tolist() == [min(r) for r in rows]
-            assert col_min.tolist() == [min(c) for c in cols]
-            assert np.flatnonzero(in_square).tolist() == sorted(set().union(*rows))
+        size, row_min, col_min, in_square = _ideal_profile(p, _transposed(p))
+        assert size.tolist() == [len(r) + len(c) for r, c in zip(rows, cols)]
+        assert row_min.tolist() == [min(r) for r in rows]
+        assert col_min.tolist() == [min(c) for c in cols]
+        assert np.flatnonzero(in_square).tolist() == sorted(set().union(*rows))
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 9), (9, 1), (2, 7), (7, 2), (5, 5), (4, 13), (32, 32)])
@@ -258,14 +261,14 @@ def test_rectangular_band_gets_its_rank(rows, cols):
     # after that each takes one of those left, so the count is the rank
     for seed in range(3):
         product = renumbered(rectangular_band(rows, cols).product, seed)
-        assert len(_generators(product)) == max(rows, cols)
+        assert len(generators(product)) == max(rows, cols)
         _check_generators(product)
 
 
 def test_full_transformation_gets_few_generators():
     # T_4 has rank 3; index order alone took 36
     product = full_transformation(4).product
-    assert len(_generators(product)) <= 6
+    assert len(generators(product)) <= 6
     _check_generators(product)
 
 
@@ -282,7 +285,7 @@ def test_generators_match_the_round_robin_reference(name, build):
     # the closure multiplies queue[:i] by each new generator's column; without
     # that back-fill the reached sets differ, and so do the picks on t4 and others
     product = build().product
-    assert _generators(product).tolist() == round_robin_generators(product).tolist()
+    assert generators(product).tolist() == round_robin_generators(product).tolist()
 
 
 def _check_light_sets(product):
@@ -302,7 +305,7 @@ def _check_light_sets(product):
         assert gens.tolist() == classes
     else:
         # the first generator of each (row, column) class, in generator order
-        order = _generators(product).tolist()
+        order = generators(product).tolist()
         assert gens.tolist() == [g for k, g in enumerate(order)
                                  if pairs[g] not in [pairs[h] for h in order[:k]]]
 

@@ -6,8 +6,9 @@ graph decide existence independently; every matching must verify and every
 blossom also takes the same search path as the whole-forest reference in
 blossom_reference: equal matchings, A-sets, node counts and barriers, and
 its verify_barrier gives the reference's verdict on tampered barriers.  On
-the doubled graph the library runs its greedy start over copy 0 and mirrors
-it onto copy 1; that must be the reference's greedy over every vertex.
+the doubled graph find_involution_matching runs its greedy start over copy
+0 and mirrors it onto copy 1; that must be the reference's greedy over
+every vertex, and the library's searches start from it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -42,7 +44,7 @@ from semigroup_match import (
     verify_matching,
 )
 from semigroup_match.cli import main
-from semigroup_match.matching import _Blossom, _doubled_adjacency, _odd_loop_free_components
+from semigroup_match.matching import _Blossom, _odd_loop_free_components
 
 from blossom_reference import ReferenceBlossom, doubled_adjacency, odd_loop_free_components
 from blossom_reference import verify_barrier as reference_verify_barrier
@@ -109,11 +111,40 @@ def test_blossom_agrees_with_structure_on_orthodox(name, table):
         assert isinstance(res, Matching) == isinstance(decide_orthodox_matching(table), Matching)
 
 
-def assert_same_solver_path(solver, ref, doubled=False) -> list:
+class _Searching(Exception):
+    """Raised where a solver's searches would begin, carrying the solver."""
+
+
+def _stop(solver, *args):
+    raise _Searching(solver)
+
+
+def library_solver(table) -> _Blossom:
+    """The solver of find_involution_matching(table), holding its greedy
+    start, stopped where its maximize would begin."""
+    with mock.patch.object(_Blossom, "maximize", _stop):
+        try:
+            find_involution_matching(table)
+        except _Searching as stop:
+            return stop.args[0]
+    raise AssertionError("find_involution_matching ran no solver")
+
+
+def greedy_start(ref) -> list:
+    """The match that ref.maximize() holds when its first search begins."""
+    ref.grow = functools.partial(_stop, ref)
+    try:
+        ref.maximize()
+    except _Searching:
+        pass
+    return ref.match
+
+
+def assert_same_solver_path(solver, ref) -> list:
     """Run both solvers to a maximum matching and its A-set, which is
-    returned; the matchings, A-sets and node counts must agree.  doubled
-    runs the library's maximize as find_involution_matching does."""
-    solver.maximize(doubled=doubled)
+    returned; the matchings, A-sets and node counts must agree.  solver
+    searches from the greedy start it holds, ref from its own."""
+    solver.maximize()
     ref.maximize()
     assert (solver.match, solver.nodes) == (ref.match, ref.nodes)
     a_set = ref.inner_vertices()
@@ -126,10 +157,11 @@ def assert_same_as_reference(table):
     """Adjacency, search path, components and answer equal the reference's."""
     n = table.n
     v = inverse_matrix(table)
-    adj = _doubled_adjacency(v)
+    solver = library_solver(table)
+    adj = solver.adj
     assert adj == doubled_adjacency(v)
     ref = ReferenceBlossom(doubled_adjacency(v))
-    xs = tuple(x for x in assert_same_solver_path(_Blossom(adj), ref, doubled=True) if x < n)
+    xs = tuple(x for x in assert_same_solver_path(solver, ref) if x < n)
     for removed in ((), xs):
         assert _odd_loop_free_components(adj, removed) == odd_loop_free_components(v, removed)
     if -1 in ref.match:
@@ -151,27 +183,11 @@ def test_blossom_follows_reference_on_random_rees(seed, rows, cols, density):
     assert_same_as_reference(random_rees(seed, rows, cols, density))
 
 
-class _Searching(Exception):
-    """Raised by a solver's first search, so maximize stops after its greedy start."""
-
-
-def greedy_start(solver, **kwargs) -> list:
-    """The match that solver.maximize(**kwargs) holds when its first search begins."""
-    def stop(roots):
-        raise _Searching
-    solver.grow = stop
-    try:
-        solver.maximize(**kwargs)
-    except _Searching:
-        pass
-    return solver.match
-
-
 def assert_mirrored_greedy(table, name=""):
-    """The library's copy-0 greedy start, mirrored onto copy 1, is the
-    reference's greedy start over all 2n vertices of the doubled graph."""
-    adj = doubled_adjacency(inverse_matrix(table))
-    assert greedy_start(_Blossom(adj), doubled=True) == greedy_start(ReferenceBlossom(adj)), name
+    """find_involution_matching's copy-0 greedy start, mirrored onto copy 1,
+    is the reference's greedy start over all 2n vertices of the doubled graph."""
+    ref = ReferenceBlossom(doubled_adjacency(inverse_matrix(table)))
+    assert library_solver(table).match == greedy_start(ref), name
 
 
 GREEDY_TABLES = ([(f"random_rees_{args[0]}", random_rees(*args)) for args in RANDOM_REES]
@@ -262,6 +278,7 @@ def test_blossom_on_general_graphs(graph):
         adj[x].append(y)
         adj[y].append(x)
     solver = _Blossom(adj)
+    solver.match[:] = greedy_start(ReferenceBlossom(adj))
     assert_same_solver_path(solver, ReferenceBlossom(adj))
     match = solver.match
     assert all(m == -1 or (match[m] == x and m in adj[x]) for x, m in enumerate(match))
@@ -342,6 +359,38 @@ class TestVerifyBarrier:
                                 odd_components=tuple(tuple(np.intp(a) for a in comp)
                                                      for comp in self.barrier.odd_components))
         assert verify_barrier(self.table, barrier).ok
+
+    def assert_reads(self, elements, odd_components, expected):
+        """The library and the reference both read expected off the barrier."""
+        barrier = TutteBarrier(elements=elements, odd_components=odd_components, nodes=0)
+        res = verify_barrier(self.table, barrier)
+        ref = reference_verify_barrier(self.table, barrier)
+        assert (res.ok, res.reason, res.element) == (ref.ok, ref.reason, ref.element) == expected
+
+    @pytest.mark.parametrize("huge", [2**70, -2**70])
+    def test_entries_beyond_intp(self, huge):
+        # X = {5} and components (0), (2) make the barrier; 1 is in V(1)
+        self.assert_reads((5, huge), ((0,), (2,)), (False, "barrier is not a set of elements", None))
+        for comps in (((0,), (2, huge)), ((huge, 0), (2,))):
+            self.assert_reads((5,), comps, (False, "component element out of range", None))
+        self.assert_reads((5,), ((1,), (huge,)), (False, "component element is its own inverse", 1))
+
+    def test_fault_before_a_later_float(self):
+        self.assert_reads((5,), ((1,), (2.0,)), (False, "component element is its own inverse", 1))
+        self.assert_reads((5,), ((0, 2), (0.5,)), (False, "component of even size", 0))
+        self.assert_reads((5,), ((0,), (2,), (0.5,)), (False, "component element not an integer", None))
+
+    def test_overlap_is_reported_at_the_later_component(self):
+        # 1 in V(1) would fail the later component, but the overlap comes first
+        self.assert_reads((5,), ((0,), (2,), (1, 0, 6)), (False, "components overlap", 0))
+        self.assert_reads((5,), ((0,), (2,), (6, 5, 2)), (False, "components overlap", 2))
+        self.assert_reads((5,), ((0,), (6, 5)), (False, "components overlap", 5))
+
+    def test_empty_component(self):
+        self.assert_reads((5,), ((0,), (), (2,)), (False, "component of even size", None))
+
+    def test_repeat_inside_a_component(self):
+        self.assert_reads((5,), ((0,), (2, 2, 6)), (False, "components overlap", None))
 
     def test_first_failing_element_ascending(self):
         """Elements are checked ascending, each for a in V(a) before an inverse
