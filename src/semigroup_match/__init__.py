@@ -57,7 +57,9 @@ from .matching import (
 from .structure import (
     ClassificationFlags,
     InverseSets,
+    InverseSquare,
     classify,
+    find_inverse_square,
     gamma_structure,
     idempotents,
     inverse_matrix,

@@ -206,3 +206,54 @@ def classify(table: MulTable) -> ClassificationFlags:
         self_inverse=self_inverse,
         has_zero=has_zero,
     )
+
+
+@dataclass(frozen=True)
+class InverseSquare:
+    """A 2x2 egg-box square witnessing non-inverse behaviour.
+
+    e is idempotent, a is a non-idempotent inverse of e, and f = ea, g = ae
+    are idempotents completing the square: a R g, g L e, e R f, f L a,
+    with gf = a.
+    """
+
+    e: int
+    a: int
+    f: int
+    g: int
+
+
+def find_inverse_square(table: MulTable):
+    """Locate the square configuration in a regular, non-inverse semigroup.
+
+    Scans idempotents in element order and their inverse sets likewise, so
+    the result is deterministic.  Returns None when the semigroup is inverse
+    or not regular (the configuration requires an idempotent with a second,
+    non-idempotent inverse).
+    """
+    v = inverse_matrix(table)
+    if not v.any(axis=1).all():
+        return None
+    idem_set = set(idempotents(table))
+    g_rel = green_arrays(table)
+    prod = table.product
+    for e in sorted(idem_set):
+        for a in np.flatnonzero(v[e]).tolist():
+            if a in idem_set:
+                continue
+            f = int(prod[e, a])
+            g = int(prod[a, e])
+            if f not in idem_set or g not in idem_set:
+                raise RuntimeError("ea and ae must be idempotent for a in V(e)")
+            if int(prod[g, f]) != a:
+                raise RuntimeError("gf must recover a")
+            chain_ok = (
+                g_rel.r_class[a] == g_rel.r_class[g]
+                and g_rel.l_class[g] == g_rel.l_class[e]
+                and g_rel.r_class[e] == g_rel.r_class[f]
+                and g_rel.l_class[f] == g_rel.l_class[a]
+            )
+            if not chain_ok:
+                raise RuntimeError("square does not close in the egg box")
+            return InverseSquare(e=e, a=a, f=f, g=g)
+    return None

@@ -5,6 +5,7 @@ import pytest
 from semigroup_match import (
     NotRegularError,
     classify,
+    find_inverse_square,
     gamma_structure,
     green_classes,
     idempotents,
@@ -220,3 +221,40 @@ class TestClassify:
         assert f.self_inverse == all(prod[prod[a, a], a] == a for a in range(n))
         assert f.has_zero == any(
             (prod[z] == z).all() and (prod[:, z] == z).all() for z in range(n))
+
+
+class TestInverseSquare:
+    def test_five_unique_frozen(self):
+        # the idempotent (2,1) is a second inverse of the non-idempotent (1,2)
+        w = find_inverse_square(five_unique())
+        assert (w.e, w.a, w.f, w.g) == (2, 1, 3, 0)
+
+    def test_inverse_semigroups_have_none(self):
+        assert find_inverse_square(brandt(2)) is None
+        assert find_inverse_square(chain_semilattice(4)) is None
+        assert find_inverse_square(cyclic(6)) is None
+
+    def test_not_regular_has_none(self):
+        assert find_inverse_square(null_semigroup(2)) is None
+
+    def test_t3_frozen(self):
+        w = find_inverse_square(t_n(3))
+        assert (w.e, w.a, w.f, w.g) == (2, 17, 14, 8)
+
+    @pytest.mark.parametrize("name,table", small_corpus())
+    def test_configuration_properties(self, name, table):
+        w = find_inverse_square(table)
+        if w is None:
+            return
+        e, a, f, g = w.e, w.a, w.f, w.g
+        idem = set(idempotents(table))
+        assert e in idem and f in idem and g in idem and a not in idem, name
+        assert a in inverse_sets(table)[e], name
+        assert table.mul(e, a) == f and table.mul(a, e) == g, name
+        assert table.mul(g, f) == a, name
+        gr = green_classes(table)
+        # a R g L e R f L a closes the square
+        assert gr.r_class[a] == gr.r_class[g], name
+        assert gr.l_class[g] == gr.l_class[e], name
+        assert gr.r_class[e] == gr.r_class[f], name
+        assert gr.l_class[f] == gr.l_class[a], name
