@@ -12,7 +12,8 @@ Exit codes: 0 found/ok, 1 definitively absent, 2 input or usage error
 Every answer is definitive; an involution "no" carries a Tutte barrier.
 gen refuses a table above the size cap (--cap N, else 5000) before building
 it: gen tn from n, gen rees from the matrix header, gen product from the
-two tables' element-count lines.
+two tables' element-count lines.  It refuses as early a table whose product
+would not fit in the machine's physical memory, where the platform tells it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from itertools import accumulate
@@ -46,6 +48,8 @@ from .table import (
     BoolStructureMatrix,
     MulTable,
     _read_prelude,
+    _storage_dtype,
+    _transformation_count,
     direct_product,
     full_transformation,
     parse_table,
@@ -451,9 +455,32 @@ def _parse_structure_matrix(text: str, cap: int) -> BoolStructureMatrix:
 
 
 def _check_gen_size(what: str, size: int, cap: int) -> None:
-    """Refuse to build a table of more than cap elements."""
+    """Refuse to build a table of more than cap elements, or one that
+    _check_memory refuses."""
     if size > cap:
         raise CapExceededError(f"{what} has {size} elements, cap is {cap}")
+    _check_memory(what, size)
+
+
+def _physical_memory():
+    """The machine's physical memory in bytes, or None where the platform
+    does not tell."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _check_memory(what: str, size: int) -> None:
+    """Refuse to build a table whose product, size^2 entries in the storage
+    dtype, needs more bytes than the machine's physical memory."""
+    memory = _physical_memory()
+    need = size * size * _storage_dtype(size).itemsize
+    if memory is not None and need > memory:
+        raise CapExceededError(
+            f"{what} has {size} elements, whose product needs {-(-need >> 20)} MiB,"
+            f" more than the {memory >> 20} MiB of physical memory")
 
 
 def cmd_gen(args) -> int:
@@ -465,6 +492,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "rees":
         table = rees_matrix(_parse_structure_matrix(_read_text(args.matrixfile), cap))
     elif args.kind == "tn":
+        _check_memory("full transformation semigroup", _transformation_count(args.n, cap))
         table = full_transformation(args.n, max_size=cap)
     else:
         counts = [_element_count_of(path, args.cap) for path in (args.f1, args.f2)]

@@ -38,11 +38,17 @@ is at most a quarter of |R| |C|: in 0-simple Rees semigroups over a
 nontrivial group, where Sg lies in L_g and 0 and gS in R_g and 0, never
 in bands or null semigroups.
 
-parse_table reads a table file in one byte pass per block of whole lines:
-the digit runs of a block are found by array comparisons and combined into
-the rows of the product in place.  Any text that pass might take differently
-from str.splitlines, str.split and int() sends the whole file through the
-per-row int() loop, which accepts the same tables and words every error.
+parse_table reads a table file in one byte pass per block of whole lines,
+32 KB of them below 4096 elements.  Each block is encoded once; its digit
+runs are found by array comparisons, and Horner passes, each reaching one
+digit further back, spell each run's number at its end, from where it is
+written straight into the rows of the product.  The passes keep only the
+block's bytes, its run ends and uint16 arrays of the digits, their
+multipliers and the partial numbers, so on the 256-element band the pass
+holds about 10 bytes per character of a block beside the product.  Any text
+that pass might take differently from str.splitlines, str.split and int()
+sends the whole file through the per-row int() loop, which accepts the same
+tables and words every error.
 """
 
 from __future__ import annotations
@@ -736,8 +742,8 @@ def _read_prelude(lines, max_size: int):
 
 
 # characters per block of the byte pass, rounded to whole lines, for each
-# 1024 elements of n
-_BLOCK_BYTES = 1 << 14
+# 2048 elements of n
+_BLOCK_BYTES = 1 << 15
 # the longest digit run the byte pass reads, so that uint16 holds it; longer
 # runs, and so every table of more than 10^4 elements, go to the loop
 _MAX_RUN = 4
@@ -749,14 +755,11 @@ def _read_by_bytes(text: str, max_size: int):
     The prelude up to the element count is _read_prelude's, and a None
     from it returns None.
     The body is then read in blocks of whole lines of about _BLOCK_BYTES
-    characters per 1024 elements.  A block with a '#' has its comment lines
-    taken out first.  Every byte left must be an ASCII digit, space, tab or
-    \n, or a \r before a \n, and every line must hold no entry or n of
-    them.  The digit runs end where a digit meets a non-digit; shifted
-    Horner passes, each reaching one digit further back, spell each run's
-    number at its end, and those numbers are written straight into the
-    rows of the product.  A run of more than _MAX_RUN digits, a value of n
-    or more, or a row count other than n returns None.
+    characters per 2048 elements.  A block with a '#' has its comment lines
+    taken out first.  Each block is encoded once, with the line end before
+    it and one after its last line, and _read_block writes its rows
+    straight into the product.  A row count other than n returns None, as
+    does any block _read_block refuses.
     """
     prelude = _read_prelude(_lines(text), max_size)
     if prelude is None:
@@ -765,63 +768,102 @@ def _read_by_bytes(text: str, max_size: int):
     product = np.empty((n, n), dtype=_storage_dtype(n))
     flat = product.reshape(-1)
     row = 0
-    # a row near the cap is longer than _BLOCK_BYTES alone, so the budget
-    # grows with n and each block's fixed cost is spread over a few rows
-    budget = _BLOCK_BYTES * max(1, n >> 10)
+    # the budget grows with n, so that each block's fixed cost is spread
+    # over a few rows near the cap, but only to 64 KB there: with 128 KB
+    # blocks, glibc's malloc handed every block's arrays back to the system,
+    # and the 4096-element band's parse took 177,000 minor page faults and
+    # 0.46 s, against 760 and 0.27 s with 64 KB blocks (2-vCPU Linux VM)
+    budget = _BLOCK_BYTES * max(1, n >> 11)
     while pos < len(text):
         end = text.rfind("\n", pos, pos + budget) + 1
         if end <= pos:
             # a line longer than the budget is a block of its own
             end = text.find("\n", pos + budget) + 1 or len(text)
-        block = text[pos:end]
+        # the prelude and every block end with a line end, so text[pos - 1]
+        # is the one before the block
+        block = text[pos - 1:end]
         pos = end
         if "#" in block:
             kept, names = _data_lines(block.splitlines(), names)
-            block = "\n".join(kept)
+            block = "\n" + "\n".join(kept) + "\n"
+        elif not block.endswith("\n"):
+            block += "\n"
         if not block.isascii():
             return None
-        # a line end before the first line and after the last
-        v = np.frombuffer(f"\n{block}\n".encode("ascii"), dtype=np.uint8)
-        d = v - np.uint8(48)
-        digit = d < np.uint8(10)
-        line_ends = (v == np.uint8(10)).nonzero()[0]
-        if (np.count_nonzero(digit) + np.count_nonzero(v == np.uint8(32))
-                + np.count_nonzero(v == np.uint8(9)) + len(line_ends)
-                + np.count_nonzero(v[line_ends[1:] - 1] == np.uint8(13))) != len(v):
+        data = block.encode("ascii")
+        del block
+        rows = _read_block(data, n, flat[row * n:])
+        if rows is None:
             return None
-        ends = (digit[:-1] > digit[1:]).nonzero()[0]
-        before = np.searchsorted(ends, line_ends)    # entries before each line end
-        rows = np.count_nonzero(before[1:] - before[:-1] == n)
-        if rows * n != len(ends) or row + rows > n:
-            return None
-        # h[i]: the number the digits of i's run spell up to i, or its last
-        # k + 1 digits after k passes
-        digits = d.astype(np.uint16)
-        digits *= digit
-        ten = digit * np.uint8(10)
-        h = digits
-        run = digit
-        for k in range(1, _MAX_RUN + 1):
-            run = run[1:] & digit[:-k]       # run[i]: a run of k + 1 digits ends at i + k
-            if not run.any():
-                break
-            if k == _MAX_RUN:
-                return None
-            shifted = np.empty_like(digits)
-            shifted[0] = 0
-            np.multiply(h[:-1], ten[1:], out=shifted[1:])
-            shifted += digits
-            h = shifted
-        values = h[ends]
-        if rows and values.max() >= n:
-            return None
-        flat[row * n:(row + rows) * n] = values
         row += rows
     if row != n:
         return None
     # MulTable keeps a read-only array in its storage dtype instead of copying it
     product.setflags(write=False)
     return names, product
+
+
+def _read_block(data: bytes, n: int, dest: np.ndarray):
+    """The number of rows a block of whole lines holds, written to dest; or None.
+
+    data starts and ends with a line end.  Every other byte must be an ASCII
+    digit, space, tab or \n, or a \r before a \n, and every line must hold
+    no entry or n of them.  The digit runs end where a digit meets a
+    non-digit.  Each Horner pass reaches one digit further back, so that
+    k - 1 passes spell every run of at most k digits at its end, with k the
+    digits of n - 1 or, for zero-padded entries, more.  The last pass
+    writes over the array of multipliers it reads for the last time.  A run
+    of more than _MAX_RUN digits, a value of n or more, or more rows than
+    dest holds returns None.
+    """
+    v = np.frombuffer(data, dtype=np.uint8)
+    d = v - np.uint8(48)
+    digit = d < np.uint8(10)
+    line_ends = (v == np.uint8(10)).nonzero()[0]
+    # the bytes other than digits, spaces and \n must all be tabs or \r
+    # before a \n
+    other = len(v) - np.count_nonzero(digit) - np.count_nonzero(v == np.uint8(32)) - len(line_ends)
+    if other and other != (np.count_nonzero(v == np.uint8(9))
+                           + np.count_nonzero(v[line_ends[1:] - 1] == np.uint8(13))):
+        return None
+    ends = (digit[:-1] > digit[1:]).nonzero()[0]
+    before = np.searchsorted(ends, line_ends)    # entries before each line end
+    rows = np.count_nonzero(before[1:] - before[:-1] == n)
+    if rows * n != len(ends) or rows * n > len(dest):
+        return None
+    width = len(str(n - 1))
+    run = digit
+    for k in range(1, _MAX_RUN + 1):
+        run = run[1:] & digit[:-k]      # run[i]: a run of k + 1 digits ends at i + k
+        if k >= width and not run.any():
+            break
+    else:
+        return None
+    # of the block's arrays, only the digits' values, their multipliers and
+    # the run ends are kept for the passes
+    del run
+    digits = np.multiply(d, digit.view(np.uint8), out=d, dtype=np.uint8).astype(np.uint16)
+    del d
+    ten = digit.astype(np.uint16)
+    del digit
+    np.multiply(ten, np.uint16(10), out=ten, dtype=np.uint16)
+    # h[i]: the number the last digits of i's run spell up to i, one more
+    # after each pass; the last pass writes over ten
+    h = digits
+    for left in range(k - 2, -1, -1):
+        if left:
+            shifted = np.empty_like(digits)
+            shifted[0] = 0
+        else:
+            shifted = ten
+        np.multiply(h[:-1], ten[1:], out=shifted[1:], dtype=np.uint16)
+        np.add(shifted, digits, out=shifted, dtype=np.uint16)
+        h = shifted
+    values = h[ends]
+    if rows and values.max() >= n:
+        return None
+    dest[:rows * n] = values
+    return rows
 
 
 def render_table(table: MulTable) -> str:
@@ -906,13 +948,8 @@ def rectangular_band(m: int, n: int) -> MulTable:
     return MulTable(prod, names)
 
 
-def full_transformation(n: int, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
-    """All n^n self-maps of {0..n-1} under left-to-right composition.
-
-    The product fg applies f first: x(fg) = (xf)g.  Maps are ordered
-    lexicographically by their value tuples and named by the digit string of
-    their values, so the identity of T_3 is "012".
-    """
+def _transformation_count(n: int, max_size: int) -> int:
+    """n^n, the size of T_n; an error when n is not positive or n^n passes max_size."""
     if n < 1:
         raise TableFormatError("n must be positive")
     # n^n is multiplied up only until it passes the cap, so a huge n fails at once
@@ -924,6 +961,17 @@ def full_transformation(n: int, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
             count = n ** n if n <= 15 else f"{n}^{n}"
             raise CapExceededError(
                 f"full transformation semigroup has {count} elements, cap is {max_size}")
+    return size
+
+
+def full_transformation(n: int, max_size: int = DEFAULT_SIZE_CAP) -> MulTable:
+    """All n^n self-maps of {0..n-1} under left-to-right composition.
+
+    The product fg applies f first: x(fg) = (xf)g.  Maps are ordered
+    lexicographically by their value tuples and named by the digit string of
+    their values, so the identity of T_3 is "012".
+    """
+    size = _transformation_count(n, max_size)
     # maps in lexicographic order are the base-n numerals 0..size-1, in the
     # storage dtype
     dtype = _storage_dtype(size)

@@ -578,6 +578,12 @@ def test_main_builds_its_parser_once():
     assert cli.build_parser() is not cli.build_parser()
 
 
+def physical_memory(monkeypatch, total: int) -> None:
+    """os.sysconf reporting total bytes of physical memory, in 4 KiB pages."""
+    values = {"SC_PHYS_PAGES": total // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(cli.os, "sysconf", values.__getitem__)
+
+
 class TestGen:
     def test_rect_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "rect.tbl"
@@ -630,17 +636,61 @@ class TestGen:
         ("", "error: out of memory"),
     ])
     def test_out_of_memory_is_an_input_error(self, monkeypatch, tmp_path, capsys, message, want):
-        # T_6 passes a cap of 100000 but needs gigabytes; the build is
-        # stood in for by one that runs out of memory at once
+        # T_6 passes a cap of 100000 but needs gigabytes; on a machine of
+        # 1 TiB it passes the memory check too, and the build is stood in
+        # for by one that runs out of memory at once
         def exhausted(n, max_size):
             raise MemoryError(message)
 
+        physical_memory(monkeypatch, 1 << 40)
         monkeypatch.setattr(cli, "full_transformation", exhausted)
         out_path = tmp_path / "t6.tbl"
         code, out, err = run(["gen", "tn", 6, out_path, "--cap", 100000], capsys)
         assert (code, out) == (2, "")
         assert err == want + "\n"
         assert not out_path.exists()
+
+    def test_tn_refused_past_physical_memory(self, monkeypatch, tmp_path, capsys):
+        # T_6 (46656 elements) passes a cap of 100000, but its uint16
+        # product needs 46656^2 * 2 bytes, 4152 MiB rounded up: on a machine
+        # of 4 GiB it is refused before anything is built
+        def build(n, max_size):
+            raise AssertionError("T_6 built")
+
+        physical_memory(monkeypatch, 4 << 30)
+        monkeypatch.setattr(cli, "full_transformation", build)
+        out_path = tmp_path / "t6.tbl"
+        code, out, err = run(["gen", "tn", 6, out_path, "--cap", 100000], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: full transformation semigroup has 46656 elements, whose product"
+                       " needs 4152 MiB, more than the 4096 MiB of physical memory\n")
+        assert not out_path.exists()
+
+    def test_rect_refused_past_physical_memory(self, monkeypatch, tmp_path, capsys):
+        # the 16 x 16 band's uint8 product is 64 KiB, 1 MiB rounded up; the
+        # cap check of every kind of gen is followed by the memory check
+        out_path = tmp_path / "band.tbl"
+        physical_memory(monkeypatch, 32 << 10)
+        code, out, err = run(["gen", "rect", 16, 16, out_path], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: rectangular band has 256 elements, whose product"
+                       " needs 1 MiB, more than the 0 MiB of physical memory\n")
+        assert not out_path.exists()
+        physical_memory(monkeypatch, 1 << 20)
+        code, _, _ = run(["gen", "rect", 16, 16, out_path], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("unknown", [AttributeError, ValueError, OSError])
+    def test_memory_check_skipped_where_unknown(self, monkeypatch, tmp_path, capsys, unknown):
+        # no os.sysconf, or no page count or page size through it
+        def sysconf(name):
+            raise unknown(name)
+
+        monkeypatch.setattr(cli.os, "sysconf", sysconf)
+        out_path = tmp_path / "t3.tbl"
+        code, _, _ = run(["gen", "tn", 3, out_path], capsys)
+        assert code == 0
+        assert parse_table(out_path.read_text(encoding="utf-8")) == t_n(3)
 
     @pytest.mark.parametrize("argv", [["2000"], ["1000000", "--cap", "5000"]])
     def test_tn_refuses_huge_n_fast(self, tmp_path, capsys, argv):

@@ -150,16 +150,29 @@ class TestMulTable:
 
     def test_parse_holds_the_table_once(self):
         # the 16 x 16 band, 256 elements: its product is uint8, n^2 bytes,
-        # and reading and verifying it peaks below one n x n intp array
+        # and reading and verifying it peaks below one n x n intp array; so
+        # do its copies with CRLF line ends, with tabs, and with comment and
+        # blank lines, whose blocks are rebuilt without them
         text = render_table(rectangular_band(16, 16))
         n = 256
-        tracemalloc.start()
-        try:
-            parse_table(text)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
+        lines = text.splitlines()
+        commented = lines[:1] + ["# a comment", ""]
+        for i, line in enumerate(lines[1:]):
+            commented += [line, f"  # row {i}", "\t"] if i % 3 == 0 else [line]
+        copies = {
+            "plain": text,
+            "crlf": text.replace("\n", "\r\n"),
+            "tabs": text.replace(" ", "\t"),
+            "commented": "\n".join(commented) + "\n",
+        }
+        for name, copy in copies.items():
+            tracemalloc.start()
+            try:
+                parse_table(copy)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8, name
 
     def test_equality(self):
         assert cyclic(3) == cyclic(3)
